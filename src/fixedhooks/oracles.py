@@ -1,9 +1,14 @@
-"""Brute-force enumeration oracles for fixed-hook counts.
+"""Counting oracles for fixed-hook counts and their companion objects.
 
-Every count here is obtained by enumerating partitions and inspecting Young
-diagrams directly.  The generating-function builders in
-:mod:`fixedhooks.genfun` are verified coefficient-by-coefficient against
-these oracles; nothing in this module touches q-series arithmetic.
+The fixed-hook counts and the hook census enumerate partitions and inspect
+Young diagrams directly.  The companion objects of Theorems 11, 12 and 13
+are counted by exact integer DPs over the allowed part sizes: each object
+splits into blocks of part sizes chosen independently, and each block is a
+bounded-part or gap-avoiding partition count.  The enumerate-and-filter
+definitions of those objects live in the tests as references.  The
+generating-function builders in :mod:`fixedhooks.genfun` are verified
+coefficient-by-coefficient against these oracles; nothing in this module
+touches q-series arithmetic.
 
 A cell (i, m) of a partition is an *h-fixed hook in column m* when
 ``hook_length(i, m) == i + h``.  Because the hooks down a column strictly
@@ -16,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .partitions import (
     Family,
@@ -76,6 +82,8 @@ def count_hooks_of_size(
     """
     if k < 1:
         raise ValueError("hook size k must be >= 1")
+    if m is not None and m < 1:
+        raise ValueError("column index m must be >= 1")
     total = 0
     for parts in enumerate_parts(n, family):
         conj = conjugate_parts(parts)
@@ -117,9 +125,32 @@ def t11_qualifying_sizes(parts: tuple[int, ...], m: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _partitions_avoiding(n: int, lo: int, hi: int) -> int:
+    """Partitions of n with no part in lo .. hi: coin-change DP over the
+    allowed part sizes.  0 for negative n."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for size in chain(range(1, min(lo, n + 1)), range(hi + 1, n + 1)):
+        for x in range(size, n + 1):
+            ways[x] += ways[x - size]
+    return ways[n]
+
+
+@lru_cache(maxsize=None)
 def _t11_first_weight(a: int, m: int) -> int:
-    """Sum over first-color partitions of a of their number of qualifying sizes."""
-    return sum(len(t11_qualifying_sizes(parts, m)) for parts in enumerate_parts(a))
+    """Sum over first-color partitions of a of their number of qualifying sizes.
+
+    Removing the L + m - 1 copies of a qualifying L leaves a partition of
+    a - L(L+m-1) with no part in L .. L+2m-2, and each such partition comes
+    from exactly one object qualifying at L.
+    """
+    total = 0
+    L = 1
+    while L * (L + m - 1) <= a:
+        total += _partitions_avoiding(a - L * (L + m - 1), L, L + 2 * m - 2)
+        L += 1
+    return total
 
 
 def count_colored_thm11(n: int, m: int) -> int:
@@ -153,20 +184,14 @@ def colored_t11_witnesses(n: int, m: int) -> list[tuple[Partition, Partition, in
     return out
 
 
-@lru_cache(maxsize=None)
 def _t13_first_count(a: int, m: int, k: int) -> int:
     """First-color partitions of a avoiding sizes k-m+1 .. k+m-1 and containing
-    every size 1 .. k-m at least once."""
-    lo, hi = k - m + 1, k + m - 1
-    need = range(1, k - m + 1)
-    total = 0
-    for parts in enumerate_parts(a):
-        sizes = set(parts)
-        if any(lo <= p <= hi for p in sizes):
-            continue
-        if all(x in sizes for x in need):
-            total += 1
-    return total
+    every size 1 .. k-m at least once.
+
+    Removing one part of each size 1 .. k-m leaves a partition of
+    a - (k-m)(k-m+1)/2 that only has to avoid k-m+1 .. k+m-1.
+    """
+    return _partitions_avoiding(a - (k - m) * (k - m + 1) // 2, k - m + 1, k + m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -230,15 +255,25 @@ def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = 
 @lru_cache(maxsize=None)
 def _t12_profile(t: int, m: int) -> tuple[tuple[int, int], ...]:
     """For partitions of t with exactly one part m and no parts strictly
-    between m and 2m: how many have g parts of size >= 2m, per g."""
-    counts: Counter[int] = Counter()
-    for parts in enumerate_parts(t):
-        if sum(1 for p in parts if p == m) != 1:
-            continue
-        if any(m < p < 2 * m for p in parts):
-            continue
-        counts[sum(1 for p in parts if p >= 2 * m)] += 1
-    return tuple(sorted(counts.items()))
+    between m and 2m: how many have g parts of size >= 2m, per g (nonzero
+    counts only, g ascending).
+
+    Such a partition is the part m, parts < m of total x, and exactly g
+    parts >= 2m of total t - m - x.  Less 2m - 1 from each, those g parts
+    are a partition of t - m - x - (2m-1)g into exactly g parts, and by
+    conjugation there are ``partition_count(t - m - x - 2mg, g)`` of them.
+    """
+    out = []
+    g = 0
+    while m + 2 * m * g <= t:
+        rest = t - m - 2 * m * g
+        count = sum(
+            partition_count(x, m - 1) * partition_count(rest - x, g) for x in range(rest + 1)
+        )
+        if count:
+            out.append((g, count))
+        g += 1
+    return tuple(out)
 
 
 def count_restricted_thm12(n: int, m: int, h: int) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fixedhooks
 from fixedhooks.cli import main, parse_range, read_config, render_colored
 from fixedhooks.partitions import Partition
 
@@ -135,6 +140,26 @@ def test_count_hooks(capsys):
     code, out, _ = run_cli(capsys, "count", "hooks", "--n", "3", "--k", "1")
     assert code == 0
     assert out.strip() == "count: 4"
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_count_hooks_rejects_column_below_one(capsys, m):
+    code, out, err = run_cli(capsys, "count", "hooks", "--n", "5", "--k", "2", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert "column index m must be >= 1" in err
+
+
+def test_python_dash_m_runs_cli():
+    src = str(Path(fixedhooks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixedhooks", "count", "hooks", "--n", "4", "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "count: 7"
 
 
 def test_count_unknown_oracle(capsys):

@@ -1,6 +1,19 @@
-import pytest
+import ast
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
 
-from fixedhooks.partitions import Family, Partition, enumerate_partitions
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fixedhooks.oracles as oracles
+from fixedhooks.partitions import (
+    Family,
+    Partition,
+    enumerate_partitions,
+    enumerate_parts,
+    partition_count,
+)
 from fixedhooks.oracles import (
     colored_t11_witnesses,
     count_colored_thm11,
@@ -204,3 +217,97 @@ def test_witnesses_are_ordered_and_unique():
         (3, 2, 2, 2, 1), (3, 2, 2, 1, 1, 1), (3, 2, 1, 1, 1, 1, 1),
         (3, 1, 1, 1, 1, 1, 1, 1),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Enumerate-and-filter references for the part-size DPs of the companion
+# oracles: each object is found by listing every partition and testing the
+# companion theorem's conditions on it.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def ref_t11_first_weight(a, m):
+    return sum(len(t11_qualifying_sizes(parts, m)) for parts in enumerate_parts(a))
+
+
+@lru_cache(maxsize=None)
+def ref_t13_first_count(a, m, k):
+    lo, hi = k - m + 1, k + m - 1
+    need = range(1, k - m + 1)
+    total = 0
+    for parts in enumerate_parts(a):
+        sizes = set(parts)
+        if any(lo <= p <= hi for p in sizes):
+            continue
+        if all(x in sizes for x in need):
+            total += 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def ref_t12_profile(t, m):
+    counts = Counter()
+    for parts in enumerate_parts(t):
+        if sum(1 for p in parts if p == m) != 1:
+            continue
+        if any(m < p < 2 * m for p in parts):
+            continue
+        counts[sum(1 for p in parts if p >= 2 * m)] += 1
+    return tuple(sorted(counts.items()))
+
+
+def ref_restricted_thm12(n, m, h):
+    t = n - m * h
+    if t < 0:
+        return 0
+    return sum(c for g, c in ref_t12_profile(t, m) if g >= max(0, -h))
+
+
+def ref_colored_thm11(n, m):
+    return sum(ref_t11_first_weight(a, m) * partition_count(n - a, m - 1) for a in range(n + 1))
+
+
+def ref_colored_thm13_stated(nprime, m, k):
+    return sum(
+        ref_t13_first_count(a, m, k) * partition_count(nprime - a, m - 1)
+        for a in range(nprime + 1)
+    )
+
+
+def _assert_companions_match(n, m, h, k):
+    assert count_restricted_thm12(n, m, h) == ref_restricted_thm12(n, m, h)
+    assert count_colored_thm11(n, m) == ref_colored_thm11(n, m)
+    assert count_colored_thm13(n, m, k, h) == ref_colored_thm13_stated(n, m, k)
+
+
+def test_companion_dps_match_enumeration():
+    for n in range(20):
+        for m in range(1, 5):
+            assert oracles._t11_first_weight(n, m) == ref_t11_first_weight(n, m)
+            assert oracles._t12_profile(n, m) == ref_t12_profile(n, m)
+            for k in range(m, 7):
+                assert oracles._t13_first_count(n, m, k) == ref_t13_first_count(n, m, k)
+                for h in range(-3, 4):
+                    _assert_companions_match(n, m, h, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 19), st.integers(1, 4), st.integers(-3, 3), st.data())
+def test_companion_dps_match_enumeration_hypothesis(n, m, h, data):
+    k = data.draw(st.integers(m, 6))
+    _assert_companions_match(n, m, h, k)
+
+
+def test_oracles_import_no_series_code():
+    # The companion objects stay defined by the theorems, not by a q-series.
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert not {"qseries", "genfun"} & set(name.split(".")), name
