@@ -2,16 +2,30 @@
 
 Each public ``gf_*`` function returns a :class:`LaurentSeries` truncated at a
 caller-supplied order N whose coefficient at q^n is a fixed-hook count of the
-matching enumeration oracle in :mod:`fixedhooks.oracles`.  Infinite sums are
-truncated by the monotone growth of each summand's minimum exponent, noted
-inline per builder; every summand's remaining factors have valuation >= 0, so
-dropping indices past the stated bound never loses a coefficient below N.
+matching enumeration oracle in :mod:`fixedhooks.oracles`.
 
-Two conventions do the index bookkeeping everywhere:
+Every builder is written as a stream of summands ``(e, factors)`` or
+``(e, factors, sign)``: the summand is sign * q^e times the product of a
+factor multiset of binomials ``(1 - s*q^a)^p`` (see
+:func:`fixedhooks.qseries.merge_factors` and its constructors), and
+:func:`_sum` adds them up.  Consecutive summands share most of their
+factors, so :func:`_sum` keeps the previous summand's coefficients and
+applies only the binomials that changed, one O(N) pass each; no two series
+are ever multiplied.  Nested sums are flattened into double-indexed
+streams.  Every factor is a power series with constant term 1, so a summand
+has valuation e, and the window [min e, N) that holds every needed
+coefficient is known before the first pass.  Infinite sums stop once e
+reaches N, by the monotone growth of e noted inline per builder.  Factors
+common to every summand are passed to :func:`_sum` as a tail and applied
+to the total once.
 
-* ``inv_poch(..., count)`` is the zero series for ``count < 0`` (reciprocal
-  of a pole), which switches off summands whose row count would be negative;
-* ``gauss_binomial(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
+Two conventions do the index bookkeeping everywhere, as for the dense
+kernels:
+
+* ``inv_poch_factors(..., count)`` is the zero product (None) for
+  ``count < 0`` (reciprocal of a pole), which switches off summands whose row
+  count would be negative;
+* ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
   giving 1), which enforces the printed summation limits.
 
 Three builders take a ``variant`` argument because the closed form they
@@ -26,12 +40,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import accumulate
+from operator import add, sub
+from typing import Callable, Iterable
 
 from .partitions import Family
-from .qseries import LaurentSeries, gauss_binomial, inv_poch, poch
-
-Factor = Callable[[int], LaurentSeries]
+from .qseries import (
+    Factors,
+    LaurentSeries,
+    apply_factors,
+    gauss_factors,
+    inv_poch_factors,
+    merge_factors,
+    poch_factors,
+)
 
 
 def _choose2(x: int) -> int:
@@ -39,27 +61,50 @@ def _choose2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def _term(order: int, exp: int, factors: Sequence[Factor]) -> LaurentSeries:
-    """q**exp times a product of factors, exact below ``order``.
+def _sum(order: int, summands: Iterable[tuple], tail: Factors | None = None) -> LaurentSeries:
+    """Sum of sign * q^e * prod(factors) over the summands, times ``tail``,
+    exact below ``order``.
 
-    Factors are callables from a working order to a series.  They usually
-    have valuation 0; when one reaches into negative exponents the first
-    build comes out short and is redone with the missing headroom.
+    The running product ``state`` always equals the product of ``applied``
+    on its width.  A summand at e needs only its first order - e
+    coefficients, on which a binomial of degree >= order - e acts as 1, so
+    such binomials are left as they are until a later summand needs them.
+    The width shrinks to what the remaining summands need.  ``tail`` acts on
+    the window [min e, order); a tail with infinite products must hold every
+    factor of degree below order - min e.
     """
-    width = order - exp
-    if width <= 0:
+    terms = [t for t in summands if t[0] < order and t[1] is not None]
+    if not terms:
         return LaurentSeries.zero(order)
-    pad = 0
-    while True:
-        working = width + pad
-        prod = LaurentSeries.one(working)
-        for factor in factors:
-            prod = prod * factor(working)
-            if prod.is_zero():
-                break
-        if prod.order >= width:
-            return prod.truncate(width).shift(exp)
-        pad += width - prod.order
+    # The lowest exponent from each summand on fixes the width still needed.
+    lows = list(accumulate((t[0] for t in reversed(terms)), min))[::-1]
+    lo = lows[0]
+    total = [0] * (order - lo)
+    state = [1] + [0] * (order - lo - 1)
+    applied: Factors = {}
+    for (e, factors, *sign), low in zip(terms, lows):
+        width = order - low
+        if width < len(state):
+            del state[width:]
+            applied = {key: p for key, p in applied.items() if key[1] < width}
+        need = order - e
+        change: Factors = {}
+        for key in applied.keys() | factors.keys():
+            if key[1] < need:
+                want = factors.get(key, 0)
+                p = want - applied.get(key, 0)
+                if p:
+                    change[key] = p
+                    if want:
+                        applied[key] = want
+                    else:
+                        del applied[key]
+        apply_factors(state, change)
+        at = e - lo  # total[at:] is exactly the need coefficients of this summand
+        total[at:] = map(sub if sign == [-1] else add, total[at:], state[:need])
+    if tail:
+        apply_factors(total, tail)
+    return LaurentSeries(lo, total, order)
 
 
 def _require_column(m: int, k: int | None = None) -> None:
@@ -69,16 +114,9 @@ def _require_column(m: int, k: int | None = None) -> None:
         raise ValueError(f"part size k={k} has no cell in column m={m}")
 
 
-def _finish(total: LaurentSeries, order: int, factors: Sequence[Factor]) -> LaurentSeries:
-    """Multiply ``total`` by valuation-0 tail factors and truncate to ``order``.
-
-    The factors are built with enough headroom that a ``total`` reaching into
-    negative exponents still comes out exact below ``order``.
-    """
-    pad = max(0, -total.min_exp)
-    for factor in factors:
-        total = total * factor(order + pad)
-    return total.truncate(order)
+def _half(m: int) -> int:
+    """Length of the odd-part Pochhammer left of column m."""
+    return (m - 1) // 2 if m % 2 else m // 2
 
 
 # ---------------------------------------------------------------------------
@@ -96,34 +134,24 @@ def gf_fixed_by_part_m1(k: int, h: int, order: int, form: str = "reindexed") -> 
     """
     if k < 1:
         raise ValueError("part size k must be >= 1")
-    total = LaurentSeries.zero(order)
-    if form == "reindexed":
-        s = 0
-        while True:
-            e = s * (k + 1) + k * (k - h)
-            if e > order:
-                break
-            total = total + _term(
-                order, e,
-                [lambda M, s=s: inv_poch(1, s + k - h - 1, M),
-                 lambda M, s=s: gauss_binomial(s + k - 1, k - 1, 1, M)],
-            )
-            s += 1
-    elif form == "rows":
-        s = max(1, k - h)
-        while True:
-            e = (k + 1) * (s - 1) + h + 1
-            if e > order:
-                break
-            total = total + _term(
-                order, e,
-                [lambda M, s=s: inv_poch(1, s - 1, M),
-                 lambda M, s=s: gauss_binomial(s + h - 1, k - 1, 1, M)],
-            )
-            s += 1
-    else:
+    if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
-    return total
+
+    def summands():
+        if form == "reindexed":
+            s = 0
+            while (e := s * (k + 1) + k * (k - h)) < order:
+                yield e, merge_factors(inv_poch_factors(1, s + k - h - 1),
+                                       gauss_factors(s + k - 1, k - 1))
+                s += 1
+        else:
+            s = max(1, k - h)
+            while (e := (k + 1) * (s - 1) + h + 1) < order:
+                yield e, merge_factors(inv_poch_factors(1, s - 1),
+                                       gauss_factors(s + h - 1, k - 1))
+                s += 1
+
+    return _sum(order, summands())
 
 
 def gf_mfixed_by_part(
@@ -135,34 +163,24 @@ def gf_mfixed_by_part(
     Summand exponents grow with slope k+m.
     """
     _require_column(m, k)
-    total = LaurentSeries.zero(order)
-    if form == "reindexed":
-        s = 0
-        while True:
-            e = s * (k + m) + k * (k - h - m + 1)
-            if e > order:
-                break
-            total = total + _term(
-                order, e,
-                [lambda M, s=s: inv_poch(1, s + k - h - m, M),
-                 lambda M, s=s: gauss_binomial(s + k - m, k - m, 1, M)],
-            )
-            s += 1
-    elif form == "rows":
-        s = max(1, k - h - m + 1)
-        while True:
-            e = s * (k + m) + m * (h - k + m - 1)
-            if e > order:
-                break
-            total = total + _term(
-                order, e,
-                [lambda M, s=s: inv_poch(1, s - 1, M),
-                 lambda M, s=s: gauss_binomial(s + h - 1, k - m, 1, M)],
-            )
-            s += 1
-    else:
+    if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
-    return _finish(total, order, [lambda M: inv_poch(1, m - 1, M)])
+
+    def summands():
+        if form == "reindexed":
+            s = 0
+            while (e := s * (k + m) + k * (k - h - m + 1)) < order:
+                yield e, merge_factors(inv_poch_factors(1, s + k - h - m),
+                                       gauss_factors(s + k - m, k - m))
+                s += 1
+        else:
+            s = max(1, k - h - m + 1)
+            while (e := s * (k + m) + m * (h - k + m - 1)) < order:
+                yield e, merge_factors(inv_poch_factors(1, s - 1),
+                                       gauss_factors(s + h - 1, k - m))
+                s += 1
+
+    return _sum(order, summands(), inv_poch_factors(1, m - 1))
 
 
 def gf_odd_by_part(
@@ -175,37 +193,34 @@ def gf_odd_by_part(
     differ in the lower index of the under-hook binomial: "stated" uses
     s + h - k, "derived" uses the row count s + h - k + m - 1 below the hook
     (and, for even m, carries the inserted column through the exponent).
-    They coincide at m = 1.
+    They coincide at m = 1.  Summand exponents grow with slope k+m or k+m+1.
     """
     _require_column(m, k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
     if k % 2 == 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    s = max(1, k - h - m + 1)
-    while True:
-        j = s + h - k + m - 1
-        if m % 2 == 1:
-            e = s * (k + m) + m * (h - k + m - 1)
-            top_shift = (k - m) // 2
-        elif variant == "derived":
-            e = s * (k + m + 1) + (m + 1) * (h - k + m - 1)
-            top_shift = (k - m - 1) // 2
-        else:
-            e = s * (k + m + 1) + m * (h - k + m) + h - k + 1
-            top_shift = (k - m - 1) // 2
-        if e > order:
-            break
-        bottom = j if variant == "derived" else s + h - k
-        total = total + _term(
-            order, e,
-            [lambda M, s=s: inv_poch(2, s - 1, M, step=2),
-             lambda M, b=bottom, t=top_shift: gauss_binomial(b + t, b, 2, M)],
-        )
-        s += 1
-    half = (m - 1) // 2 if m % 2 else m // 2
-    return _finish(total, order, [lambda M: inv_poch(1, half, M, step=2)])
+
+    def summands():
+        s = max(1, k - h - m + 1)
+        while True:
+            if m % 2 == 1:
+                e = s * (k + m) + m * (h - k + m - 1)
+                top_shift = (k - m) // 2
+            elif variant == "derived":
+                e = s * (k + m + 1) + (m + 1) * (h - k + m - 1)
+                top_shift = (k - m - 1) // 2
+            else:
+                e = s * (k + m + 1) + m * (h - k + m) + h - k + 1
+                top_shift = (k - m - 1) // 2
+            if e >= order:
+                return
+            bottom = s + h - k + m - 1 if variant == "derived" else s + h - k
+            yield e, merge_factors(inv_poch_factors(2, s - 1, step=2),
+                                   gauss_factors(bottom + top_shift, bottom, 2))
+            s += 1
+
+    return _sum(order, summands(), inv_poch_factors(1, _half(m), step=2))
 
 
 def gf_distinct_by_part(
@@ -216,28 +231,26 @@ def gf_distinct_by_part(
     The sum is finite (s = 0 .. k-m).  "stated" keeps the displayed constant
     denominator (q;q)_{k-h-1}; "derived" uses the row-dependent
     (q;q)_{s+k-m-h}, the count of rows above the fixed part.  The verifier
-    records which one matches the enumeration.
+    records which one matches the enumeration.  A summand may sit at a
+    negative exponent.
     """
     _require_column(m, k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
-    total = LaurentSeries.zero(order)
-    for s in range(0, k - m + 1):
-        e = (
+    summands = (
+        (
             s * (k + m)
             + k * (k - h - m + 1)
             + _choose2(s + k - m + 1 - h)
-            + _choose2(s)
+            + _choose2(s),
+            merge_factors(
+                gauss_factors(k - m, s),
+                inv_poch_factors(1, k - h - 1 if variant == "stated" else s + k - m - h),
+            ),
         )
-        if variant == "stated":
-            denom = lambda M, _=s: inv_poch(1, k - h - 1, M)
-        else:
-            denom = lambda M, s=s: inv_poch(1, s + k - m - h, M)
-        total = total + _term(
-            order, e,
-            [lambda M, s=s: gauss_binomial(k - m, s, 1, M), denom],
-        )
-    return _finish(total, order, [lambda M: poch(1, m - 1, M, sign=-1)])
+        for s in range(0, k - m + 1)
+    )
+    return _sum(order, summands, poch_factors(1, m - 1, sign=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +264,8 @@ def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
         raise ValueError("hook size k must be >= 1")
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    for l in range(1, k + 1):
-        e = k + l * (k - h - 1)
-        total = total + _term(
-            order, e, [lambda M, l=l: gauss_binomial(k - 1, l - 1, 1, M)]
-        )
-    return _finish(total, order, [lambda M: inv_poch(1, k - h - 1, M)])
+    summands = ((k + l * (k - h - 1), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1))
+    return _sum(order, summands, inv_poch_factors(1, k - h - 1))
 
 
 def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
@@ -267,14 +275,12 @@ def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
         raise ValueError("hook size k must be >= 1")
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    for l in range(1, k + 1):
-        e = (m - 1) * (2 * k - h - l) + k + l * (k - h - 1)
-        total = total + _term(
-            order, e, [lambda M, l=l: gauss_binomial(k - 1, l - 1, 1, M)]
-        )
-    return _finish(total, order, [lambda M: inv_poch(1, k - h - 1, M),
-                                  lambda M: inv_poch(1, m - 1, M)])
+    summands = (
+        ((m - 1) * (2 * k - h - l) + k + l * (k - h - 1), gauss_factors(k - 1, l - 1))
+        for l in range(1, k + 1)
+    )
+    return _sum(order, summands,
+                merge_factors(inv_poch_factors(1, k - h - 1), inv_poch_factors(1, m - 1)))
 
 
 def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
@@ -286,22 +292,20 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     _require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    for l in range(1, k + 1):
-        if l % 2 != m % 2:
-            continue
-        e = k + l * (k - h - 1) + (m - 1) * (2 * k - h - l)
-        if m % 2 == 1:
-            top = k - l + (l - 1) // 2
-        else:
-            e += k - l
-            top = k - l + (l - 2) // 2
-        total = total + _term(
-            order, e, [lambda M, t=top: gauss_binomial(t, k - l, 2, M)]
-        )
-    half = (m - 1) // 2 if m % 2 else m // 2
-    return _finish(total, order, [lambda M: inv_poch(2, k - h - 1, M, step=2),
-                                  lambda M: inv_poch(1, half, M, step=2)])
+
+    def summands():
+        for l in range(2 - m % 2, k + 1, 2):
+            e = k + l * (k - h - 1) + (m - 1) * (2 * k - h - l)
+            if m % 2 == 1:
+                top = k - l + (l - 1) // 2
+            else:
+                e += k - l
+                top = k - l + (l - 2) // 2
+            yield e, gauss_factors(top, k - l, 2)
+
+    return _sum(order, summands(),
+                merge_factors(inv_poch_factors(2, k - h - 1, step=2),
+                              inv_poch_factors(1, _half(m), step=2)))
 
 
 def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
@@ -313,20 +317,19 @@ def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     _require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    for l in range((k + 2) // 2, k + 1):
-        e = (
+    summands = (
+        (
             k
             + l * (k - h - 1)
             + (m - 1) * (2 * k - h - l)
             + _choose2(k - h)
-            + _choose2(k - l)
+            + _choose2(k - l),
+            gauss_factors(l - 1, k - l),
         )
-        total = total + _term(
-            order, e, [lambda M, l=l: gauss_binomial(l - 1, k - l, 1, M)]
-        )
-    return _finish(total, order, [lambda M: inv_poch(1, k - h - 1, M),
-                                  lambda M: poch(1, m - 1, M, sign=-1)])
+        for l in range((k + 2) // 2, k + 1)
+    )
+    return _sum(order, summands,
+                merge_factors(inv_poch_factors(1, k - h - 1), poch_factors(1, m - 1, sign=-1)))
 
 
 def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
@@ -338,89 +341,69 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries
     _require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
-    total = LaurentSeries.zero(order)
-    if m % 2 == 1:
-        lmin, parity, top_of = (2 * k + 1) // 3, 1, lambda l: (l - 1) // 2
-    else:
-        lmin, parity, top_of = (2 * k + 2) // 3, 0, lambda l: (l - 2) // 2
-    for l in range(max(1, lmin), k + 1):
-        if l % 2 != parity:
-            continue
-        e = (
+    odd = m % 2
+    lmin = (2 * k + 2 - odd) // 3
+    summands = (
+        (
             (m - 1) * (2 * k - h - l)
             + k
             + l * (k - h - 1)
             + 2 * _choose2(k - h)
             + 2 * _choose2(k - l)
+            + (0 if odd else k - l),
+            gauss_factors((l - 2 + odd) // 2, k - l, 2),
         )
-        if m % 2 == 0:
-            e += k - l
-        total = total + _term(
-            order, e, [lambda M, l=l: gauss_binomial(top_of(l), k - l, 2, M)]
-        )
-    half = (m - 1) // 2 if m % 2 else m // 2
-    return _finish(total, order, [lambda M: inv_poch(2, k - h - 1, M, step=2),
-                                  lambda M: poch(1, half, M, step=2, sign=-1)])
+        for l in range(max(1, lmin), k + 1)
+        if l % 2 == odd
+    )
+    return _sum(order, summands,
+                merge_factors(inv_poch_factors(2, k - h - 1, step=2),
+                              poch_factors(1, _half(m), step=2, sign=-1)))
 
 
 def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> LaurentSeries:
     """Hooks of length k in all odd-and-distinct partitions, all columns.
 
     Obtained by resumming :func:`gf_odd_distinct_by_hook` over every column
-    and fixedness; the inner sums over the column-reindexing variable j are
-    truncated once the exponent 2j(k-l+1), respectively (2j+1)(k-l+1), passes
-    the working order (k-l+1 >= 1 keeps them growing).  The "stated" variant
-    keeps the circulated inner Pochhammer lengths; "derived" recollapses the
+    and fixedness.  The stream runs over the span l and the
+    column-reindexing variable j; the j-sum for each l stops once the
+    exponent 2j(k-l+1), respectively (2j+1)(k-l+1), reaches the order
+    (k-l+1 >= 1 keeps it growing).  The "stated" variant keeps the
+    circulated inner Pochhammer lengths; "derived" recollapses the
     telescoping product, which shifts the odd-span length to (l+1)/2 and the
-    even-span base to q^(2j+3).
+    even-span base to q^(2j+3).  Every exponent is >= k >= 1, so the
+    infinite tail cut at the order is exact.
     """
     if k < 1:
         raise ValueError("hook size k must be >= 1")
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
 
-    def inner(M: int, span: int, odd_span: bool) -> LaurentSeries:
-        acc = LaurentSeries.zero(M)
-        j = 0
-        while True:
-            if odd_span:
-                e = 2 * j * (k - span + 1)
-                count = (span + 1) // 2 if variant == "derived" else (span - 1) // 2
-                base = 2 * j + 1
-            elif variant == "derived":
-                e = (2 * j + 1) * (k - span + 1)
-                count, base = span // 2, 2 * j + 3
-            else:
-                e = 2 * j * (k - span + 1)
-                count, base = span // 2, 2 * j + 1
-            if e > M:
-                break
-            acc = acc + _term(
-                M, e, [lambda W, b=base, c=count: inv_poch(b, c, W, step=2, sign=-1)]
-            )
-            j += 1
-        return acc
+    def summands():
+        # Odd spans first, then even ones: consecutive summands share factors.
+        for odd_span, lmin in ((True, (2 * k + 1) // 3), (False, max(1, (2 * k + 2) // 3))):
+            for l in range(lmin + (lmin % 2 != odd_span), k + 1, 2):
+                e0 = k + 2 * _choose2(k - l) + (0 if odd_span else k - l)
+                outer = gauss_factors((l - 2 + odd_span) // 2, k - l, 2)
+                j = 0
+                while True:
+                    if odd_span:
+                        e = 2 * j * (k - l + 1)
+                        count = (l + 1) // 2 if variant == "derived" else (l - 1) // 2
+                        base = 2 * j + 1
+                    elif variant == "derived":
+                        e = (2 * j + 1) * (k - l + 1)
+                        count, base = l // 2, 2 * j + 3
+                    else:
+                        e = 2 * j * (k - l + 1)
+                        count, base = l // 2, 2 * j + 1
+                    if e0 + e >= order:
+                        break
+                    yield e0 + e, merge_factors(
+                        outer, inv_poch_factors(base, count, step=2, sign=-1))
+                    j += 1
 
-    total = LaurentSeries.zero(order)
-    for l in range((2 * k + 1) // 3, k + 1):
-        if l % 2 != 1:
-            continue
-        e0 = k + 2 * _choose2(k - l)
-        total = total + _term(
-            order, e0,
-            [lambda M, l=l: gauss_binomial((l - 1) // 2, k - l, 2, M),
-             lambda M, l=l: inner(M, l, True)],
-        )
-    for l in range(max(1, (2 * k + 2) // 3), k + 1):
-        if l % 2 != 0:
-            continue
-        e0 = k + 2 * _choose2(k - l) + (k - l)
-        total = total + _term(
-            order, e0,
-            [lambda M, l=l: gauss_binomial((l - 2) // 2, k - l, 2, M),
-             lambda M, l=l: inner(M, l, False)],
-        )
-    return _finish(total, order, [lambda M: poch(1, None, M, step=2, sign=-1)])
+    return _sum(order, summands(), poch_factors(1, None, order, step=2, sign=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,37 +414,38 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
 def gf_t11_closed_form(m: int, order: int) -> LaurentSeries:
     """Partitions with a 0-fixed hook in column m, via the colored closed form.
 
-    The l-sum is truncated once l(l+m-1) > N; the quadratic growth in l makes
-    the remainder invisible below N.
+    The l-sum is truncated once l(l+m-1) reaches N; the quadratic growth in
+    l makes the remainder invisible below N.
     """
     _require_column(m)
-    total = LaurentSeries.zero(order)
-    l = 1
-    while True:
-        e = l * (l + m - 1)
-        if e > order:
-            break
-        total = total + _term(order, e, [lambda M, l=l: poch(l, 2 * m - 1, M)])
-        l += 1
-    return _finish(total, order, [lambda M: inv_poch(1, m - 1, M),
-                                  lambda M: inv_poch(1, None, M)])
+
+    def summands():
+        l = 1
+        while (e := l * (l + m - 1)) < order:
+            yield e, poch_factors(l, 2 * m - 1)
+            l += 1
+
+    return _sum(order, summands(),
+                merge_factors(inv_poch_factors(1, m - 1), inv_poch_factors(1, None, order)))
 
 
 def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
     """h-fixed hooks in column m arising from parts of size exactly m.
 
     For h < 0 the closed form subtracts the first -h terms of the series
-    expansion; for h >= 0 the correction sum is empty.
+    expansion 1/(q^{2m};q)_inf = sum_s q^{2ms}/(q;q)_s; for h >= 0 the
+    correction sum is empty.  The correction terms come first in the stream, so the infinite
+    product is divided in only once.
     """
     _require_column(m)
+    e0 = m * h + m
 
-    def core(M: int) -> LaurentSeries:
-        acc = inv_poch(2 * m, None, M)
+    def summands():
         for s in range(0, -h):
-            acc = acc - _term(M, 2 * m * s, [lambda W, s=s: inv_poch(1, s, W)])
-        return acc
+            yield e0 + 2 * m * s, inv_poch_factors(1, s), -1
+        yield e0, inv_poch_factors(2 * m, None, order - e0)
 
-    return _term(order, m * h + m, [lambda M: inv_poch(1, m - 1, M), core])
+    return _sum(order, summands(), inv_poch_factors(1, m - 1))
 
 
 def t13_weight_shift(m: int, k: int, h: int) -> int:
@@ -474,31 +458,24 @@ def t13_weight_shift(m: int, k: int, h: int) -> int:
 def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
     """Hooks of size k in column m of all partitions.
 
-    The summands carry negative powers of q that must cancel in the total;
-    the cancellation is asserted rather than simplified away.
+    The closed form is q^{km}/(q^k;q)_inf times a sum over the leg l of
+    q^{-(l-1)(m-1)} (q^m;q)_{l-1} / ((q;q)_{l-1} (q;q)_{k-l}).  The
+    negative powers never outweigh q^{km}: the summand exponents are
+    km - (l-1)(m-1) >= k + m - 1 >= 1, so the infinite tail cut at the order
+    is exact.
     """
     _require_column(m)
     if k < 1:
         raise ValueError("hook size k must be >= 1")
-
-    def inner(M: int) -> LaurentSeries:
-        acc = LaurentSeries.zero(M)
-        for l in range(1, k + 1):
-            acc = acc + _term(
-                M, -(l - 1) * (m - 1),
-                [lambda W, l=l: poch(m, l - 1, W),
-                 lambda W, l=l: inv_poch(1, l - 1, W),
-                 lambda W, l=l: inv_poch(1, k - l, W)],
-            )
-        return acc
-
-    series = _term(order, k * m, [lambda M: inv_poch(k, None, M), inner])
-    v = series.valuation()
-    if v is not None and v < 0:
-        raise AssertionError(
-            f"negative powers of q failed to cancel (valuation {v}) for m={m}, k={k}"
+    summands = (
+        (
+            k * m - (l - 1) * (m - 1),
+            merge_factors(poch_factors(m, l - 1), inv_poch_factors(1, l - 1),
+                          inv_poch_factors(1, k - l)),
         )
-    return series
+        for l in range(1, k + 1)
+    )
+    return _sum(order, summands, inv_poch_factors(k, None, order))
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,18 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
+# _BOUNDED[c][x] is the number of partitions of x into parts <= c.  Rows
+# are extended bottom-up, so row lengths never increase with c.
+_BOUNDED: list[list[int]] = [[1]]
+
+
 @lru_cache(maxsize=None)
 def partition_count(n: int, max_part: int | None = None) -> int:
     """Number of partitions of n (into parts <= max_part when given).
 
-    Bounded-part dynamic programming, exact integers.
+    Bounded-part dynamic programming, exact integers, without recursion:
+    p(x, <= c) = p(x, <= c-1) + p(x-c, <= c) fills a table of rows that
+    later calls extend, at O(1) work per new table entry.
     """
     if n < 0:
         return 0
@@ -206,6 +213,17 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     cap = n if max_part is None else min(max_part, n)
     if cap <= 0:
         return 0
-    if cap == 1:
-        return 1
-    return partition_count(n - cap, cap) + partition_count(n, cap - 1)
+    while len(_BOUNDED) <= cap:
+        _BOUNDED.append([1])
+    first = cap
+    while first > 0 and len(_BOUNDED[first - 1]) <= n:
+        first -= 1
+    for c in range(first, cap + 1):
+        row = _BOUNDED[c]
+        if c == 0:
+            row.extend([0] * (n + 1 - len(row)))
+            continue
+        below = _BOUNDED[c - 1]
+        for x in range(len(row), n + 1):
+            row.append(below[x] + (row[x - c] if x >= c else 0))
+    return _BOUNDED[cap][n]

@@ -5,17 +5,28 @@ truncation order N and nothing above; all arithmetic propagates the largest
 order the operands justify.  Coefficients are Python integers, so every
 stored value is exact at any magnitude.
 
-The module also provides the two product primitives every generating
-function here is assembled from: the q-Pochhammer symbol
+Every generating function here is a sum of products of binomials
+``(1 - sign*q^a)^p``: the q-Pochhammer symbol
 ``(a; b)_n = prod_{i=0}^{n-1} (1 - a b^i)`` with ``a = +-q^j`` and
-``b = q^d``, and the Gaussian binomial
-``binom(a, b)_q = (q;q)_a / ((q;q)_b (q;q)_{a-b})``.
+``b = q^d``, its reciprocal, and the Gaussian binomial
+``binom(a, b)_q = (q;q)_a / ((q;q)_b (q;q)_{a-b})``.  The module gives each
+of them in two forms:
+
+* product form: :func:`poch_factors`, :func:`inv_poch_factors` and
+  :func:`gauss_factors` return the binomials as a factor multiset
+  (:data:`Factors`), and :func:`apply_factors` multiplies a coefficient list
+  by a multiset in place, one O(width) pass per binomial.  The series
+  builders in :mod:`fixedhooks.genfun` use only this form;
+* dense form: :func:`poch`, :func:`inv_poch`, :func:`gauss_binomial` and
+  :func:`pochhammer` return cached :class:`LaurentSeries`.  They serve the
+  public API and the tests, and are filled by the same in-place passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Iterator
 
 
@@ -227,46 +238,111 @@ class PochSpec:
             raise ValueError("count must be non-negative")
 
 
-def _factor_exponents(base: int, step: int, count: int | None, order: int):
+Factors = dict[tuple[int, int], int]
+"""A multiset of binomials: ``{(sign, a): p}`` stands for the product of
+``(1 - sign*q^a)**p`` over its keys, with ``sign`` in {+1, -1} and p != 0.
+``None`` in place of a multiset stands for the zero product."""
+
+
+def merge_factors(*parts: Factors | None) -> Factors | None:
+    """The product of several multisets (None, the zero product, absorbs)."""
+    out: Factors = {}
+    for part in parts:
+        if part is None:
+            return None
+        for key, power in part.items():
+            power += out.get(key, 0)
+            if power:
+                out[key] = power
+            else:
+                del out[key]
+    return out
+
+
+def poch_factors(
+    base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
+) -> Factors:
+    """``(sign*q^base_exp; q^step)_count`` as a multiset, keeping the factors
+    that act below q^order.  The infinite product (count None) needs an order
+    and ``base_exp >= 1``; a finite one keeps every factor when order is None.
+    """
     if count is None:
-        e = base
-        while e < order:
-            yield e
-            e += step
+        if order is None or base_exp < 1:
+            raise ValueError("infinite products need an order and base_exp >= 1")
+        stop = order
     else:
-        for i in range(count):
-            yield base + step * i
+        stop = base_exp + step * count
+        if order is not None:
+            stop = min(stop, order)
+    return {(sign, a): 1 for a in range(base_exp, stop, step)}
+
+
+def inv_poch_factors(
+    base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
+) -> Factors | None:
+    """``1 / (sign*q^base_exp; q^step)_count`` as a multiset; None (zero) for a
+    negative count, as for :func:`inv_poch`."""
+    if count is not None and count < 0:
+        return None
+    return {key: -1 for key in poch_factors(base_exp, count, order, step, sign)}
+
+
+def gauss_factors(a: int, b: int, step: int = 1) -> Factors | None:
+    """The Gaussian binomial in q**step as a multiset.  Of
+    ``(q;q)_a / ((q;q)_b (q;q)_{a-b})`` only the numerator factors above
+    max(b, a-b) and the denominator factors up to min(b, a-b) survive.
+    None (zero) unless 0 <= b <= a; b == 0 gives the empty product whatever
+    ``a`` is."""
+    if b == 0:
+        return {}
+    if b < 0 or b > a:
+        return None
+    low, high = min(b, a - b), max(b, a - b)
+    out = {(1, step * i): 1 for i in range(high + 1, a + 1)}
+    out.update({(1, step * i): -1 for i in range(1, low + 1)})
+    return out
+
+
+def apply_factors(coeffs: list[int], factors: Factors) -> None:
+    """Multiply the power series ``coeffs`` (exponents 0 .. width-1) in place
+    by the product of ``factors``, exactly below q^width.
+
+    Multiplying by ``1 - s*q^a`` is ``c[x] -= s*c[x-a]`` on the old values,
+    one slice pass; dividing by it is the ascending recurrence
+    ``c[x] += s*c[x-a]`` on the new values.  Factors with a >= width leave
+    the window alone.
+    """
+    width = len(coeffs)
+    for (sign, a), power in factors.items():
+        if a >= width:
+            continue
+        if a < 0 or (a == 0 and power < 0):
+            raise ValueError(f"(1 - {sign}*q^{a})^{power} is not a power series")
+        for _ in range(abs(power)):
+            if power > 0:
+                coeffs[a:] = map(sub if sign == 1 else add, coeffs[a:], coeffs[:width - a])
+            else:
+                for x in range(a, width):
+                    if coeffs[x - a]:
+                        coeffs[x] += sign * coeffs[x - a]
+
+
+def _unit_times(factors: Factors, order: int) -> tuple[int, ...]:
+    coeffs = [0] * max(order, 0)
+    if coeffs:
+        coeffs[0] = 1
+    apply_factors(coeffs, factors)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
 def _poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> tuple[int, ...]:
-    length = max(order, 0)
-    c = [0] * length
-    if length:
-        c[0] = 1
-    for e in _factor_exponents(base, step, count, order):
-        if e >= length:
-            continue
-        for x in range(length - 1, e - 1, -1):
-            if c[x - e]:
-                c[x] -= sign * c[x - e]
-    return tuple(c)
+    return _unit_times(poch_factors(base, count, order, step, sign), order)
 
 
 @lru_cache(maxsize=None)
 def _inv_poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> tuple[int, ...]:
-    # Dividing by (1 - s*q^e) is the exact recurrence c[x] += s * c[x - e].
-    length = max(order, 0)
-    c = [0] * length
-    if length:
-        c[0] = 1
-    for e in _factor_exponents(base, step, count, order):
-        if e >= length:
-            continue
-        for x in range(e, length):
-            if c[x - e]:
-                c[x] += sign * c[x - e]
-    return tuple(c)
+    return _unit_times(inv_poch_factors(base, count, order, step, sign), order)
 
 
 def pochhammer(spec: PochSpec, order: int) -> LaurentSeries:
@@ -305,21 +381,7 @@ def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: 
 
 @lru_cache(maxsize=None)
 def _gauss_coeffs(a: int, b: int, step: int, order: int) -> tuple[int, ...]:
-    length = max(order, 0)
-    c = [0] * length
-    if length:
-        c[0] = 1
-    for i in range(1, b + 1):
-        e = step * (a - b + i)
-        if e < length:
-            for x in range(length - 1, e - 1, -1):
-                if c[x - e]:
-                    c[x] -= c[x - e]
-        e = step * i
-        for x in range(e, length):
-            if c[x - e]:
-                c[x] += c[x - e]
-    return tuple(c)
+    return _unit_times(gauss_factors(a, b, step), order)
 
 
 def gauss_binomial(a: int, b: int, step: int = 1, order: int = 64) -> LaurentSeries:

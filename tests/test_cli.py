@@ -231,3 +231,18 @@ def test_deterministic_output_across_runs(capsys):
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert (code1, out1) == (code2, out2)
+
+
+def test_count_restricted_t12_at_large_n(capsys):
+    code, out, err = run_cli(capsys, "count", "restricted-t12", "--n", "2500", "--m", "3",
+                             "--h", "0")
+    assert code == 0 and "Traceback" not in err
+    assert out.startswith("count: ") and int(out.split()[1]) > 0
+
+
+def test_t14_h_aggregation_with_empty_fixedness_window(capsys):
+    # k + m - 1 > N: no hook of size k reaches column m below the order
+    code, out, err = run_cli(capsys, "verify", "--thm", "T14", "--m", "1", "--k", "40",
+                             "--order", "8")
+    assert code == 0 and "Traceback" not in err
+    assert "h window empty" in out and "FAIL" not in out

@@ -8,6 +8,7 @@ from fixedhooks.oracles import (
     count_hooks_of_size,
     count_restricted_thm12,
 )
+from fixedhooks.qseries import LaurentSeries, gauss_binomial, inv_poch, poch
 from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
@@ -62,17 +63,18 @@ def test_fixed_by_part_m1_beyond_claimed_fixedness_bound():
 
 
 def test_both_display_forms_agree_by_part():
-    for m in (1, 2, 3):
-        for k in (m, m + 1, m + 3):
-            for h in (-2, 0, 1, k - 1):
-                a = gf_mfixed_by_part(m, k, h, N, form="rows")
-                b = gf_mfixed_by_part(m, k, h, N, form="reindexed")
-                assert a == b
-    for k in (1, 2, 4):
-        for h in (-1, 0, k - 1):
-            assert gf_fixed_by_part_m1(k, h, N, form="rows") == gf_fixed_by_part_m1(
-                k, h, N, form="reindexed"
-            )
+    for order in (N, 60):
+        for m in (1, 2, 3):
+            for k in (m, m + 1, m + 3):
+                for h in (-2, 0, 1, k - 1):
+                    a = gf_mfixed_by_part(m, k, h, order, form="rows")
+                    b = gf_mfixed_by_part(m, k, h, order, form="reindexed")
+                    assert a == b
+        for k in (1, 2, 4):
+            for h in (-1, 0, k - 1):
+                assert gf_fixed_by_part_m1(k, h, order, form="rows") == gf_fixed_by_part_m1(
+                    k, h, order, form="reindexed"
+                )
 
 
 def test_mfixed_by_part_matches_oracle_and_figure_case():
@@ -263,3 +265,235 @@ def test_order_zero_series_is_empty():
     series = gf_t11_closed_form(1, 0)
     assert series.order == 0
     assert list(series.items()) == []
+
+
+# ---------------------------------------------------------------------------
+# dense reference: every summand as a product of cached kernels
+# ---------------------------------------------------------------------------
+#
+# The builders update one summand's coefficients in place into the next.  The
+# references below build every summand afresh as q^e times a product of the
+# dense public kernels, multiplied with LaurentSeries.__mul__, and keep the
+# nested sums nested.  A factor is a function from a working order to a
+# series; one reaching into negative exponents is redone with headroom.
+
+
+def ref_term(order, exp, factors):
+    width = order - exp
+    if width <= 0:
+        return LaurentSeries.zero(order)
+    pad = 0
+    while True:
+        prod = LaurentSeries.one(width + pad)
+        for factor in factors:
+            prod = prod * factor(width + pad)
+        if prod.order >= width:
+            return prod.truncate(width).shift(exp)
+        pad += width - prod.order
+
+
+def ref_sum(order, terms, tail=()):
+    """Sum of ref_term(order, e, factors) over terms, times the tail factors."""
+    total = LaurentSeries.zero(order)
+    for e, factors in terms:
+        total = total + ref_term(order, e, factors)
+    pad = max(0, -total.min_exp)
+    for factor in tail:
+        total = total * factor(order + pad)
+    return total.truncate(order)
+
+
+def upto(order, first, exponent):
+    """(e, s) for s = first, first+1, ... while e = exponent(s) < order."""
+    s = first
+    while (e := exponent(s)) < order:
+        yield e, s
+        s += 1
+
+
+def half(m):
+    return (m - 1) // 2 if m % 2 else m // 2
+
+
+def ref_mfixed_by_part(m, k, h, N, form):
+    if form == "reindexed":
+        terms = [(e, [lambda M, s=s: inv_poch(1, s + k - h - m, M),
+                      lambda M, s=s: gauss_binomial(s + k - m, k - m, 1, M)])
+                 for e, s in upto(N, 0, lambda s: s * (k + m) + k * (k - h - m + 1))]
+    else:
+        terms = [(e, [lambda M, s=s: inv_poch(1, s - 1, M),
+                      lambda M, s=s: gauss_binomial(s + h - 1, k - m, 1, M)])
+                 for e, s in upto(N, max(1, k - h - m + 1),
+                                  lambda s: s * (k + m) + m * (h - k + m - 1))]
+    return ref_sum(N, terms, [lambda M: inv_poch(1, m - 1, M)])
+
+
+def ref_odd_by_part(m, k, h, N, variant):
+    if k % 2 == 0:
+        return LaurentSeries.zero(N)
+    if m % 2:
+        exponent, top = (lambda s: s * (k + m) + m * (h - k + m - 1)), (k - m) // 2
+    elif variant == "derived":
+        exponent = lambda s: s * (k + m + 1) + (m + 1) * (h - k + m - 1)
+        top = (k - m - 1) // 2
+    else:
+        exponent = lambda s: s * (k + m + 1) + m * (h - k + m) + h - k + 1
+        top = (k - m - 1) // 2
+    terms = []
+    for e, s in upto(N, max(1, k - h - m + 1), exponent):
+        b = s + h - k + m - 1 if variant == "derived" else s + h - k
+        terms.append((e, [lambda M, s=s: inv_poch(2, s - 1, M, step=2),
+                          lambda M, b=b: gauss_binomial(b + top, b, 2, M)]))
+    return ref_sum(N, terms, [lambda M: inv_poch(1, half(m), M, step=2)])
+
+
+def ref_distinct_by_part(m, k, h, N, variant):
+    terms = []
+    for s in range(k - m + 1):
+        e = s * (k + m) + k * (k - h - m + 1) + (s + k - m + 1 - h) * (s + k - m - h) // 2 \
+            + s * (s - 1) // 2
+        count = k - h - 1 if variant == "stated" else s + k - m - h
+        terms.append((e, [lambda M, s=s: gauss_binomial(k - m, s, 1, M),
+                          lambda M, c=count: inv_poch(1, c, M)]))
+    return ref_sum(N, terms, [lambda M: poch(1, m - 1, M, sign=-1)])
+
+
+def ref_by_hook(family, m, k, h, N):
+    """The four by-hook builders: (e, binomial) per span l, then the tail."""
+    if k - h - 1 < 0:
+        return LaurentSeries.zero(N)
+    terms = []
+    for l in range(1, k + 1):
+        e = (m - 1) * (2 * k - h - l) + k + l * (k - h - 1)
+        if family is Family.ALL:
+            binom = lambda M, l=l: gauss_binomial(k - 1, l - 1, 1, M)
+        elif family is Family.DISTINCT:
+            if l < (k + 2) // 2:
+                continue
+            e += (k - h) * (k - h - 1) // 2 + (k - l) * (k - l - 1) // 2
+            binom = lambda M, l=l: gauss_binomial(l - 1, k - l, 1, M)
+        else:
+            if l % 2 != m % 2:
+                continue
+            top = (l - 1) // 2 if m % 2 else (l - 2) // 2
+            if family is Family.ODD:
+                top += k - l
+            else:
+                if l < (2 * k + 2 - m % 2) // 3:
+                    continue
+                e += (k - h) * (k - h - 1) + (k - l) * (k - l - 1)
+            if m % 2 == 0:
+                e += k - l
+            binom = lambda M, l=l, t=top: gauss_binomial(t, k - l, 2, M)
+        terms.append((e, [binom]))
+    tail = {
+        Family.ALL: [lambda M: inv_poch(1, k - h - 1, M), lambda M: inv_poch(1, m - 1, M)],
+        Family.DISTINCT: [lambda M: inv_poch(1, k - h - 1, M),
+                          lambda M: poch(1, m - 1, M, sign=-1)],
+        Family.ODD: [lambda M: inv_poch(2, k - h - 1, M, step=2),
+                     lambda M: inv_poch(1, half(m), M, step=2)],
+        Family.ODD_DISTINCT: [lambda M: inv_poch(2, k - h - 1, M, step=2),
+                              lambda M: poch(1, half(m), M, step=2, sign=-1)],
+    }[family]
+    return ref_sum(N, terms, tail)
+
+
+def ref_odd_distinct_total(k, N, variant):
+    def inner(M, l):
+        terms = []
+        for e, j in upto(M + 1, 0, lambda j: (2 * j + (l % 2 == 0 and variant == "derived"))
+                         * (k - l + 1)):
+            if l % 2:
+                count, base = ((l + 1) // 2 if variant == "derived" else (l - 1) // 2), 2 * j + 1
+            else:
+                count, base = l // 2, 2 * j + (3 if variant == "derived" else 1)
+            terms.append((e, [lambda W, b=base, c=count: inv_poch(b, c, W, step=2, sign=-1)]))
+        return ref_sum(M, terms)
+
+    terms = []
+    for l in range(max(1, (2 * k + 1) // 3), k + 1):
+        if l % 2 == 0 and l < (2 * k + 2) // 3:
+            continue
+        e = k + (k - l) * (k - l - 1) + (0 if l % 2 else k - l)
+        top = (l - 1) // 2 if l % 2 else (l - 2) // 2
+        terms.append((e, [lambda M, l=l, t=top: gauss_binomial(t, k - l, 2, M),
+                          lambda M, l=l: inner(M, l)]))
+    return ref_sum(N, terms, [lambda M: poch(1, None, M, step=2, sign=-1)])
+
+
+def ref_t11(m, N):
+    terms = [(e, [lambda M, l=l: poch(l, 2 * m - 1, M)])
+             for e, l in upto(N + 1, 1, lambda l: l * (l + m - 1))]
+    return ref_sum(N, terms, [lambda M: inv_poch(1, m - 1, M), lambda M: inv_poch(1, None, M)])
+
+
+def ref_t12(m, h, N):
+    def core(M):
+        acc = inv_poch(2 * m, None, M)
+        for s in range(-h):
+            acc = acc - ref_term(M, 2 * m * s, [lambda W, s=s: inv_poch(1, s, W)])
+        return acc
+
+    return ref_term(N, m * h + m, [lambda M: inv_poch(1, m - 1, M), core])
+
+
+def ref_t14(m, k, N):
+    """Exact only for N > km: at N <= km the outer summand has no width left
+    although its inner sum reaches down to q^(k+m-1)."""
+    def inner(M):
+        return ref_sum(M, [(-(l - 1) * (m - 1),
+                            [lambda W, l=l: poch(m, l - 1, W),
+                             lambda W, l=l: inv_poch(1, l - 1, W),
+                             lambda W, l=l: inv_poch(1, k - l, W)]) for l in range(1, k + 1)])
+
+    return ref_term(N, k * m, [lambda M: inv_poch(k, None, M), inner])
+
+
+REF_CASES = [
+    (1, 1, 0), (1, 2, -3), (1, 3, 2), (2, 2, 1), (2, 3, 0), (2, 5, -2), (3, 3, 2),
+    (3, 4, -1), (3, 5, 1), (4, 4, 3), (4, 7, -3), (5, 6, 0), (1, 8, 7), (2, 8, -4),
+]
+
+
+def test_builders_equal_dense_reference_at_order_60():
+    N = 60
+    for m, k, h in REF_CASES:
+        for form in ("reindexed", "rows"):
+            assert gf_mfixed_by_part(m, k, h, N, form) == ref_mfixed_by_part(m, k, h, N, form)
+            if m == 1:
+                assert gf_fixed_by_part_m1(k, h, N, form) == ref_mfixed_by_part(1, k, h, N, form)
+        for variant in ("stated", "derived"):
+            assert gf_odd_by_part(m, k, h, N, variant) == ref_odd_by_part(m, k, h, N, variant)
+            assert gf_distinct_by_part(m, k, h, N, variant) == \
+                ref_distinct_by_part(m, k, h, N, variant)
+        assert gf_mfixed_by_hook(m, k, h, N) == ref_by_hook(Family.ALL, m, k, h, N)
+        if m == 1:
+            assert gf_fixed_by_hook_m1(k, h, N) == ref_by_hook(Family.ALL, 1, k, h, N)
+        assert gf_odd_by_hook(m, k, h, N) == ref_by_hook(Family.ODD, m, k, h, N)
+        assert gf_distinct_by_hook(m, k, h, N) == ref_by_hook(Family.DISTINCT, m, k, h, N)
+        assert gf_odd_distinct_by_hook(m, k, h, N) == \
+            ref_by_hook(Family.ODD_DISTINCT, m, k, h, N)
+        assert gf_t14_hooks_of_size_k(m, k, N) == ref_t14(m, k, N)
+    for m in range(1, 5):
+        assert gf_t11_closed_form(m, N) == ref_t11(m, N)
+        for h in range(-4, 4):
+            assert gf_t12_closed_form(m, h, N) == ref_t12(m, h, N)
+    for k in range(1, 9):
+        for variant in ("stated", "derived"):
+            assert gf_odd_distinct_total(k, N, variant) == ref_odd_distinct_total(k, N, variant)
+
+
+def test_dense_reference_sample_has_negative_summand_exponents():
+    # DistinctBySize m = k = 3, h = 2 (stated) puts its one summand at q^-2;
+    # T12 with h <= -2 starts its stream at q^(mh+m) < 0.
+    series = gf_distinct_by_part(3, 3, 2, 60, "stated")
+    assert series.min_exp == -2 and series == ref_distinct_by_part(3, 3, 2, 60, "stated")
+    assert (3, 3, 2) in REF_CASES
+    assert gf_t12_closed_form(2, -3, 60) == ref_t12(2, -3, 60)
+
+
+def test_t14_below_km_keeps_its_low_terms():
+    # The lowest hook of size k in column m sits at weight k + m - 1 < km.
+    for m, k, N in [(2, 5, 7), (3, 3, 9), (2, 2, 4)]:
+        assert_counts(gf_t14_hooks_of_size_k(m, k, N), lambda n: count_hooks_of_size(n, k, m), N)
+    assert gf_t14_hooks_of_size_k(2, 5, 7).coefficient(6) == 1

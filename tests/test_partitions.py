@@ -154,6 +154,14 @@ def test_partition_count_matches_pentagonal_recurrence():
         assert len(list(enumerate_parts(n))) == p[n]
 
 
+def test_partition_count_large_n_has_no_deep_recursion():
+    # the recursive fill nested n / max_part calls deep and overflowed here
+    assert partition_count(2500, 2) == 1251
+    p = pentagonal_p(600)
+    for n in range(601):
+        assert partition_count(n) == p[n]
+
+
 def test_partition_count_bounded():
     # parts <= m-1 backing the second color; m = 1 leaves only the empty one
     assert partition_count(0, 0) == 1

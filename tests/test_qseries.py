@@ -5,9 +5,14 @@ from fixedhooks.partitions import enumerate_parts, partition_count
 from fixedhooks.qseries import (
     LaurentSeries,
     PochSpec,
+    apply_factors,
     gauss_binomial,
+    gauss_factors,
     inv_poch,
+    inv_poch_factors,
+    merge_factors,
     poch,
+    poch_factors,
     pochhammer,
 )
 
@@ -299,3 +304,89 @@ def test_gauss_counts_partitions_in_a_box():
                     if len(parts) <= b
                 )
                 assert g.coefficient(weight) == boxed
+
+
+# ---------------------------------------------------------------------------
+# product form: factor multisets applied in place
+# ---------------------------------------------------------------------------
+
+
+def in_place(coeffs, factors):
+    out = list(coeffs)
+    apply_factors(out, factors)
+    return out
+
+
+def dense_product(coeffs, dense):
+    """The coefficients of (coeffs as a series) * dense below its width."""
+    width = len(coeffs)
+    return (LaurentSeries(0, coeffs, width) * dense).coefficients(0, width)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, -1]),
+    st.integers(1, 90),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=80),
+)
+def test_binomial_power_in_place_equals_dense_product(sign, a, power, coeffs):
+    width = len(coeffs)
+    one = poch(a, 1, width, sign=sign) if power > 0 else inv_poch(a, 1, width, sign=sign)
+    dense = LaurentSeries.one(width)
+    for _ in range(abs(power)):
+        dense = dense * one
+    assert in_place(coeffs, {(sign, a): power}) == dense_product(coeffs, dense)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, -1]),
+    st.integers(1, 12),
+    st.one_of(st.none(), st.integers(-1, 12)),
+    st.integers(1, 3),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=80),
+)
+def test_pochhammer_multisets_equal_dense_kernels(sign, base, count, step, coeffs):
+    width = len(coeffs)
+    inverse = inv_poch_factors(base, count, width, step, sign)
+    if count is not None and count < 0:
+        assert inverse is None and inv_poch(base, count, width, step, sign).is_zero()
+        return
+    assert in_place(coeffs, poch_factors(base, count, width, step, sign)) == dense_product(
+        coeffs, poch(base, count, width, step, sign))
+    assert in_place(coeffs, inverse) == dense_product(
+        coeffs, inv_poch(base, count, width, step, sign))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-2, 14),
+    st.integers(-2, 14),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=80),
+)
+def test_gauss_multiset_equals_dense_kernel(a, b, step, coeffs):
+    dense = gauss_binomial(a, b, step, len(coeffs))
+    factors = gauss_factors(a, b, step)
+    if factors is None:
+        assert dense.is_zero()
+    else:
+        assert in_place(coeffs, factors) == dense_product(coeffs, dense)
+
+
+def test_merge_factors_cancels_and_absorbs_zero():
+    # [4 choose 2] / (1 - q^3)(1 - q^4) * (q;q)_2 = 1
+    merged = merge_factors(gauss_factors(4, 2), inv_poch_factors(3, 2), poch_factors(1, 2))
+    assert merged == {}
+    assert merge_factors(poch_factors(1, 3), None) is None
+    assert merge_factors(poch_factors(1, 2), poch_factors(2, 1)) == {(1, 1): 1, (1, 2): 2}
+
+
+def test_apply_factors_rejects_poles_and_negative_exponents():
+    with pytest.raises(ValueError):
+        apply_factors([1, 0, 0], {(1, 0): -1})
+    with pytest.raises(ValueError):
+        apply_factors([1, 0, 0], {(1, -1): 1})
+    with pytest.raises(ValueError):
+        poch_factors(0, None, 10)
