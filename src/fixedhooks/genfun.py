@@ -4,20 +4,21 @@ Each public ``gf_*`` function returns a :class:`LaurentSeries` truncated at a
 caller-supplied order N whose coefficient at q^n is a fixed-hook count of the
 matching enumeration oracle in :mod:`fixedhooks.oracles`.
 
-Every builder is written as a stream of summands ``(e, factors)`` or
-``(e, factors, sign)``: the summand is sign * q^e times the product of a
-factor multiset of binomials ``(1 - s*q^a)^p`` (see
-:func:`fixedhooks.qseries.merge_factors` and its constructors), and
-:func:`_sum` adds them up.  Consecutive summands share most of their
-factors, so :func:`_sum` keeps the previous summand's coefficients and
-applies only the binomials that changed, one O(N) pass each; no two series
-are ever multiplied.  Nested sums are flattened into double-indexed
+Every builder is written as a stream of summands ``(e, factors)``: the
+summand is q^e times the product of a finite factor multiset of binomials
+``(1 - s*q^a)^p`` (see :func:`fixedhooks.qseries.merge_factors` and its
+constructors), and :func:`_sum` adds them up.  Consecutive summands share
+most of their factors, so :func:`_sum` keeps the previous summand's
+coefficients and applies only the binomials that changed, one O(N) pass
+each; no two series are ever multiplied.  Nested sums are flattened into double-indexed
 streams.  Every factor is a power series with constant term 1, so a summand
 has valuation e, and the window [min e, N) that holds every needed
 coefficient is known before the first pass.  Infinite sums stop once e
 reaches N, by the monotone growth of e noted inline per builder.  Factors
 common to every summand are passed to :func:`_sum` as a tail and applied
-to the total once.
+to the total once; an infinite product in the tail is passed as a
+:class:`~fixedhooks.qseries.PochSpec`, and :func:`_sum` cuts it at the
+window's width.
 
 Two conventions do the index bookkeeping everywhere, as for the dense
 kernels:
@@ -41,13 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterable
 
 from .partitions import Family
 from .qseries import (
     Factors,
     LaurentSeries,
+    PochSpec,
     apply_factors,
     gauss_factors,
     inv_poch_factors,
@@ -61,17 +63,23 @@ def _choose2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def _sum(order: int, summands: Iterable[tuple], tail: Factors | None = None) -> LaurentSeries:
-    """Sum of sign * q^e * prod(factors) over the summands, times ``tail``,
-    exact below ``order``.
+def _sum(
+    order: int,
+    summands: Iterable[tuple[int, Factors | None]],
+    tail: Factors | None = None,
+    infinite: Iterable[tuple[PochSpec, int]] = (),
+) -> LaurentSeries:
+    """Sum of q^e * prod(factors) over the summands, times ``tail`` and the
+    infinite products ``infinite``, exact below ``order``.
 
     The running product ``state`` always equals the product of ``applied``
     on its width.  A summand at e needs only its first order - e
     coefficients, on which a binomial of degree >= order - e acts as 1, so
     such binomials are left as they are until a later summand needs them.
-    The width shrinks to what the remaining summands need.  ``tail`` acts on
-    the window [min e, order); a tail with infinite products must hold every
-    factor of degree below order - min e.
+    The width shrinks to what the remaining summands need.  The tail acts on
+    the window [min e, order), so each ``(spec, power)`` of ``infinite``,
+    the product ``pochhammer(spec) ** power``, is cut here at that window's
+    width; summand factor multisets are finite.
     """
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
@@ -82,7 +90,7 @@ def _sum(order: int, summands: Iterable[tuple], tail: Factors | None = None) -> 
     total = [0] * (order - lo)
     state = [1] + [0] * (order - lo - 1)
     applied: Factors = {}
-    for (e, factors, *sign), low in zip(terms, lows):
+    for (e, factors), low in zip(terms, lows):
         width = order - low
         if width < len(state):
             del state[width:]
@@ -101,9 +109,12 @@ def _sum(order: int, summands: Iterable[tuple], tail: Factors | None = None) -> 
                         del applied[key]
         apply_factors(state, change)
         at = e - lo  # total[at:] is exactly the need coefficients of this summand
-        total[at:] = map(sub if sign == [-1] else add, total[at:], state[:need])
+        total[at:] = map(add, total[at:], state[:need])
     if tail:
         apply_factors(total, tail)
+    for spec, power in infinite:
+        cut = poch_factors(spec.base_exp, spec.count, len(total), spec.step, spec.sign)
+        apply_factors(total, {key: power for key in cut})
     return LaurentSeries(lo, total, order)
 
 
@@ -371,8 +382,7 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
     (k-l+1 >= 1 keeps it growing).  The "stated" variant keeps the
     circulated inner Pochhammer lengths; "derived" recollapses the
     telescoping product, which shifts the odd-span length to (l+1)/2 and the
-    even-span base to q^(2j+3).  Every exponent is >= k >= 1, so the
-    infinite tail cut at the order is exact.
+    even-span base to q^(2j+3).
     """
     if k < 1:
         raise ValueError("hook size k must be >= 1")
@@ -403,7 +413,7 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
                         outer, inv_poch_factors(base, count, step=2, sign=-1))
                     j += 1
 
-    return _sum(order, summands(), poch_factors(1, None, order, step=2, sign=-1))
+    return _sum(order, summands(), infinite=[(PochSpec(-1, 1, step=2), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +435,25 @@ def gf_t11_closed_form(m: int, order: int) -> LaurentSeries:
             yield e, poch_factors(l, 2 * m - 1)
             l += 1
 
-    return _sum(order, summands(),
-                merge_factors(inv_poch_factors(1, m - 1), inv_poch_factors(1, None, order)))
+    return _sum(order, summands(), inv_poch_factors(1, m - 1), [(PochSpec(1, 1), -1)])
 
 
 def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
     """h-fixed hooks in column m arising from parts of size exactly m.
 
-    For h < 0 the closed form subtracts the first -h terms of the series
-    expansion 1/(q^{2m};q)_inf = sum_s q^{2ms}/(q;q)_s; for h >= 0 the
-    correction sum is empty.  The correction terms come first in the stream, so the infinite
-    product is divided in only once.
+    The closed form is q^{m(h+1)} / ((q;q)_{m-1} (q^{2m};q)_inf), minus,
+    for h < 0, the first -h terms of the expansion
+    1/(q^{2m};q)_inf = sum_s q^{2ms}/(q;q)_s.  What remains is that
+    expansion from s = max(0, -h) on, which is the stream summed here: its
+    exponents m(h+1) + 2ms start at m(1 + |h|) >= 1 and grow with slope 2m.
     """
     _require_column(m)
-    e0 = m * h + m
 
     def summands():
-        for s in range(0, -h):
-            yield e0 + 2 * m * s, inv_poch_factors(1, s), -1
-        yield e0, inv_poch_factors(2 * m, None, order - e0)
+        s = max(0, -h)
+        while (e := m * (h + 1) + 2 * m * s) < order:
+            yield e, inv_poch_factors(1, s)
+            s += 1
 
     return _sum(order, summands(), inv_poch_factors(1, m - 1))
 
@@ -461,8 +471,7 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
     The closed form is q^{km}/(q^k;q)_inf times a sum over the leg l of
     q^{-(l-1)(m-1)} (q^m;q)_{l-1} / ((q;q)_{l-1} (q;q)_{k-l}).  The
     negative powers never outweigh q^{km}: the summand exponents are
-    km - (l-1)(m-1) >= k + m - 1 >= 1, so the infinite tail cut at the order
-    is exact.
+    km - (l-1)(m-1) >= k + m - 1 >= 1.
     """
     _require_column(m)
     if k < 1:
@@ -475,7 +484,7 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
         )
         for l in range(1, k + 1)
     )
-    return _sum(order, summands, inv_poch_factors(k, None, order))
+    return _sum(order, summands, infinite=[(PochSpec(1, k), -1)])
 
 
 # ---------------------------------------------------------------------------

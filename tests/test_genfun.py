@@ -8,10 +8,11 @@ from fixedhooks.oracles import (
     count_hooks_of_size,
     count_restricted_thm12,
 )
-from fixedhooks.qseries import LaurentSeries, gauss_binomial, inv_poch, poch
+from fixedhooks.qseries import LaurentSeries, PochSpec, gauss_binomial, inv_poch, poch
 from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
+    _sum,
     build_series,
     gf_distinct_by_hook,
     gf_distinct_by_part,
@@ -121,6 +122,7 @@ def test_distinct_by_part_variants():
         assert_counts(gf_distinct_by_part(m, k, h, N, variant="derived"), oracle)
     single_term = gf_distinct_by_part(3, 3, 2, N, variant="stated")
     assert single_term == gf_distinct_by_part(3, 3, 2, N, variant="stated")
+    assert single_term.min_exp == -2  # its one summand sits at q^-2
 
 
 def test_distinct_by_part_stated_diverges():
@@ -483,13 +485,12 @@ def test_builders_equal_dense_reference_at_order_60():
             assert gf_odd_distinct_total(k, N, variant) == ref_odd_distinct_total(k, N, variant)
 
 
-def test_dense_reference_sample_has_negative_summand_exponents():
-    # DistinctBySize m = k = 3, h = 2 (stated) puts its one summand at q^-2;
-    # T12 with h <= -2 starts its stream at q^(mh+m) < 0.
-    series = gf_distinct_by_part(3, 3, 2, 60, "stated")
-    assert series.min_exp == -2 and series == ref_distinct_by_part(3, 3, 2, 60, "stated")
-    assert (3, 3, 2) in REF_CASES
-    assert gf_t12_closed_form(2, -3, 60) == ref_t12(2, -3, 60)
+def test_infinite_tail_is_cut_at_the_window_width():
+    # A summand below q^0 widens the window past the order; the infinite
+    # product must still act on all of it.
+    for e in (-5, 0, 3):
+        got = _sum(20, [(e, {})], infinite=[(PochSpec(1, 1), -1)])
+        assert got == inv_poch(1, None, 20 - e).shift(e)
 
 
 def test_t14_below_km_keeps_its_low_terms():
