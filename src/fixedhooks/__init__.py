@@ -10,7 +10,7 @@ The package has four layers: combinatorial types and enumeration
 
 from .genfun import TheoremId, build_series, resolve_theorem
 from .partitions import Family, Partition, enumerate_partitions, partition_count
-from .qseries import LaurentSeries, PochSpec, gauss_binomial, inv_poch, poch, pochhammer
+from .qseries import LaurentSeries, gauss_binomial, inv_poch, poch
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "Family",
     "LaurentSeries",
     "Partition",
-    "PochSpec",
     "TheoremId",
     "build_series",
     "enumerate_partitions",
@@ -26,7 +25,6 @@ __all__ = [
     "inv_poch",
     "partition_count",
     "poch",
-    "pochhammer",
     "resolve_theorem",
     "__version__",
 ]

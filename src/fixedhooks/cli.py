@@ -23,6 +23,7 @@ from .oracles import (
 )
 from .partitions import Family, Partition
 from .verify import (
+    DEFAULT_ORDER,
     GridSpec,
     build_grid,
     render_csv,
@@ -51,6 +52,17 @@ def parse_range(text: str) -> tuple[int, ...]:
         return (int(text),)
     except ValueError:
         raise UsageError(f"bad integer or range {text!r}") from None
+
+
+def order_arg(text: str) -> int:
+    """A truncation order: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"order must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"order must be >= 0, got {value}")
+    return value
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -101,8 +113,17 @@ def _write(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 
+# Keys a verify --config file may set, each named after the flag it stands
+# for (thms for --thm).
+CONFIG_KEYS = ("thms", "m", "k", "h", "order", "family", "variant", "format")
+
+
 def cmd_verify(args) -> int:
     cfg = read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {args.config}; "
+                         f"choose from {', '.join(CONFIG_KEYS)}")
 
     def setting(name, flag_value):
         return flag_value if flag_value is not None else cfg.get(name)
@@ -118,15 +139,16 @@ def cmd_verify(args) -> int:
     if fam_arg:
         families = tuple(Family(f) for f in str(fam_arg).split(","))
     variant = setting("variant", args.variant)
+    if variant not in (None, "stated", "derived", "both", "auto"):
+        raise UsageError(f"unknown variant {variant!r} in {args.config}")
     if variant in (None, "both", "auto"):
         variant = None
     order = setting("order", args.order)
-    jobs = int(setting("jobs", args.jobs) or 1)
     fmt = setting("format", args.format) or "text"
 
     spec = GridSpec(
         theorems=theorems,
-        order=int(order) if order is not None else None,
+        order=DEFAULT_ORDER if order is None else order_arg(str(order)),
         m_values=parse_range(str(setting("m", args.m))) if setting("m", args.m) is not None else None,
         k_values=parse_range(str(setting("k", args.k))) if setting("k", args.k) is not None else None,
         h_values=parse_range(str(setting("h", args.h))) if setting("h", args.h) is not None else None,
@@ -136,7 +158,7 @@ def cmd_verify(args) -> int:
     cases = build_grid(spec)
     if not cases:
         raise UsageError("grid is empty: no theorem matches the given filters")
-    reports = run_cases(cases, jobs=jobs)
+    reports = run_cases(cases)
     notes = variant_notes(reports)
     if fmt == "text":
         _write(render_text(reports, notes), args.out)
@@ -368,20 +390,24 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, with_params=True):
-    sub.add_argument("-N", "--order", type=int, default=30,
-                     help="truncation order: coefficients are reported for exponents below N")
-    if with_params:
-        sub.add_argument("--m", help="column index (integer or a..b range where allowed)")
-        sub.add_argument("--k", help="part or hook size (integer or range)")
-        sub.add_argument("--h", help="fixedness offset (integer or range)")
-    sub.add_argument("--family", help="partition family filter: all,odd,distinct,odd-distinct")
-    sub.add_argument("--format", default="text", choices=("text", "csv", "json"))
+def _add_common(sub, default_format="text"):
+    """The flags every subcommand reads."""
+    sub.add_argument("--m", help="column index (integer or a..b range where allowed)")
+    sub.add_argument("--k", help="part or hook size (integer or range)")
+    sub.add_argument("--h", help="fixedness offset (integer or range)")
+    sub.add_argument("--format", default=default_format, choices=("text", "csv", "json"))
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes (verify)")
-    sub.add_argument("--config", help="key = value file overriding verify grid defaults")
     sub.add_argument("--variant", choices=("stated", "derived", "both"),
                      help="pin a closed-form variant where a theorem has two")
+
+
+def _add_order(sub, default):
+    sub.add_argument("-N", "--order", type=order_arg, default=default,
+                     help="truncation order: coefficients are reported for exponents below N")
+
+
+def _add_family(sub):
+    sub.add_argument("--family", help="partition family filter: all,odd,distinct,odd-distinct")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -392,14 +418,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # verify's --order and --format have no argparse default, so that a
+    # --config file can set them; cmd_verify falls back to 30 and text.
     p = subs.add_parser("verify", help="run identity checks over a parameter grid")
     p.add_argument("--thm", help="comma-separated theorem tags (default: full grid)")
     p.add_argument("--all", action="store_true", help="run the full default grid")
-    _add_common(p)
+    _add_order(p, None)
+    _add_common(p, default_format=None)
+    _add_family(p)
+    p.add_argument("--config", help="key = value file overriding the grid defaults")
     p.set_defaults(fn=cmd_verify)
 
     p = subs.add_parser("series", help="print coefficients of one builder")
     p.add_argument("--thm", help="theorem tag")
+    _add_order(p, 30)
     _add_common(p)
     p.set_defaults(fn=cmd_series, _scalar_params=True)
 
@@ -409,10 +441,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sum-k", action="store_true", help="sum the count over all sizes k")
     p.add_argument("--list", action="store_true", help="print the witnessing objects")
     _add_common(p)
+    _add_family(p)
     p.set_defaults(fn=cmd_count, _scalar_params=True)
 
     p = subs.add_parser("table", help="coefficient table over one varying parameter")
     p.add_argument("--thm", help="theorem tag")
+    _add_order(p, 30)
     _add_common(p)
     p.set_defaults(fn=cmd_table)
 
@@ -440,7 +474,7 @@ def main(argv=None) -> int:
         if getattr(args, "variant", None) == "both":
             args.variant = None
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

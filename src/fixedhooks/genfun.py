@@ -16,8 +16,8 @@ has valuation e, and the window [min e, N) that holds every needed
 coefficient is known before the first pass.  Infinite sums stop once e
 reaches N, by the monotone growth of e noted inline per builder.  Factors
 common to every summand are passed to :func:`_sum` as a tail and applied
-to the total once; an infinite product in the tail is passed as a
-:class:`~fixedhooks.qseries.PochSpec`, and :func:`_sum` cuts it at the
+to the total once; an infinite product in the tail is passed as a plain
+``(base_exp, step, sign, power)`` tuple, and :func:`_sum` cuts it at the
 window's width.
 
 Two conventions do the index bookkeeping everywhere, as for the dense
@@ -49,7 +49,6 @@ from .partitions import Family
 from .qseries import (
     Factors,
     LaurentSeries,
-    PochSpec,
     apply_factors,
     gauss_factors,
     inv_poch_factors,
@@ -67,7 +66,7 @@ def _sum(
     order: int,
     summands: Iterable[tuple[int, Factors | None]],
     tail: Factors | None = None,
-    infinite: Iterable[tuple[PochSpec, int]] = (),
+    infinite: Iterable[tuple[int, int, int, int]] = (),
 ) -> LaurentSeries:
     """Sum of q^e * prod(factors) over the summands, times ``tail`` and the
     infinite products ``infinite``, exact below ``order``.
@@ -77,9 +76,9 @@ def _sum(
     coefficients, on which a binomial of degree >= order - e acts as 1, so
     such binomials are left as they are until a later summand needs them.
     The width shrinks to what the remaining summands need.  The tail acts on
-    the window [min e, order), so each ``(spec, power)`` of ``infinite``,
-    the product ``pochhammer(spec) ** power``, is cut here at that window's
-    width; summand factor multisets are finite.
+    the window [min e, order), so each ``(base_exp, step, sign, power)`` of
+    ``infinite``, the product ``(sign*q^base_exp; q^step)_inf ** power``, is
+    cut here at that window's width; summand factor multisets are finite.
     """
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
@@ -112,8 +111,8 @@ def _sum(
         total[at:] = map(add, total[at:], state[:need])
     if tail:
         apply_factors(total, tail)
-    for spec, power in infinite:
-        cut = poch_factors(spec.base_exp, spec.count, len(total), spec.step, spec.sign)
+    for base_exp, step, sign, power in infinite:
+        cut = poch_factors(base_exp, None, len(total), step, sign)
         apply_factors(total, {key: power for key in cut})
     return LaurentSeries(lo, total, order)
 
@@ -413,7 +412,7 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
                         outer, inv_poch_factors(base, count, step=2, sign=-1))
                     j += 1
 
-    return _sum(order, summands(), infinite=[(PochSpec(-1, 1, step=2), 1)])
+    return _sum(order, summands(), infinite=[(1, 2, -1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +434,7 @@ def gf_t11_closed_form(m: int, order: int) -> LaurentSeries:
             yield e, poch_factors(l, 2 * m - 1)
             l += 1
 
-    return _sum(order, summands(), inv_poch_factors(1, m - 1), [(PochSpec(1, 1), -1)])
+    return _sum(order, summands(), inv_poch_factors(1, m - 1), [(1, 1, 1, -1)])
 
 
 def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
@@ -484,7 +483,7 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
         )
         for l in range(1, k + 1)
     )
-    return _sum(order, summands, infinite=[(PochSpec(1, k), -1)])
+    return _sum(order, summands, infinite=[(k, 1, 1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +502,6 @@ class TheoremId(str, Enum):
     MFixedByPart = "MFixedByPart"
     OddBySize = "OddBySize"
     DistinctBySize = "DistinctBySize"
-    DistinctBySize_VariantB = "DistinctBySize_VariantB"
     FixedByHook_m1 = "FixedByHook_m1"
     MFixedByHook = "MFixedByHook"
     OddByHook = "OddByHook"
@@ -553,11 +551,6 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
         Family.DISTINCT,
         lambda order, m, k, h, variant="stated": gf_distinct_by_part(m, k, h, order, variant),
         variants=("stated", "derived"),
-    ),
-    TheoremId.DistinctBySize_VariantB: BuilderSpec(
-        ("m", "k", "h"),
-        Family.DISTINCT,
-        lambda order, m, k, h: gf_distinct_by_part(m, k, h, order, "derived"),
     ),
     TheoremId.FixedByHook_m1: BuilderSpec(
         ("k", "h"), Family.ALL, lambda order, k, h: gf_fixed_by_hook_m1(k, h, order)

@@ -19,9 +19,11 @@ h-fixed hook for each h.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import (
     Family,
@@ -296,31 +298,30 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HookTally:
     """One-pass census of hook statistics over all partitions of n <= max_n.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and
     fixedness h = hook - i, for columns m <= max_m; ``by_hook`` keys on the
     hook size instead.  ``hooks_col[(n, m, k)]`` counts hooks of size k in
-    column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.
+    column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.  The
+    census is cached and shared, so the four tables are read-only views.
     """
 
     max_n: int
     family: Family
     max_m: int
-    by_part: Counter = field(default_factory=Counter)
-    by_hook: Counter = field(default_factory=Counter)
-    hooks_col: Counter = field(default_factory=Counter)
-    hooks_total: Counter = field(default_factory=Counter)
+    by_part: Mapping[tuple[int, int, int, int], int]
+    by_hook: Mapping[tuple[int, int, int, int], int]
+    hooks_col: Mapping[tuple[int, int, int], int]
+    hooks_total: Mapping[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
 def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
     """Census every partition of every n <= max_n once; see :class:`HookTally`."""
-    tally = HookTally(max_n, family, max_m)
-    by_part, by_hook = tally.by_part, tally.by_hook
-    hooks_col, hooks_total = tally.hooks_col, tally.hooks_total
+    by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
     for n in range(max_n + 1):
         for parts in enumerate_parts(n, family):
             conj = conjugate_parts(parts)
@@ -334,7 +335,8 @@ def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookT
                         by_part[(n, m, part, h)] += 1
                         by_hook[(n, m, hook, h)] += 1
                         hooks_col[(n, m, hook)] += 1
-    return tally
+    return HookTally(max_n, family, max_m, MappingProxyType(by_part), MappingProxyType(by_hook),
+                     MappingProxyType(hooks_col), MappingProxyType(hooks_total))
 
 
 def fixed_hook_witnesses(

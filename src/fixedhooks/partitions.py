@@ -121,54 +121,18 @@ class Partition:
         return tuple(self.parts[i - 1] + cm - i - m + 1 for i in range(1, t + 1))
 
 
-def _gen_all(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _gen_parts(n: int, cap: int, step: int, gap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n whose parts are cap, cap - step, ... down to 1, each
+    part at most the one before minus ``gap``.  ``cap`` has the parity of
+    the parts when step is 2."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _gen_all(n - first, first):
+    if cap > n:
+        cap = n - (n + 1) % step  # the largest admissible part <= n
+    for first in range(cap, 0, -step):
+        for rest in _gen_parts(n - first, first - gap, step, gap):
             yield (first,) + rest
-
-
-def _gen_odd(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    first = min(n, cap)
-    if first % 2 == 0:
-        first -= 1
-    for f in range(first, 0, -2):
-        for rest in _gen_odd(n - f, f):
-            yield (f,) + rest
-
-
-def _gen_distinct(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _gen_distinct(n - first, first - 1):
-            yield (first,) + rest
-
-
-def _gen_odd_distinct(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    first = min(n, cap)
-    if first % 2 == 0:
-        first -= 1
-    for f in range(first, 0, -2):
-        for rest in _gen_odd_distinct(n - f, f - 2):
-            yield (f,) + rest
-
-
-_GENERATORS = {
-    Family.ALL: _gen_all,
-    Family.ODD: _gen_odd,
-    Family.DISTINCT: _gen_distinct,
-    Family.ODD_DISTINCT: _gen_odd_distinct,
-}
 
 
 def enumerate_parts(
@@ -181,8 +145,13 @@ def enumerate_parts(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    family = Family(family)
+    # Odd parts step by 2 from an odd cap; distinct parts leave a gap of one
+    # step below each part.
+    step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
+    gap = step if family in (Family.DISTINCT, Family.ODD_DISTINCT) else 0
     cap = n if max_part is None else min(n, max_part)
-    yield from _GENERATORS[Family(family)](n, cap)
+    yield from _gen_parts(n, cap - (cap + 1) % step, step, gap)
 
 
 def enumerate_partitions(

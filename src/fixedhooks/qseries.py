@@ -17,14 +17,16 @@ of them in two forms:
   (:data:`Factors`), and :func:`apply_factors` multiplies a coefficient list
   by a multiset in place, one O(width) pass per binomial.  The series
   builders in :mod:`fixedhooks.genfun` use only this form;
-* dense form: :func:`poch`, :func:`inv_poch`, :func:`gauss_binomial` and
-  :func:`pochhammer` return cached :class:`LaurentSeries`.  They serve the
-  public API and the tests, and are filled by the same in-place passes.
+* dense form: :func:`poch`, :func:`inv_poch` and :func:`gauss_binomial`
+  return cached :class:`LaurentSeries`.  They serve the public API and the
+  tests, and are filled by the same in-place passes.
+
+:func:`poch_factors` checks the sign, step and count of every Pochhammer
+symbol, so both forms reject the same bad parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Iterator
@@ -190,53 +192,6 @@ class LaurentSeries:
         keep = max(0, order - self.min_exp)
         return LaurentSeries(min(self.min_exp, order), self.coeffs[:keep], order)
 
-    def reciprocal(self) -> "LaurentSeries":
-        """The series g with self * g = 1 up to the truncation order.
-
-        The lowest nonzero coefficient must be +1 or -1.  The reciprocal of a
-        series with valuation v is known below ``order - 2v``.
-        """
-        v = self.valuation()
-        if v is None:
-            raise ValueError("the zero series has no reciprocal")
-        unit = self.coeffs[v - self.min_exp]
-        if unit not in (1, -1):
-            raise ValueError(f"leading coefficient {unit} is not a unit")
-        width = self.order - v
-        a = [self.coefficient(v + j) for j in range(width)]
-        b = [0] * width
-        b[0] = unit
-        for x in range(1, width):
-            acc = 0
-            for i in range(1, x + 1):
-                if a[i] and b[x - i]:
-                    acc += a[i] * b[x - i]
-            b[x] = -unit * acc
-        return LaurentSeries(-v, b, self.order - 2 * v)
-
-
-@dataclass(frozen=True)
-class PochSpec:
-    """One q-Pochhammer factor family ``(sign * q^base_exp ; q^step)_count``.
-
-    ``sign=+1`` gives factors ``(1 - q^(base_exp + step*i))`` and ``sign=-1``
-    factors ``(1 + q^(base_exp + step*i))``.  ``count=None`` means the
-    infinite product.
-    """
-
-    sign: int
-    base_exp: int
-    step: int = 1
-    count: int | None = None
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if self.count is not None and self.count < 0:
-            raise ValueError("count must be non-negative")
-
 
 Factors = dict[tuple[int, int], int]
 """A multiset of binomials: ``{(sign, a): p}`` stands for the product of
@@ -263,9 +218,17 @@ def poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors:
     """``(sign*q^base_exp; q^step)_count`` as a multiset, keeping the factors
-    that act below q^order.  The infinite product (count None) needs an order
-    and ``base_exp >= 1``; a finite one keeps every factor when order is None.
+    that act below q^order: ``(1 - q^(base_exp + step*i))`` for sign +1 and
+    ``(1 + q^(base_exp + step*i))`` for sign -1, i = 0 .. count-1.  The
+    infinite product (count None) needs an order and ``base_exp >= 1``; a
+    finite one keeps every factor when order is None.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    if count is not None and count < 0:
+        raise ValueError("count must be non-negative")
     if count is None:
         if order is None or base_exp < 1:
             raise ValueError("infinite products need an order and base_exp >= 1")
@@ -345,22 +308,15 @@ def _inv_poch_coeffs(sign: int, base: int, step: int, count: int | None, order: 
     return _unit_times(inv_poch_factors(base, count, order, step, sign), order)
 
 
-def pochhammer(spec: PochSpec, order: int) -> LaurentSeries:
-    """The truncated product described by ``spec``; count 0 gives 1.
-
-    The infinite product requires ``base_exp >= 1`` so that successive
-    factors touch ever-higher exponents.
-    """
-    if spec.count is None and spec.base_exp < 1:
-        raise ValueError("infinite products need base_exp >= 1 to converge coefficientwise")
-    if order <= 0:
-        return LaurentSeries.zero(order)
-    return LaurentSeries(0, _poch_coeffs(spec.sign, spec.base_exp, spec.step, spec.count, order), order)
-
-
 def poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: int = 1) -> LaurentSeries:
-    """Shorthand for :func:`pochhammer` on an inline :class:`PochSpec`."""
-    return pochhammer(PochSpec(sign, base_exp, step, count), order)
+    """The q-Pochhammer symbol ``(sign*q^base_exp; q^step)_count`` truncated
+    at ``order`` (see :func:`poch_factors`); count 0 gives 1.
+
+    The infinite product (count None) requires ``base_exp >= 1`` so that
+    successive factors touch ever-higher exponents.
+    """
+    coeffs = _poch_coeffs(sign, base_exp, step, count, order)
+    return LaurentSeries(0, coeffs, order) if order > 0 else LaurentSeries.zero(order)
 
 
 def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: int = 1) -> LaurentSeries:
@@ -372,11 +328,8 @@ def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: 
     """
     if count is not None and count < 0:
         return LaurentSeries.zero(order)
-    if count is None and base_exp < 1:
-        raise ValueError("infinite products need base_exp >= 1")
-    if order <= 0:
-        return LaurentSeries.zero(order)
-    return LaurentSeries(0, _inv_poch_coeffs(sign, base_exp, step, count, order), order)
+    coeffs = _inv_poch_coeffs(sign, base_exp, step, count, order)
+    return LaurentSeries(0, coeffs, order) if order > 0 else LaurentSeries.zero(order)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,9 @@
 """Identity verification: series coefficients against enumeration oracles.
 
-A grid of :class:`IdentityCase` jobs is run either sequentially or in a
-process pool; each produces one :class:`VerifyReport`.  Output ordering is
-by sorted case key, never completion order, so reports are byte-for-byte
-reproducible for a fixed grid.
+A grid of :class:`IdentityCase` checks runs in one process, case by case
+in sorted case-key order, so reports are byte-for-byte reproducible for a
+fixed grid; each case produces one :class:`VerifyReport`.  The oracles read
+a cached hook census, which the default grid computes once per family.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ CHECKS: dict[TheoremId, tuple[str, ...]] = {
     TheoremId.MFixedByPart: ("oracle",),
     TheoremId.OddBySize: ("oracle",),
     TheoremId.DistinctBySize: ("oracle",),
-    TheoremId.DistinctBySize_VariantB: ("oracle",),
     TheoremId.FixedByHook_m1: ("oracle",),
     TheoremId.MFixedByHook: ("oracle",),
     TheoremId.OddByHook: ("oracle", "column-total"),
@@ -165,7 +164,7 @@ def _oracle_for(case: IdentityCase):
     fam = case.family
     max_m = max(6, m or 1)
     if t in (TheoremId.FixedByPart_m1, TheoremId.MFixedByPart, TheoremId.OddBySize,
-             TheoremId.DistinctBySize, TheoremId.DistinctBySize_VariantB):
+             TheoremId.DistinctBySize):
         tal = _tally(case.order, fam, max_m)
         mm = 1 if m is None else m
         return lambda n: tal.by_part.get((n, mm, k, h), 0)
@@ -326,7 +325,6 @@ _BY_PART_TAGS = (
     TheoremId.MFixedByPart,
     TheoremId.OddBySize,
     TheoremId.DistinctBySize,
-    TheoremId.DistinctBySize_VariantB,
 )
 _BY_HOOK_TAGS = (
     TheoremId.MFixedByHook,
@@ -414,15 +412,9 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     return [unique[key] for key in sorted(unique)]
 
 
-def run_cases(cases: list[IdentityCase], jobs: int = 1) -> list[VerifyReport]:
-    """Run cases (optionally in a process pool) and return them case-sorted."""
-    ordered = sorted(cases, key=lambda c: c.key())
-    if jobs <= 1:
-        return [run_case(c) for c in ordered]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(run_case, ordered)
+def run_cases(cases: list[IdentityCase]) -> list[VerifyReport]:
+    """Run cases one after another and return their reports case-sorted."""
+    return [run_case(c) for c in sorted(cases, key=lambda c: c.key())]
 
 
 def variant_notes(reports: list[VerifyReport]) -> list[str]:

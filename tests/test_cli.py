@@ -78,12 +78,66 @@ def test_verify_config_file(tmp_path, capsys):
     cfg.write_text("thms = T11\nm = 1..2\norder = 10  # comment\n")
     code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 0
-    assert "T11_ClosedForm m=1" in out
-    assert "T11_ClosedForm m=2" in out
+    assert "T11_ClosedForm m=1 N=10" in out
+    assert "T11_ClosedForm m=2 N=10" in out
     # flags override the file
-    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--m", "3")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--m", "3", "--order", "12")
     assert code == 0
-    assert "m=3" in out and "m=1 " not in out
+    assert "T11_ClosedForm m=3 N=12" in out and "m=1 " not in out
+    cfg.write_text("thms = T11\nm = 1\norder = 10\nformat = csv\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("theorem,")
+
+
+@pytest.mark.parametrize("line", ["ordr = 10", "jobs = 2", "order = -1", "order = ten",
+                                  "variant = bogus"])
+def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_verify_without_config_runs_at_order_30(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--thm", "T14", "--m", "1", "--k", "2")
+    assert code == 0
+    assert "T14_HooksOfSizeK m=1 k=2 N=30" in out
+
+
+def run_cli_exit(*argv):
+    """The exit code of the CLI, including argparse's own usage errors."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--thm", "T11", "--m", "1", "--order", "-5"),
+    ("series", "--thm", "T11", "--m", "1", "--order", "-3"),
+    ("table", "--thm", "T14", "--m", "1", "--k", "1..2", "--order", "-1"),
+])
+def test_negative_order_is_usage_error(capsys, argv):
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "order must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--thm", "T11", "--m", "1", "--order", "8", "--jobs", "2"),
+    ("series", "--thm", "T11", "--m", "1", "--jobs", "2"),
+    ("count", "hooks", "--n", "3", "--k", "1", "--jobs", "2"),
+    ("table", "--thm", "T14", "--m", "1", "--k", "1..2", "--jobs", "2"),
+    ("series", "--thm", "T11", "--m", "1", "--family", "odd"),
+    ("table", "--thm", "T14", "--m", "1", "--k", "1..2", "--config", "grid.cfg"),
+    ("count", "hooks", "--n", "3", "--k", "1", "--order", "5"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_series_output_and_order_zero(capsys):

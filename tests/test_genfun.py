@@ -8,7 +8,7 @@ from fixedhooks.oracles import (
     count_hooks_of_size,
     count_restricted_thm12,
 )
-from fixedhooks.qseries import LaurentSeries, PochSpec, gauss_binomial, inv_poch, poch
+from fixedhooks.qseries import LaurentSeries, gauss_binomial, inv_poch, poch
 from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
@@ -251,12 +251,6 @@ def test_build_series_requires_declared_params():
     assert series == gf_mfixed_by_hook(2, 3, 1, 12)
 
 
-def test_variant_b_tag_is_derived_distinct():
-    a = build_series(TheoremId.DistinctBySize_VariantB, 14, m=2, k=3, h=0)
-    b = gf_distinct_by_part(2, 3, 0, 14, variant="derived")
-    assert a == b
-
-
 def test_catalog_families():
     assert CATALOG[TheoremId.OddBySize].family is Family.ODD
     assert CATALOG[TheoremId.OddDistinctTotal].family is Family.ODD_DISTINCT
@@ -489,7 +483,7 @@ def test_infinite_tail_is_cut_at_the_window_width():
     # A summand below q^0 widens the window past the order; the infinite
     # product must still act on all of it.
     for e in (-5, 0, 3):
-        got = _sum(20, [(e, {})], infinite=[(PochSpec(1, 1), -1)])
+        got = _sum(20, [(e, {})], infinite=[(1, 1, 1, -1)])
         assert got == inv_poch(1, None, 20 - e).shift(e)
 
 

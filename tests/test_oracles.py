@@ -210,6 +210,13 @@ def test_tally_matches_single_call_oracles():
                 )
 
 
+def test_tally_is_read_only():
+    # The census is cached and shared by every caller.
+    tally = hook_tally(5)
+    with pytest.raises(TypeError):
+        tally.by_part[(5, 1, 5, 0)] = 1
+
+
 def test_witnesses_are_ordered_and_unique():
     w = fixed_hook_witnesses(10, 3, 0)
     assert [p.parts for p in w] == [

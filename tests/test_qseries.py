@@ -4,7 +4,6 @@ import pytest
 from fixedhooks.partitions import enumerate_parts, partition_count
 from fixedhooks.qseries import (
     LaurentSeries,
-    PochSpec,
     apply_factors,
     gauss_binomial,
     gauss_factors,
@@ -13,7 +12,6 @@ from fixedhooks.qseries import (
     merge_factors,
     poch,
     poch_factors,
-    pochhammer,
 )
 
 
@@ -142,58 +140,12 @@ def test_additive_inverse(a):
 
 
 # ---------------------------------------------------------------------------
-# reciprocal
+# Pochhammer products
 # ---------------------------------------------------------------------------
-
-
-def test_reciprocal_geometric():
-    f = poly([(0, 1), (1, -1)], 12)
-    inv = f.reciprocal()
-    assert inv.coefficients(0, 12) == [1] * 12
-    assert (f * inv).coefficients(0, 12) == [1] + [0] * 11
-
-
-def test_reciprocal_of_one():
-    assert LaurentSeries.one(7).reciprocal() == LaurentSeries.one(7)
-
-
-def test_reciprocal_errors():
-    with pytest.raises(ValueError):
-        LaurentSeries.zero(5).reciprocal()
-    with pytest.raises(ValueError):
-        poly([(0, 2)], 5).reciprocal()
-
-
-def test_reciprocal_with_valuation_shift():
-    f = LaurentSeries.monomial(2, 10)  # q^2, known below 10
-    inv = f.reciprocal()
-    assert inv.min_exp == -2
-    assert inv.order == 6
-    assert list(inv.items()) == [(-2, 1)]
-
-
-@settings(max_examples=150)
-@given(
-    st.sampled_from([1, -1]),
-    st.lists(st.integers(-9, 9), max_size=10),
-    st.integers(-6, 6),
-)
-def test_reciprocal_roundtrip(unit, rest, shift):
-    f = LaurentSeries(shift, [unit] + rest, shift + len(rest) + 4)
-    inv = f.reciprocal()
-    product = f * inv
-    assert product.coefficient(0) == 1
-    assert all(product.coefficient(e) == 0 for e in range(1, product.order))
 
 
 def test_pochhammer_times_reciprocal_is_one():
-    f = poch(1, 2, 16)
-    assert (f * f.reciprocal()).coefficients(0, 16) == [1] + [0] * 15
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer products
-# ---------------------------------------------------------------------------
+    assert poch(1, 2, 16) * inv_poch(1, 2, 16) == LaurentSeries.one(16)
 
 
 def test_poch_empty_product():
@@ -215,16 +167,24 @@ def test_poch_infinite_requires_positive_base():
     with pytest.raises(ValueError):
         poch(0, None, 10)
     with pytest.raises(ValueError):
-        pochhammer(PochSpec(1, -2, 1, None), 10)
+        poch(-2, None, 10)
+    with pytest.raises(ValueError):
+        inv_poch(0, None, 10)
 
 
-def test_poch_spec_validation():
+def test_poch_rejects_bad_sign_step_and_count():
+    # poch_factors checks every Pochhammer symbol, whatever form it is built in
+    for kwargs in ({"sign": 2}, {"sign": 0}, {"step": 0}, {"step": -1}):
+        with pytest.raises(ValueError):
+            poch(1, 3, 10, **kwargs)
+        with pytest.raises(ValueError):
+            inv_poch(1, 3, 10, **kwargs)
+        with pytest.raises(ValueError):
+            poch_factors(1, 3, **kwargs)
     with pytest.raises(ValueError):
-        PochSpec(2, 1, 1, 3)
+        poch(1, -1, 10)
     with pytest.raises(ValueError):
-        PochSpec(1, 1, 0, 3)
-    with pytest.raises(ValueError):
-        PochSpec(1, 1, 1, -1)
+        poch_factors(1, -1)
 
 
 def test_inv_poch_negative_count_is_zero():
@@ -232,10 +192,12 @@ def test_inv_poch_negative_count_is_zero():
 
 
 def test_inv_poch_matches_reciprocal():
+    # Multiplication, not the in-place division that fills both kernels, is
+    # the independent reference.
     for base, count, step, sign in [(1, 3, 1, 1), (2, 2, 2, 1), (1, 4, 2, -1), (3, None, 1, 1)]:
-        direct = inv_poch(base, count, 20, step=step, sign=sign)
-        via_recip = poch(base, count, 20, step=step, sign=sign).reciprocal()
-        assert direct == via_recip
+        product = poch(base, count, 20, step=step, sign=sign) * \
+            inv_poch(base, count, 20, step=step, sign=sign)
+        assert product == LaurentSeries.one(20)
 
 
 def test_partition_numbers_from_infinite_pochhammer():

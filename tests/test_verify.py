@@ -142,15 +142,3 @@ def test_variant_notes_summarize_resolution():
     assert len(notes) == 1
     assert "DistinctBySize" in notes[0]
     assert "derived" in notes[0] and "stated" in notes[0]
-
-
-def test_parallel_jobs_match_sequential():
-    cases = build_grid(
-        GridSpec(theorems=(TheoremId.MFixedByPart,), order=10, m_values=(1, 2),
-                 k_values=(2, 3), h_values=(0,))
-    )
-    seq = run_cases(cases, jobs=1)
-    par = run_cases(cases, jobs=2)
-    assert [(r.case.key(), r.status) for r in seq] == [
-        (r.case.key(), r.status) for r in par
-    ]
