@@ -222,8 +222,18 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_ORACLES = ("fixed-by-part", "fixed-by-hook", "hooks", "colored-t11",
-            "restricted-t12", "colored-t13")
+# The optional flags each oracle reads (--n is required by all of them); a
+# flag outside an oracle's row is a usage error, never silently ignored.
+_COUNT_FLAGS = {
+    "fixed-by-part": ("m", "k", "h", "family", "sum_k", "list"),
+    "fixed-by-hook": ("m", "k", "h", "family", "sum_k", "list"),
+    "hooks": ("m", "k", "family"),
+    "colored-t11": ("m", "list"),
+    "restricted-t12": ("m", "h"),
+    "colored-t13": ("m", "k", "h", "variant"),
+}
+_ORACLES = tuple(_COUNT_FLAGS)
+_OPTIONAL_COUNT_FLAGS = ("m", "k", "h", "family", "sum_k", "list", "variant")
 
 
 def _require(args, *names):
@@ -233,6 +243,14 @@ def _require(args, *names):
 
 
 def cmd_count(args) -> int:
+    if args.oracle not in _COUNT_FLAGS:
+        raise UsageError(f"unknown oracle {args.oracle!r}; choose from {', '.join(_ORACLES)}")
+    for name in _OPTIONAL_COUNT_FLAGS:
+        value = getattr(args, name)
+        if value is not None and value is not False and name not in _COUNT_FLAGS[args.oracle]:
+            raise UsageError(f"count {args.oracle} does not take --{name.replace('_', '-')}")
+    if args.sum_k and args.k is not None:
+        raise UsageError("--sum-k sums over every k; drop --k")
     fam = Family(args.family) if args.family else Family.ALL
     witnesses: list[str] | None = None
     if args.oracle == "fixed-by-part":
@@ -281,13 +299,11 @@ def cmd_count(args) -> int:
     elif args.oracle == "restricted-t12":
         _require(args, "n", "m", "h")
         value = count_restricted_thm12(args.n, args.m, args.h)
-    elif args.oracle == "colored-t13":
+    else:  # colored-t13
         _require(args, "n", "m", "k")
         value = count_colored_thm13(
             args.n, args.m, args.k, args.h or 0, variant=args.variant or "stated"
         )
-    else:
-        raise UsageError(f"unknown oracle {args.oracle!r}; choose from {', '.join(_ORACLES)}")
 
     if args.format == "json":
         payload = {

@@ -610,11 +610,18 @@ def build_series(
     h: int | None = None,
     variant: str | None = None,
 ) -> LaurentSeries:
-    """Dispatch to the builder behind ``theorem`` with exactly its parameters."""
+    """Dispatch to the builder behind ``theorem`` with exactly its parameters.
+
+    Raises ValueError when a declared parameter is missing or an undeclared
+    one is given.
+    """
     spec = CATALOG[theorem]
     if spec.build is None:
         raise ValueError(f"{theorem.value} is an identity check, not a series builder")
     supplied = {"m": m, "k": k, "h": h}
+    for name, value in supplied.items():
+        if value is not None and name not in spec.params:
+            raise ValueError(f"{theorem.value} does not take --{name}")
     kwargs = {}
     for name in spec.params:
         if supplied[name] is None:

@@ -1,14 +1,18 @@
 """Counting oracles for fixed-hook counts and their companion objects.
 
 The fixed-hook counts and the hook census enumerate partitions and inspect
-Young diagrams directly.  The companion objects of Theorems 11, 12 and 13
-are counted by exact integer DPs over the allowed part sizes: each object
-splits into blocks of part sizes chosen independently, and each block is a
-bounded-part or gap-avoiding partition count.  The enumerate-and-filter
-definitions of those objects live in the tests as references.  The
-generating-function builders in :mod:`fixedhooks.genfun` are verified
-coefficient-by-coefficient against these oracles; nothing in this module
-touches q-series arithmetic.
+Young diagrams directly.  The census (:func:`hook_tally`) streams the cells
+of each partition into Counters as key tuples: a cell (i, m) of a column
+m <= max_m under (m, column length, i, part), a cell further right under its
+hook alone.  Its four tables are derived once per n from the distinct keys,
+and a per-cell loop in the tests is its reference.  The companion objects
+of Theorems 11, 12 and 13 are counted by exact integer DPs over the allowed
+part sizes: each object splits into blocks of part sizes chosen
+independently, and each block is a bounded-part or gap-avoiding partition
+count.  The enumerate-and-filter definitions of those objects live in the
+tests as references.  The generating-function builders in
+:mod:`fixedhooks.genfun` are verified coefficient-by-coefficient against
+these oracles; nothing in this module touches q-series arithmetic.
 
 A cell (i, m) of a partition is an *h-fixed hook in column m* when
 ``hook_length(i, m) == i + h``.  Because the hooks down a column strictly
@@ -21,7 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -307,6 +312,12 @@ class HookTally:
     hook size instead.  ``hooks_col[(n, m, k)]`` counts hooks of size k in
     column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.  The
     census is cached and shared, so the four tables are read-only views.
+
+    A cell (i, m) in a column m <= max_m is counted once per n under the key
+    (m, c, i, part), with c the length of column m; that key fixes its hook
+    part - m + c - i + 1, so all four tables are derived from the distinct
+    keys of each n.  A cell right of column max_m is counted by its hook
+    alone, for ``hooks_total``.
     """
 
     max_n: int
@@ -320,21 +331,38 @@ class HookTally:
 
 @lru_cache(maxsize=None)
 def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
-    """Census every partition of every n <= max_n once; see :class:`HookTally`."""
+    """Census every partition of every n <= max_n once; see :class:`HookTally`.
+
+    No Python statement runs per cell: each partition's keys are streamed
+    into the Counters by one ``update`` per Counter.  Raises ValueError when
+    max_m < 1, since a negative max_m would slice the conjugate from its end.
+    """
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
     by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
+    columns = range(1, max_m + 1)
     for n in range(max_n + 1):
+        cols, wide = Counter(), Counter()
         for parts in enumerate_parts(n, family):
             conj = conjugate_parts(parts)
-            for i, part in enumerate(parts, start=1):
-                base = part - i + 1
-                for m in range(1, part + 1):
-                    hook = base + conj[m - 1] - m
-                    hooks_total[(n, hook)] += 1
-                    if m <= max_m:
-                        h = hook - i
-                        by_part[(n, m, part, h)] += 1
-                        by_hook[(n, m, hook, h)] += 1
-                        hooks_col[(n, m, hook)] += 1
+            # Column m holds rows 1 .. c, the first c parts.
+            cols.update(chain.from_iterable(
+                zip(repeat(m), repeat(c), range(1, c + 1), parts) for m, c in zip(columns, conj)
+            ))
+            if len(conj) > max_m:
+                # Row i right of column max_m: hook = conj[j-1] + part - i - j + 1.
+                wide.update(chain.from_iterable(
+                    map(add, conj[max_m:part], range(part - i - max_m, -i, -1))
+                    for i, part in enumerate(parts[: conj[max_m]], start=1)
+                ))
+        for (m, c, i, part), count in cols.items():
+            hook = part - m + c - i + 1
+            h = hook - i
+            by_part[(n, m, part, h)] += count
+            by_hook[(n, m, hook, h)] += count
+            hooks_col[(n, m, hook)] += count
+            hooks_total[(n, hook)] += count
+        hooks_total.update({(n, hook): count for hook, count in wide.items()})
     return HookTally(max_n, family, max_m, MappingProxyType(by_part), MappingProxyType(by_hook),
                      MappingProxyType(hooks_col), MappingProxyType(hooks_total))
 

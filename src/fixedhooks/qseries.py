@@ -214,6 +214,13 @@ def merge_factors(*parts: Factors | None) -> Factors | None:
     return out
 
 
+def _check_sign_step(sign: int, step: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+
+
 def poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors:
@@ -223,10 +230,7 @@ def poch_factors(
     infinite product (count None) needs an order and ``base_exp >= 1``; a
     finite one keeps every factor when order is None.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    _check_sign_step(sign, step)
     if count is not None and count < 0:
         raise ValueError("count must be non-negative")
     if count is None:
@@ -245,6 +249,7 @@ def inv_poch_factors(
 ) -> Factors | None:
     """``1 / (sign*q^base_exp; q^step)_count`` as a multiset; None (zero) for a
     negative count, as for :func:`inv_poch`."""
+    _check_sign_step(sign, step)
     if count is not None and count < 0:
         return None
     return {key: -1 for key in poch_factors(base_exp, count, order, step, sign)}
@@ -324,8 +329,9 @@ def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: 
 
     By the usual convention a negative ``count`` yields the zero series (the
     reciprocal of a pole), which is what makes sums over shifting row counts
-    terminate cleanly.
+    terminate cleanly.  Sign and step are checked first.
     """
+    _check_sign_step(sign, step)
     if count is not None and count < 0:
         return LaurentSeries.zero(order)
     coeffs = _inv_poch_coeffs(sign, base_exp, step, count, order)

@@ -165,6 +165,13 @@ def test_series_precondition_violation_is_usage_error(capsys):
     assert "column" in err
 
 
+def test_series_rejects_a_parameter_the_theorem_does_not_take(capsys):
+    code, out, err = run_cli(capsys, "series", "--thm", "T12", "--m", "1", "--h", "0",
+                             "--k", "5", "--order", "5")
+    assert code == 2
+    assert out == "" and "does not take --k" in err
+
+
 def test_count_fixed_by_hook_table_reproduction(capsys):
     code, out, _ = run_cli(capsys, "count", "fixed-by-hook", "--n", "10", "--m", "3",
                            "--h", "0", "--sum-k", "--list")
@@ -220,6 +227,26 @@ def test_count_unknown_oracle(capsys):
     code, _, err = run_cli(capsys, "count", "nonsense", "--n", "3")
     assert code == 2
     assert "unknown oracle" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("colored-t11", "--n", "10", "--m", "3", "--family", "odd", "--format", "json"),
+    ("restricted-t12", "--n", "10", "--m", "2", "--h", "0", "--family", "odd"),
+    ("colored-t13", "--n", "10", "--m", "1", "--k", "2", "--family", "distinct"),
+    ("colored-t11", "--n", "10", "--m", "3", "--k", "4"),
+    ("restricted-t12", "--n", "10", "--m", "2", "--h", "0", "--k", "4"),
+    ("colored-t11", "--n", "10", "--m", "3", "--h", "0"),
+])
+def test_count_rejects_flags_the_oracle_does_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 2
+    assert out == "" and "does not take --" in err
+
+
+def test_count_rejects_k_with_sum_k(capsys):
+    code, out, err = run_cli(capsys, "count", "fixed-by-part", "--n", "6", "--m", "1",
+                             "--h", "0", "--k", "2", "--sum-k")
+    assert code == 2 and out == "" and "--sum-k" in err
 
 
 def test_count_json_format(capsys):

@@ -251,6 +251,15 @@ def test_build_series_requires_declared_params():
     assert series == gf_mfixed_by_hook(2, 3, 1, 12)
 
 
+def test_build_series_rejects_undeclared_params():
+    with pytest.raises(ValueError, match="does not take --k"):
+        build_series(TheoremId.T12_ClosedForm, 5, m=1, h=0, k=5)
+    with pytest.raises(ValueError, match="does not take --m"):
+        build_series(TheoremId.FixedByPart_m1, 5, m=1, k=2, h=0)
+    with pytest.raises(ValueError, match="does not take --h"):
+        build_series(TheoremId.T14_HooksOfSizeK, 5, m=1, k=2, h=0)
+
+
 def test_catalog_families():
     assert CATALOG[TheoremId.OddBySize].family is Family.ODD
     assert CATALOG[TheoremId.OddDistinctTotal].family is Family.ODD_DISTINCT

@@ -217,6 +217,53 @@ def test_tally_is_read_only():
         tally.by_part[(5, 1, 5, 0)] = 1
 
 
+def _reference_tally(max_n, family, max_m):
+    """The census as a per-cell loop: one Counter increment per table per cell."""
+    by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
+    for n in range(max_n + 1):
+        for parts in enumerate_parts(n, family):
+            conj = Partition(parts).conj_parts()
+            for i, part in enumerate(parts, start=1):
+                for m in range(1, part + 1):
+                    hook = part + conj[m - 1] - i - m + 1
+                    hooks_total[(n, hook)] += 1
+                    if m <= max_m:
+                        h = hook - i
+                        by_part[(n, m, part, h)] += 1
+                        by_hook[(n, m, hook, h)] += 1
+                        hooks_col[(n, m, hook)] += 1
+    return by_part, by_hook, hooks_col, hooks_total
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("max_m", [1, 2, 6, 25])
+def test_tally_equals_per_cell_reference(family, max_m):
+    # max_m = 25 leaves no cell right of column max_m for n <= 20.
+    tally = hook_tally(20, family, max_m)
+    want = _reference_tally(20, family, max_m)
+    got = (tally.by_part, tally.by_hook, tally.hooks_col, tally.hooks_total)
+    for table, ref in zip(got, want):
+        assert dict(table) == dict(ref)
+
+
+def test_tally_rejects_max_m_below_one():
+    with pytest.raises(ValueError):
+        hook_tally(5, max_m=0)
+    with pytest.raises(ValueError):
+        hook_tally(5, max_m=-2)
+
+
+def test_tally_hooks_of_size_k_are_k_times_parts_of_size_k():
+    # Bacher and Manivel, "Hooks and powers of parts in partitions" (Sem.
+    # Lothar. Combin. 47, 2001): over all partitions of n, the hooks of
+    # length k number k times the parts equal to k.
+    tally = hook_tally(22)
+    for n in range(23):
+        parts_of_size = Counter(p for parts in enumerate_parts(n) for p in parts)
+        for k in range(1, n + 1):
+            assert tally.hooks_total.get((n, k), 0) == k * parts_of_size[k]
+
+
 def test_witnesses_are_ordered_and_unique():
     w = fixed_hook_witnesses(10, 3, 0)
     assert [p.parts for p in w] == [

@@ -189,6 +189,15 @@ def test_poch_rejects_bad_sign_step_and_count():
 
 def test_inv_poch_negative_count_is_zero():
     assert inv_poch(1, -1, 10).is_zero()
+    assert inv_poch_factors(1, -1) is None
+
+
+def test_inv_poch_checks_sign_and_step_before_a_negative_count():
+    for kwargs in ({"sign": 2}, {"sign": 0}, {"step": 0}, {"step": -1}):
+        with pytest.raises(ValueError):
+            inv_poch(1, -1, 10, **kwargs)
+        with pytest.raises(ValueError):
+            inv_poch_factors(1, -1, **kwargs)
 
 
 def test_inv_poch_matches_reciprocal():

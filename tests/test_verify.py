@@ -1,6 +1,6 @@
 import json
 
-from fixedhooks.genfun import TheoremId
+from fixedhooks.genfun import CATALOG, TheoremId
 from fixedhooks.partitions import Family
 from fixedhooks.verify import (
     GridSpec,
@@ -25,6 +25,15 @@ def test_grid_defaults_cover_every_theorem():
     assert TheoremId.T13_Shifted in tags
     # default by-part grid starts k at m, so nothing needs skipping
     assert all(c.k >= c.m for c in cases if c.theorem is TheoremId.MFixedByPart)
+
+
+def test_grid_cases_set_only_declared_params():
+    # build_series rejects an undeclared parameter, so no case may carry one.
+    explicit = GridSpec(m_values=(1, 2), k_values=(2, 3), h_values=(-1, 0))
+    for spec in (GridSpec(), explicit):
+        for case in build_grid(spec):
+            given = {name for name in ("m", "k", "h") if getattr(case, name) is not None}
+            assert given <= set(CATALOG[case.theorem].params), case
 
 
 def test_grid_is_sorted_and_unique():
