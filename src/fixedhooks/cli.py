@@ -15,8 +15,7 @@ from .oracles import (
     colored_t11_witnesses,
     count_colored_thm11,
     count_colored_thm13,
-    count_fixed_by_hook,
-    count_fixed_by_part,
+    count_fixed_hooks,
     count_hooks_of_size,
     count_restricted_thm12,
     fixed_hook_witnesses,
@@ -253,38 +252,14 @@ def cmd_count(args) -> int:
         raise UsageError("--sum-k sums over every k; drop --k")
     fam = Family(args.family) if args.family else Family.ALL
     witnesses: list[str] | None = None
-    if args.oracle == "fixed-by-part":
+    if args.oracle in ("fixed-by-part", "fixed-by-hook"):
         _require(args, "n", "m", "h")
-        if args.sum_k:
-            ks = [k for k in range(max(1, args.m), args.n + 1)]
-            value = sum(count_fixed_by_part(args.n, args.m, args.h, k, fam) for k in ks)
-            if args.list:
-                witnesses = [str(p) for p in fixed_hook_witnesses(args.n, args.m, args.h, family=fam)]
-        else:
+        if not args.sum_k:
             _require(args, "k")
-            value = count_fixed_by_part(args.n, args.m, args.h, args.k, fam)
-            if args.list:
-                witnesses = [
-                    str(p)
-                    for p in fixed_hook_witnesses(args.n, args.m, args.h, args.k, fam, by="part")
-                ]
-    elif args.oracle == "fixed-by-hook":
-        _require(args, "n", "m", "h")
-        if args.sum_k:
-            value = sum(
-                count_fixed_by_hook(args.n, args.m, args.h, k, fam)
-                for k in range(1, args.n + 1)
-            )
-            if args.list:
-                witnesses = [str(p) for p in fixed_hook_witnesses(args.n, args.m, args.h, family=fam)]
-        else:
-            _require(args, "k")
-            value = count_fixed_by_hook(args.n, args.m, args.h, args.k, fam)
-            if args.list:
-                witnesses = [
-                    str(p)
-                    for p in fixed_hook_witnesses(args.n, args.m, args.h, args.k, fam, by="hook")
-                ]
+        query = (args.n, args.m, args.h, args.k, fam, args.oracle.removeprefix("fixed-by-"))
+        value = count_fixed_hooks(*query)
+        if args.list:
+            witnesses = [str(p) for p in fixed_hook_witnesses(*query)]
     elif args.oracle == "hooks":
         _require(args, "n", "k")
         value = count_hooks_of_size(args.n, args.k, args.m, fam)
@@ -406,14 +381,14 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, default_format="text"):
+def _add_common(sub, default_format="text", variants=("stated", "derived")):
     """The flags every subcommand reads."""
     sub.add_argument("--m", help="column index (integer or a..b range where allowed)")
     sub.add_argument("--k", help="part or hook size (integer or range)")
     sub.add_argument("--h", help="fixedness offset (integer or range)")
     sub.add_argument("--format", default=default_format, choices=("text", "csv", "json"))
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--variant", choices=("stated", "derived", "both"),
+    sub.add_argument("--variant", choices=variants,
                      help="pin a closed-form variant where a theorem has two")
 
 
@@ -440,7 +415,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--thm", help="comma-separated theorem tags (default: full grid)")
     p.add_argument("--all", action="store_true", help="run the full default grid")
     _add_order(p, None)
-    _add_common(p, default_format=None)
+    # "both" adjudicates the two variants case by case, so only verify offers it.
+    _add_common(p, default_format=None, variants=("stated", "derived", "both"))
     _add_family(p)
     p.add_argument("--config", help="key = value file overriding the grid defaults")
     p.set_defaults(fn=cmd_verify)
@@ -487,8 +463,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "_scalar_params", False):
             _coerce_scalars(args)
-        if getattr(args, "variant", None) == "both":
-            args.variant = None
         return args.fn(args)
     except (UsageError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable
 
-from .partitions import Family
+from .partitions import Family, require_column
 from .qseries import (
     Factors,
     LaurentSeries,
@@ -117,13 +117,6 @@ def _sum(
     return LaurentSeries(lo, total, order)
 
 
-def _require_column(m: int, k: int | None = None) -> None:
-    if m < 1:
-        raise ValueError("column index m must be >= 1")
-    if k is not None and k < m:
-        raise ValueError(f"part size k={k} has no cell in column m={m}")
-
-
 def _half(m: int) -> int:
     """Length of the odd-part Pochhammer left of column m."""
     return (m - 1) // 2 if m % 2 else m // 2
@@ -172,7 +165,7 @@ def gf_mfixed_by_part(
     At m = 1 this coincides coefficientwise with :func:`gf_fixed_by_part_m1`.
     Summand exponents grow with slope k+m.
     """
-    _require_column(m, k)
+    require_column(m, k)
     if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
 
@@ -205,7 +198,7 @@ def gf_odd_by_part(
     (and, for even m, carries the inserted column through the exponent).
     They coincide at m = 1.  Summand exponents grow with slope k+m or k+m+1.
     """
-    _require_column(m, k)
+    require_column(m, k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
     if k % 2 == 0:
@@ -244,7 +237,7 @@ def gf_distinct_by_part(
     records which one matches the enumeration.  A summand may sit at a
     negative exponent.
     """
-    _require_column(m, k)
+    require_column(m, k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
     summands = (
@@ -280,7 +273,7 @@ def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
 
 def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """h-fixed hooks of size k in column m; specializes to the m = 1 builder."""
-    _require_column(m)
+    require_column(m)
     if k < 1:
         raise ValueError("hook size k must be >= 1")
     if k - h - 1 < 0:
@@ -299,7 +292,7 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     The horizontal span l of the hook must share the parity of m so that the
     part it sits in is odd; the sum runs over that parity class only.
     """
-    _require_column(m)
+    require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
 
@@ -324,7 +317,7 @@ def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     Spans below ceil((k+1)/2) would need more distinct parts under the hook
     than there are available sizes; the binomial vanishes there anyway.
     """
-    _require_column(m)
+    require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     summands = (
@@ -348,7 +341,7 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries
     The under-hook binomial has top (l-1)/2 (m odd) or (l-2)/2 (m even):
     the count of odd part sizes available below the part carrying the hook.
     """
-    _require_column(m)
+    require_column(m)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     odd = m % 2
@@ -426,7 +419,7 @@ def gf_t11_closed_form(m: int, order: int) -> LaurentSeries:
     The l-sum is truncated once l(l+m-1) reaches N; the quadratic growth in
     l makes the remainder invisible below N.
     """
-    _require_column(m)
+    require_column(m)
 
     def summands():
         l = 1
@@ -446,7 +439,7 @@ def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
     expansion from s = max(0, -h) on, which is the stream summed here: its
     exponents m(h+1) + 2ms start at m(1 + |h|) >= 1 and grow with slope 2m.
     """
-    _require_column(m)
+    require_column(m)
 
     def summands():
         s = max(0, -h)
@@ -460,7 +453,7 @@ def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
 def t13_weight_shift(m: int, k: int, h: int) -> int:
     """Weight offset between the fixed-hook count and its colored companion:
     the colored objects live at n + C(k-m+1, 2) - k(k-h-m+1)."""
-    _require_column(m, k)
+    require_column(m, k)
     return _choose2(k - m + 1) - k * (k - h - m + 1)
 
 
@@ -472,7 +465,7 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
     negative powers never outweigh q^{km}: the summand exponents are
     km - (l-1)(m-1) >= k + m - 1 >= 1.
     """
-    _require_column(m)
+    require_column(m)
     if k < 1:
         raise ValueError("hook size k must be >= 1")
     summands = (

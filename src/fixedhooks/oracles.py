@@ -1,16 +1,17 @@
 """Counting oracles for fixed-hook counts and their companion objects.
 
-The fixed-hook counts and the hook census enumerate partitions and inspect
-Young diagrams directly.  The census (:func:`hook_tally`) streams the cells
-of each partition into Counters as key tuples: a cell (i, m) of a column
-m <= max_m under (m, column length, i, part), a cell further right under its
-hook alone.  Its four tables are derived once per n from the distinct keys,
-and a per-cell loop in the tests is its reference.  The companion objects
-of Theorems 11, 12 and 13 are counted by exact integer DPs over the allowed
-part sizes: each object splits into blocks of part sizes chosen
-independently, and each block is a bounded-part or gap-avoiding partition
-count.  The enumerate-and-filter definitions of those objects live in the
-tests as references.  The generating-function builders in
+Every hook count reads one census (:func:`_census`), which streams the
+cells of each partition into Counters as key tuples and derives its four
+tables once per n; the verifier reads the cached :func:`hook_tally` of every
+n <= max_n, the point counts an uncached census of one n.  The second
+formula is :func:`fixed_hook_witnesses`, a walk down each partition's
+:meth:`Partition.column_hooks`; the tests hold every count equal to the
+length of its witness list, and a per-cell loop equal to the census tables.
+The companion objects of Theorems 11, 12 and 13 are counted by exact integer
+DPs over the allowed part sizes: each object splits into blocks of part
+sizes chosen independently, and each block is a bounded-part or gap-avoiding
+partition count.  The enumerate-and-filter definitions of those objects live
+in the tests as references.  The generating-function builders in
 :mod:`fixedhooks.genfun` are verified coefficient-by-coefficient against
 these oracles; nothing in this module touches q-series arithmetic.
 
@@ -37,74 +38,8 @@ from .partitions import (
     enumerate_parts,
     enumerate_partitions,
     partition_count,
+    require_column,
 )
-
-
-def count_fixed_by_part(n: int, m: int, h: int, k: int, family: Family = Family.ALL) -> int:
-    """Pairs (partition of n, row i) with part size k and an h-fixed hook at (i, m).
-
-    Requires k >= m, since a part smaller than m has no cell in column m.
-    """
-    if m < 1:
-        raise ValueError("column index m must be >= 1")
-    if k < m:
-        raise ValueError(f"part size k={k} has no cell in column m={m}")
-    total = 0
-    for parts in enumerate_parts(n, family):
-        conj = conjugate_parts(parts)
-        cm = conj[m - 1] if m <= len(conj) else 0
-        for i, part in enumerate(parts, start=1):
-            if part == k and part + cm - i - m + 1 == i + h:
-                total += 1
-    return total
-
-
-def count_fixed_by_hook(n: int, m: int, h: int, k: int, family: Family = Family.ALL) -> int:
-    """Pairs (partition of n, row i) with an h-fixed hook of size k at (i, m).
-
-    The row is forced to i = k - h; the count is 0 when k - h < 1.
-    """
-    if m < 1:
-        raise ValueError("column index m must be >= 1")
-    i = k - h
-    if i < 1:
-        return 0
-    total = 0
-    for parts in enumerate_parts(n, family):
-        if len(parts) < i or parts[i - 1] < m:
-            continue
-        conj = conjugate_parts(parts)
-        if parts[i - 1] + conj[m - 1] - i - m + 1 == k:
-            total += 1
-    return total
-
-
-def count_hooks_of_size(
-    n: int, k: int, m: int | None = None, family: Family = Family.ALL
-) -> int:
-    """Cells with hook length k in all partitions of n in the family.
-
-    With ``m`` given, only cells in column m are counted; with ``m`` absent,
-    cells in every column.
-    """
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
-    if m is not None and m < 1:
-        raise ValueError("column index m must be >= 1")
-    total = 0
-    for parts in enumerate_parts(n, family):
-        conj = conjugate_parts(parts)
-        if m is not None:
-            cm = conj[m - 1] if m <= len(conj) else 0
-            for i in range(1, cm + 1):
-                if parts[i - 1] + cm - i - m + 1 == k:
-                    total += 1
-        else:
-            for i, part in enumerate(parts, start=1):
-                for j in range(1, part + 1):
-                    if part + conj[j - 1] - i - j + 1 == k:
-                        total += 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +102,7 @@ def count_colored_thm11(n: int, m: int) -> int:
 
     An object is counted once per qualifying L.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_column(m)
     total = 0
     for a in range(n + 1):
         w = _t11_first_weight(a, m)
@@ -227,8 +161,7 @@ def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = 
 
     Returns 0 for negative ``nprime``.
     """
-    if m < 1 or k < m:
-        raise ValueError("need k >= m >= 1")
+    require_column(m, k)
     if nprime < 0:
         return 0
     if variant == "stated":
@@ -289,8 +222,7 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 
     Returns 0 when n - m*h < 0.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_column(m)
     t = n - m * h
     if t < 0:
         return 0
@@ -305,7 +237,7 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class HookTally:
-    """One-pass census of hook statistics over all partitions of n <= max_n.
+    """One-pass census of hook statistics over the partitions of a range of n.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and
     fixedness h = hook - i, for columns m <= max_m; ``by_hook`` keys on the
@@ -329,9 +261,8 @@ class HookTally:
     hooks_total: Mapping[tuple[int, int], int]
 
 
-@lru_cache(maxsize=None)
-def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
-    """Census every partition of every n <= max_n once; see :class:`HookTally`.
+def _census(ns: range, family: Family, max_m: int) -> HookTally:
+    """Census every partition of every n in ``ns`` once; see :class:`HookTally`.
 
     No Python statement runs per cell: each partition's keys are streamed
     into the Counters by one ``update`` per Counter.  Raises ValueError when
@@ -341,7 +272,7 @@ def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookT
         raise ValueError("max_m must be >= 1")
     by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
     columns = range(1, max_m + 1)
-    for n in range(max_n + 1):
+    for n in ns:
         cols, wide = Counter(), Counter()
         for parts in enumerate_parts(n, family):
             conj = conjugate_parts(parts)
@@ -363,8 +294,55 @@ def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookT
             hooks_col[(n, m, hook)] += count
             hooks_total[(n, hook)] += count
         hooks_total.update({(n, hook): count for hook, count in wide.items()})
-    return HookTally(max_n, family, max_m, MappingProxyType(by_part), MappingProxyType(by_hook),
-                     MappingProxyType(hooks_col), MappingProxyType(hooks_total))
+    tables = map(MappingProxyType, (by_part, by_hook, hooks_col, hooks_total))
+    return HookTally(ns.stop - 1, family, max_m, *tables)
+
+
+@lru_cache(maxsize=None)
+def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
+    """The census of every n <= max_n, cached and shared by every caller."""
+    return _census(range(max_n + 1), family, max_m)
+
+
+def _require_query(m: int, k: int | None, by: str) -> None:
+    """Reject a fixed-hook query with a bad column, part size or ``by``."""
+    if by not in ("hook", "part"):
+        raise ValueError(f"by must be 'hook' or 'part', got {by!r}")
+    require_column(m, k if by == "part" else None)
+
+
+def count_fixed_hooks(
+    n: int, m: int, h: int, k: int | None = None, family: Family = Family.ALL, by: str = "hook"
+) -> int:
+    """Pairs (partition of n, row i) with an h-fixed hook at (i, m).
+
+    With ``k`` given, only hooks of size k (``by="hook"``) or hooks arising
+    from parts of size k (``by="part"``, which requires k >= m) count;
+    ``k=None`` counts every size.  Since a column carries at most one
+    h-fixed hook, this is the number of :func:`fixed_hook_witnesses`.
+    """
+    _require_query(m, k, by)
+    tally = _census(range(n, n + 1), family, m)
+    table = tally.by_hook if by == "hook" else tally.by_part
+    if k is not None:
+        return table.get((n, m, k, h), 0)
+    return sum(count for (_, col, _, hh), count in table.items() if col == m and hh == h)
+
+
+def count_hooks_of_size(
+    n: int, k: int, m: int | None = None, family: Family = Family.ALL
+) -> int:
+    """Cells with hook length k in all partitions of n in the family.
+
+    With ``m`` given, only cells in column m are counted; with ``m`` absent,
+    cells in every column.
+    """
+    if k < 1:
+        raise ValueError("hook size k must be >= 1")
+    if m is None:
+        return _census(range(n, n + 1), family, 1).hooks_total.get((n, k), 0)
+    require_column(m)
+    return _census(range(n, n + 1), family, m).hooks_col.get((n, m, k), 0)
 
 
 def fixed_hook_witnesses(
@@ -377,22 +355,15 @@ def fixed_hook_witnesses(
 ) -> list[Partition]:
     """Partitions of n owning an h-fixed hook in column m, in enumeration order.
 
-    With ``k`` given, only hooks of size k (``by="hook"``) or hooks arising
-    from parts of size k (``by="part"``) qualify.  Since a column carries at
-    most one h-fixed hook, each partition appears at most once.
+    Takes the arguments of :func:`count_fixed_hooks`.  Since a column
+    carries at most one h-fixed hook, each partition appears at most once.
     """
+    _require_query(m, k, by)
     out = []
     for lam in enumerate_partitions(n, family):
-        conj = lam.conj_parts()
-        cm = conj[m - 1] if m <= len(conj) else 0
-        for i in range(1, cm + 1):
-            hook = lam.parts[i - 1] + cm - i - m + 1
-            if hook != i + h:
-                continue
-            if k is not None:
-                size = hook if by == "hook" else lam.parts[i - 1]
-                if size != k:
-                    continue
-            out.append(lam)
-            break
+        for i, hook in enumerate(lam.column_hooks(m), start=1):
+            if hook == i + h:
+                if k is None or k == (hook if by == "hook" else lam.parts[i - 1]):
+                    out.append(lam)
+                break
     return out

@@ -34,6 +34,15 @@ class Family(str, Enum):
         return True
 
 
+def require_column(m: int, k: int | None = None) -> None:
+    """Reject a column index m < 1 and, when given, a part size k < m, which
+    has no cell in column m."""
+    if m < 1:
+        raise ValueError("column index m must be >= 1")
+    if k is not None and k < m:
+        raise ValueError(f"part size k={k} has no cell in column m={m}")
+
+
 def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column counts of the Young diagram: entry j-1 is #{i : parts[i] >= j}."""
     if not parts:
@@ -113,12 +122,10 @@ class Partition:
         The sequence is strictly decreasing; it is empty when no part
         reaches column m.
         """
-        if m < 1:
-            raise ValueError("column index must be >= 1")
+        require_column(m)
         conj = self.conj_parts()
-        t = conj[m - 1] if m <= len(conj) else 0
-        cm = conj[m - 1] if t else 0
-        return tuple(self.parts[i - 1] + cm - i - m + 1 for i in range(1, t + 1))
+        cm = conj[m - 1] if m <= len(conj) else 0
+        return tuple(self.parts[i - 1] + cm - i - m + 1 for i in range(1, cm + 1))
 
 
 def _gen_parts(n: int, cap: int, step: int, gap: int) -> Iterator[tuple[int, ...]]:

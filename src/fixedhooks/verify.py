@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .genfun import CATALOG, TheoremId, build_series, t13_weight_shift
@@ -103,6 +103,7 @@ class VerifyReport:
     first_mismatch: tuple[int, int, int] | None = None
     detail: str = ""
     elapsed: float = 0.0
+    variants: dict[str, bool] = field(default_factory=dict)  # variant tried -> matched
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +279,11 @@ def _variant_verdict(case, outcomes, mismatch_by) -> VerifyReport:
     if list(outcomes) == [None]:
         bad = mismatch_by[None]
         return VerifyReport(case, "fail" if bad else "pass", bad)
-    matched = [v for v, ok in outcomes.items() if ok]
     detail = "; ".join(f"{v}={'match' if outcomes[v] else 'mismatch'}" for v in sorted(outcomes))
-    if matched:
-        return VerifyReport(case, "pass", detail=detail)
+    if any(outcomes.values()):
+        return VerifyReport(case, "pass", detail=detail, variants=outcomes)
     prefer = "derived" if "derived" in mismatch_by else next(iter(mismatch_by))
-    return VerifyReport(case, "fail", mismatch_by[prefer], detail=detail)
+    return VerifyReport(case, "fail", mismatch_by[prefer], detail=detail, variants=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ class GridSpec:
     """Parameter ranges for grid assembly; None means the per-theorem default."""
 
     theorems: tuple[TheoremId, ...] | None = None
-    order: int | None = None
+    order: int = DEFAULT_ORDER
     m_values: tuple[int, ...] | None = None
     k_values: tuple[int, ...] | None = None
     h_values: tuple[int, ...] | None = None
@@ -338,9 +338,10 @@ _M1_TAGS = (TheoremId.FixedByPart_m1, TheoremId.FixedByHook_m1)
 def build_grid(spec: GridSpec) -> list[IdentityCase]:
     """Expand a grid specification into sorted cases.
 
-    Defaults: m in 1..4, k up to 8, h in -3..k-1 at order 30 for the
-    fixedness families; the closed forms use the slightly smaller grids they
-    are specified at (T13 and T14 at order 25, T13 with h in -2..2).
+    Defaults: m in 1..4, k up to 8, h in -3..k-1 for the fixedness
+    families; the closed forms use the slightly smaller grids they are
+    specified at (T13 and T14 with m in 1..3, T13 with h in -2..2).  Every
+    case runs at ``spec.order``.
     Parameter combinations violating a builder precondition (k < m for the
     by-part theorems) become skipped cases only when explicitly requested.
     """
@@ -348,9 +349,6 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
     cases: list[IdentityCase] = []
-
-    def order_for(default):
-        return spec.order if spec.order is not None else default
 
     def ms(default):
         return spec.m_values if spec.m_values is not None else default
@@ -367,46 +365,46 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
         if t is TheoremId.T11_ClosedForm:
             for m in ms(range(1, 5)):
                 for check in checks:
-                    cases.append(IdentityCase(t, order_for(30), m=m, check=check))
+                    cases.append(IdentityCase(t, spec.order, m=m, check=check))
         elif t is TheoremId.T12_ClosedForm:
             for m in ms(range(1, 5)):
                 for h in hs_for(None, lambda _k: range(-3, 4)):
                     for check in checks:
-                        cases.append(IdentityCase(t, order_for(30), m=m, h=h, check=check))
+                        cases.append(IdentityCase(t, spec.order, m=m, h=h, check=check))
         elif t is TheoremId.T13_Shifted:
             for m in ms(range(1, 4)):
                 for k in ks(range(m, 7)):
                     for h in hs_for(k, lambda _k: range(-2, 3)):
                         cases.append(
-                            IdentityCase(t, order_for(25), m=m, k=k, h=h, variant=variant)
+                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
                         )
         elif t is TheoremId.T14_HooksOfSizeK:
             for m in ms(range(1, 4)):
                 for k in ks(range(1, 7)):
                     for check in checks:
-                        cases.append(IdentityCase(t, order_for(25), m=m, k=k, check=check))
+                        cases.append(IdentityCase(t, spec.order, m=m, k=k, check=check))
         elif t is TheoremId.OddDistinctTotal:
             for k in ks(range(1, 7)):
-                cases.append(IdentityCase(t, order_for(30), k=k, variant=variant))
+                cases.append(IdentityCase(t, spec.order, k=k, variant=variant))
         elif t in _M1_TAGS:
             for k in ks(range(1, 9)):
                 for h in hs_for(k, lambda k: range(-3, k)):
-                    cases.append(IdentityCase(t, order_for(30), k=k, h=h))
+                    cases.append(IdentityCase(t, spec.order, k=k, h=h))
         elif t in _BY_PART_TAGS:
             for m in ms(range(1, 5)):
                 for k in ks(range(max(1, m), 9)):
                     for h in hs_for(k, lambda k: range(-3, k)):
                         cases.append(
-                            IdentityCase(t, order_for(30), m=m, k=k, h=h, variant=variant)
+                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
                         )
         elif t in _BY_HOOK_TAGS:
             for m in ms(range(1, 5)):
                 for k in ks(range(1, 9)):
                     if "column-total" in checks and k <= 4:
-                        cases.append(IdentityCase(t, order_for(25), k=k, check="column-total"))
+                        cases.append(IdentityCase(t, spec.order, k=k, check="column-total"))
                     for h in hs_for(k, lambda k: range(-3, k)):
                         cases.append(
-                            IdentityCase(t, order_for(30), m=m, k=k, h=h, variant=variant)
+                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
                         )
     unique = {c.key(): c for c in cases}
     return [unique[key] for key in sorted(unique)]
@@ -424,12 +422,9 @@ def variant_notes(reports: list[VerifyReport]) -> list[str]:
         if rep.case.theorem not in VARIANT_TAGS or rep.status == "skipped":
             continue
         per = stats.setdefault(rep.case.theorem, {})
-        for clause in rep.detail.split("; "):
-            name, _, outcome = clause.partition("=")
-            if outcome not in ("match", "mismatch"):
-                continue
+        for name, ok in rep.variants.items():
             tally = per.setdefault(name, [0, 0])
-            tally[0] += outcome == "match"
+            tally[0] += ok
             tally[1] += 1
     notes = []
     for t in sorted(stats, key=lambda t: t.value):

@@ -189,7 +189,7 @@ def test_criterion_7_specializations_and_kernel():
 def test_criterion_8_family_hook_totals():
     with criterion(8, "hook totals across all columns and fixedness"):
         cases = build_grid(
-            GridSpec(theorems=(TheoremId.OddByHook, TheoremId.DistinctByHook))
+            GridSpec(theorems=(TheoremId.OddByHook, TheoremId.DistinctByHook), order=25)
         )
         cases = [c for c in cases if c.check == "column-total"]
         assert {c.k for c in cases} == {1, 2, 3, 4}

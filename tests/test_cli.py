@@ -140,6 +140,27 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert out == "" and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "colored-t11", "--n", "10", "--m", "3", "--variant", "both"),
+    ("count", "colored-t13", "--n", "10", "--m", "2", "--k", "3", "--variant", "both"),
+    ("series", "--thm", "OddBySize", "--m", "2", "--k", "3", "--h", "0", "--order", "6",
+     "--variant", "both"),
+    ("table", "--thm", "OddBySize", "--m", "2", "--k", "3", "--h", "0..1", "--order", "6",
+     "--variant", "both"),
+])
+def test_variant_both_outside_verify_is_usage_error(capsys, argv):
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'both'" in err
+
+
+def test_verify_adjudicates_variant_both(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--thm", "OddBySize", "--m", "2", "--k", "3",
+                           "--h", "0", "--order", "10", "--variant", "both")
+    assert code == 0
+    assert "derived=match" in out and "stated=" in out
+
+
 def test_series_output_and_order_zero(capsys):
     code, out, _ = run_cli(capsys, "series", "--thm", "T14", "--m", "1", "--k", "1",
                            "--order", "10")

@@ -3,8 +3,7 @@ import pytest
 from fixedhooks.partitions import Family
 from fixedhooks.oracles import (
     count_colored_thm11,
-    count_fixed_by_hook,
-    count_fixed_by_part,
+    count_fixed_hooks,
     count_hooks_of_size,
     count_restricted_thm12,
 )
@@ -49,7 +48,7 @@ def test_fixed_by_part_m1_against_oracle():
     for k in (1, 2, 3):
         for h in (-2, -1, 0, 1, k - 1):
             series = gf_fixed_by_part_m1(k, h, N)
-            assert_counts(series, lambda n: count_fixed_by_part(n, 1, h, k))
+            assert_counts(series, lambda n: count_fixed_hooks(n, 1, h, k, by="part"))
 
 
 def test_fixed_by_part_m1_coefficient_example():
@@ -60,7 +59,7 @@ def test_fixed_by_part_m1_beyond_claimed_fixedness_bound():
     # h > k-1 is reachable through long legs; (1,1) carries a 1-fixed hook
     series = gf_fixed_by_part_m1(1, 1, 8)
     assert series.coefficient(2) == 1
-    assert_counts(series, lambda n: count_fixed_by_part(n, 1, 1, 1), 8)
+    assert_counts(series, lambda n: count_fixed_hooks(n, 1, 1, 1, by="part"), 8)
 
 
 def test_both_display_forms_agree_by_part():
@@ -80,9 +79,11 @@ def test_both_display_forms_agree_by_part():
 
 def test_mfixed_by_part_matches_oracle_and_figure_case():
     series = gf_mfixed_by_part(2, 4, 2, 15)
-    assert_counts(series, lambda n: count_fixed_by_part(n, 2, 2, 4), 15)
+    assert_counts(series, lambda n: count_fixed_hooks(n, 2, 2, 4, by="part"), 15)
     assert series.coefficient(12) == 7  # includes (4,4,3,1)
-    assert_counts(gf_mfixed_by_part(3, 3, 0, 15), lambda n: count_fixed_by_part(n, 3, 0, 3), 15)
+    assert_counts(
+        gf_mfixed_by_part(3, 3, 0, 15), lambda n: count_fixed_hooks(n, 3, 0, 3, by="part"), 15
+    )
 
 
 def test_mfixed_by_part_m1_specialization():
@@ -103,7 +104,7 @@ def test_odd_by_part_even_k_is_zero():
 
 def test_odd_by_part_variants():
     for m, k, h in [(1, 3, 0), (2, 3, 0), (2, 5, 1), (3, 5, -1), (4, 7, 2)]:
-        oracle = lambda n: count_fixed_by_part(n, m, h, k, Family.ODD)
+        oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.ODD, by="part")
         assert_counts(gf_odd_by_part(m, k, h, N, variant="derived"), oracle)
         if m == 1:
             # the two index conventions coincide in the first column
@@ -112,13 +113,13 @@ def test_odd_by_part_variants():
 
 def test_odd_by_part_stated_diverges_past_first_column():
     stated = gf_odd_by_part(2, 3, 0, N, variant="stated")
-    oracle = [count_fixed_by_part(n, 2, 0, 3, Family.ODD) for n in range(N)]
+    oracle = [count_fixed_hooks(n, 2, 0, 3, Family.ODD, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
 
 def test_distinct_by_part_variants():
     for m, k, h in [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 2, -2), (3, 4, 0)]:
-        oracle = lambda n: count_fixed_by_part(n, m, h, k, Family.DISTINCT)
+        oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT, by="part")
         assert_counts(gf_distinct_by_part(m, k, h, N, variant="derived"), oracle)
     single_term = gf_distinct_by_part(3, 3, 2, N, variant="stated")
     assert single_term == gf_distinct_by_part(3, 3, 2, N, variant="stated")
@@ -127,7 +128,7 @@ def test_distinct_by_part_variants():
 
 def test_distinct_by_part_stated_diverges():
     stated = gf_distinct_by_part(1, 2, 0, N, variant="stated")
-    oracle = [count_fixed_by_part(n, 1, 0, 2, Family.DISTINCT) for n in range(N)]
+    oracle = [count_fixed_hooks(n, 1, 0, 2, Family.DISTINCT, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
 
@@ -139,7 +140,7 @@ def test_distinct_by_part_stated_diverges():
 def test_fixed_by_hook_m1_against_oracle():
     for k in (1, 2, 3, 4):
         for h in (-2, 0, 1, k - 1):
-            assert_counts(gf_fixed_by_hook_m1(k, h, N), lambda n: count_fixed_by_hook(n, 1, h, k))
+            assert_counts(gf_fixed_by_hook_m1(k, h, N), lambda n: count_fixed_hooks(n, 1, h, k))
 
 
 def test_fixed_by_hook_m1_h_at_least_k_is_zero():
@@ -149,34 +150,34 @@ def test_fixed_by_hook_m1_h_at_least_k_is_zero():
 
 def test_fixed_by_hook_m1_smallest_hook():
     series = gf_fixed_by_hook_m1(1, 0, 10)
-    assert_counts(series, lambda n: count_fixed_by_hook(n, 1, 0, 1), 10)
+    assert_counts(series, lambda n: count_fixed_hooks(n, 1, 0, 1), 10)
 
 
 def test_mfixed_by_hook_specializes_and_matches():
     for k in (1, 3, 4):
         for h in (-2, 0, k - 1):
             assert gf_mfixed_by_hook(1, k, h, 50) == gf_fixed_by_hook_m1(k, h, 50)
-    assert_counts(gf_mfixed_by_hook(2, 4, 2, 15), lambda n: count_fixed_by_hook(n, 2, 2, 4), 15)
+    assert_counts(gf_mfixed_by_hook(2, 4, 2, 15), lambda n: count_fixed_hooks(n, 2, 2, 4), 15)
 
 
 def test_family_hook_builders_match_oracles():
     cases = [(1, 1, 0), (1, 4, 0), (2, 2, 0), (2, 2, 1), (2, 3, -1), (3, 4, 1)]
     for m, k, h in cases:
-        assert_counts(gf_odd_by_hook(m, k, h, N), lambda n: count_fixed_by_hook(n, m, h, k, Family.ODD))
+        assert_counts(gf_odd_by_hook(m, k, h, N), lambda n: count_fixed_hooks(n, m, h, k, Family.ODD))
         assert_counts(
             gf_distinct_by_hook(m, k, h, N),
-            lambda n: count_fixed_by_hook(n, m, h, k, Family.DISTINCT),
+            lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT),
         )
         assert_counts(
             gf_odd_distinct_by_hook(m, k, h, N),
-            lambda n: count_fixed_by_hook(n, m, h, k, Family.ODD_DISTINCT),
+            lambda n: count_fixed_hooks(n, m, h, k, Family.ODD_DISTINCT),
         )
 
 
 def test_odd_by_hook_parity_filtered_sum_can_be_empty():
     # k=1 with an even column leaves no admissible span
     assert gf_odd_by_hook(2, 1, 0, N).is_zero()
-    assert count_fixed_by_hook(6, 2, 0, 1, Family.ODD) == 0
+    assert count_fixed_hooks(6, 2, 0, 1, Family.ODD) == 0
 
 
 def test_odd_distinct_total_variants():
@@ -205,7 +206,7 @@ def test_t11_closed_form():
 def test_t12_closed_form_both_oracles():
     for m, h in [(1, 0), (2, -1), (3, 1), (2, -3)]:
         series = gf_t12_closed_form(m, h, N)
-        assert_counts(series, lambda n: count_fixed_by_part(n, m, h, m))
+        assert_counts(series, lambda n: count_fixed_hooks(n, m, h, m, by="part"))
         assert_counts(series, lambda n: count_restricted_thm12(n, m, h))
 
 

@@ -18,8 +18,7 @@ from fixedhooks.oracles import (
     colored_t11_witnesses,
     count_colored_thm11,
     count_colored_thm13,
-    count_fixed_by_hook,
-    count_fixed_by_part,
+    count_fixed_hooks,
     count_hooks_of_size,
     count_restricted_thm12,
     fixed_hook_witnesses,
@@ -29,14 +28,14 @@ from fixedhooks.oracles import (
 
 
 def test_fixed_by_part_examples():
-    assert count_fixed_by_part(5, 1, 0, 2) == 1  # only (3, 2)
-    assert count_fixed_by_part(0, 2, 0, 3) == 0
-    assert count_fixed_by_part(12, 2, 2, 4) == 7
+    assert count_fixed_hooks(5, 1, 0, 2, by="part") == 1  # only (3, 2)
+    assert count_fixed_hooks(0, 2, 0, 3, by="part") == 0
+    assert count_fixed_hooks(12, 2, 2, 4, by="part") == 7
 
 
 def test_fixed_by_part_requires_cell_in_column():
     with pytest.raises(ValueError):
-        count_fixed_by_part(5, 3, 0, 2)
+        count_fixed_hooks(5, 3, 0, 2, by="part")
 
 
 def test_fixed_by_part_figure_witness():
@@ -46,9 +45,9 @@ def test_fixed_by_part_figure_witness():
 
 
 def test_fixed_by_hook_examples():
-    assert count_fixed_by_hook(12, 2, 2, 4) == 18
+    assert count_fixed_hooks(12, 2, 2, 4) == 18
     # row forced to k - h <= 0 means no hook can be h-fixed
-    assert count_fixed_by_hook(9, 1, 5, 3) == 0
+    assert count_fixed_hooks(9, 1, 5, 3) == 0
     # h = k-1 forces row 1: hooks of size k in the top cell of column 1
     for n in range(1, 9):
         for k in range(1, n + 1):
@@ -57,11 +56,11 @@ def test_fixed_by_hook_examples():
                 for lam in enumerate_partitions(n)
                 if lam.parts and lam.hook_length(1, 1) == k
             )
-            assert count_fixed_by_hook(n, 1, k - 1, k) == direct
+            assert count_fixed_hooks(n, 1, k - 1, k) == direct
 
 
 def test_worked_example_m3_n10():
-    assert sum(count_fixed_by_hook(10, 3, 0, k) for k in range(1, 11)) == 10
+    assert sum(count_fixed_hooks(10, 3, 0, k) for k in range(1, 11)) == 10
     assert count_colored_thm11(10, 3) == 10
 
 
@@ -110,16 +109,6 @@ def test_at_most_one_fixed_hook_per_column():
                     assert hits <= 1
 
 
-def test_pair_count_equals_partition_count_for_theorem_11():
-    # because of the one-per-column bound, summing over hook sizes counts
-    # exactly the partitions owning a 0-fixed hook in the column
-    for n in range(15):
-        for m in range(1, 4):
-            pair_count = sum(count_fixed_by_hook(n, m, 0, k) for k in range(1, n + 1))
-            partitions = len(fixed_hook_witnesses(n, m, 0))
-            assert pair_count == partitions
-
-
 def test_t11_qualifying_sizes():
     assert t11_qualifying_sizes((2, 2, 1), 1) == [1, 2]
     assert t11_qualifying_sizes((7, 1, 1, 1), 3) == [1]
@@ -133,7 +122,7 @@ def test_colored_t11_m1_multiplicity_reading():
     assert count_colored_thm11(0, 3) == 0
     assert count_colored_thm11(10, 1) == 15
     assert count_colored_thm11(10, 1) == sum(
-        count_fixed_by_hook(10, 1, 0, k) for k in range(1, 11)
+        count_fixed_hooks(10, 1, 0, k) for k in range(1, 11)
     )
 
 
@@ -175,7 +164,7 @@ def test_colored_t13_examples():
             1 for lam in enumerate_partitions(nprime) if 1 not in lam.parts
         )
         assert count_colored_thm13(nprime, 1, 1, 0) == no_ones
-    assert count_fixed_by_part(8, 2, 0, 3) == count_colored_thm13(3, 2, 3, 0) == 3
+    assert count_fixed_hooks(8, 2, 0, 3, by="part") == count_colored_thm13(3, 2, 3, 0) == 3
 
 
 def test_colored_t13_variants_agree_at_h_zero():
@@ -187,27 +176,47 @@ def test_colored_t13_variants_agree_at_h_zero():
                 assert stated == derived
 
 
-def test_tally_matches_single_call_oracles():
-    for family in Family:
-        tally = hook_tally(12, family, 4)
-        for n in range(13):
-            for m in (1, 2, 3):
-                for k in range(m, 7):
-                    for h in range(-2, k):
-                        assert tally.by_part.get((n, m, k, h), 0) == count_fixed_by_part(
-                            n, m, h, k, family
-                        )
-                        assert tally.by_hook.get((n, m, k, h), 0) == count_fixed_by_hook(
-                            n, m, h, k, family
-                        )
-                for k in range(1, 7):
-                    assert tally.hooks_col.get((n, m, k), 0) == count_hooks_of_size(
-                        n, k, m, family
-                    )
-            for k in range(1, 7):
-                assert tally.hooks_total.get((n, k), 0) == count_hooks_of_size(
-                    n, k, None, family
-                )
+@pytest.mark.parametrize("family", list(Family))
+def test_counts_equal_witness_walk(family):
+    # The census and the walk down column_hooks are two formulas for the
+    # same cells.  A column has at most one h-fixed hook, so each count is
+    # the number of partitions owning one.
+    for n in range(15):
+        for m in range(1, 5):
+            for h in range(-3, 6):
+                for k in (None, *range(m, 9)):
+                    for by in ("hook", "part"):
+                        assert count_fixed_hooks(n, m, h, k, family, by) == len(
+                            fixed_hook_witnesses(n, m, h, k, family, by)
+                        ), (n, m, h, k, by)
+
+
+@pytest.mark.parametrize("call", [count_fixed_hooks, fixed_hook_witnesses])
+@pytest.mark.parametrize("m", [0, -1])
+def test_fixed_hook_queries_reject_column_below_one(call, m):
+    with pytest.raises(ValueError, match="column index m must be >= 1"):
+        call(10, m, 0)
+
+
+@pytest.mark.parametrize("call", [count_fixed_hooks, fixed_hook_witnesses])
+def test_fixed_hook_queries_reject_unknown_by(call):
+    with pytest.raises(ValueError, match="by must be"):
+        call(10, 2, 0, 3, by="bogus")
+    with pytest.raises(ValueError, match="no cell in column"):
+        call(10, 3, 0, 2, by="part")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_colored_thm11(5, 0),
+    lambda: count_restricted_thm12(5, 0, 0),
+    lambda: count_colored_thm13(5, 0, 1),
+    lambda: count_colored_thm13(5, 2, 1),
+    lambda: count_hooks_of_size(5, 2, 0),
+    lambda: Partition((3, 1)).column_hooks(0),
+])
+def test_column_checks_are_shared(call):
+    with pytest.raises(ValueError, match="column index m must be >= 1|no cell in column"):
+        call()
 
 
 def test_tally_is_read_only():
