@@ -109,6 +109,16 @@ def test_at_most_one_fixed_hook_per_column():
                     assert hits <= 1
 
 
+def test_pair_count_equals_partition_count_for_theorem_11():
+    # because of the one-per-column bound, summing over hook sizes counts
+    # exactly the partitions owning a 0-fixed hook in the column
+    for n in range(15):
+        for m in range(1, 4):
+            pair_count = sum(count_fixed_hooks(n, m, 0, k) for k in range(1, n + 1))
+            partitions = len(fixed_hook_witnesses(n, m, 0))
+            assert pair_count == partitions
+
+
 def test_t11_qualifying_sizes():
     assert t11_qualifying_sizes((2, 2, 1), 1) == [1, 2]
     assert t11_qualifying_sizes((7, 1, 1, 1), 3) == [1]
@@ -217,6 +227,29 @@ def test_fixed_hook_queries_reject_unknown_by(call):
 def test_column_checks_are_shared(call):
     with pytest.raises(ValueError, match="column index m must be >= 1|no cell in column"):
         call()
+
+
+def test_tally_matches_single_call_oracles():
+    for family in Family:
+        tally = hook_tally(12, family, 4)
+        for n in range(13):
+            for m in (1, 2, 3):
+                for k in range(m, 7):
+                    for h in range(-2, k):
+                        assert tally.by_part.get((n, m, k, h), 0) == count_fixed_hooks(
+                            n, m, h, k, family, by="part"
+                        )
+                        assert tally.by_hook.get((n, m, k, h), 0) == count_fixed_hooks(
+                            n, m, h, k, family, by="hook"
+                        )
+                for k in range(1, 7):
+                    assert tally.hooks_col.get((n, m, k), 0) == count_hooks_of_size(
+                        n, k, m, family
+                    )
+            for k in range(1, 7):
+                assert tally.hooks_total.get((n, k), 0) == count_hooks_of_size(
+                    n, k, None, family
+                )
 
 
 def test_tally_is_read_only():
