@@ -1,7 +1,7 @@
 """Exact q-series engine for fixed hook-length statistics of integer partitions.
 
 The package has four layers: combinatorial types and enumeration
-(:mod:`fixedhooks.partitions`), brute-force counting oracles
+(:mod:`fixedhooks.partitions`), exact integer counting oracles
 (:mod:`fixedhooks.oracles`), exact truncated Laurent-series arithmetic
 (:mod:`fixedhooks.qseries`), and the catalog of generating-function builders
 (:mod:`fixedhooks.genfun`) whose coefficients the verifier

@@ -53,15 +53,23 @@ def parse_range(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer or range {text!r}") from None
 
 
-def order_arg(text: str) -> int:
-    """A truncation order: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"order must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"order must be >= 0, got {value}")
-    return value
+def _nonnegative(name: str):
+    """An argparse type for a non-negative integer called ``name``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        return value
+
+    return parse
+
+
+order_arg = _nonnegative("order")  # a truncation order
+weight_arg = _nonnegative("n")  # a partition weight
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -405,7 +413,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixedhooks",
         description="Verify fixed-hook partition identities by exact q-series expansion "
-        "against brute-force enumeration.",
+        "against independent partition counts.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -427,9 +435,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_series, _scalar_params=True)
 
-    p = subs.add_parser("count", help="evaluate a brute-force oracle")
+    p = subs.add_parser("count", help="evaluate a counting oracle")
     p.add_argument("oracle", help="one of: " + ", ".join(_ORACLES))
-    p.add_argument("--n", type=int, help="partition weight")
+    p.add_argument("--n", type=weight_arg, help="partition weight")
     p.add_argument("--sum-k", action="store_true", help="sum the count over all sizes k")
     p.add_argument("--list", action="store_true", help="print the witnessing objects")
     _add_common(p)

@@ -31,7 +31,7 @@ kernels:
 
 Three builders take a ``variant`` argument because the closed form they
 implement circulates in two index conventions that disagree for columns
-past the first; the verifier compares both against the brute-force oracle
+past the first; the verifier compares both against the counting oracle
 and records which one matches.  The naming is uniform: ``"stated"`` is the
 closed form exactly as displayed, ``"derived"`` re-derives the under- and
 above-hook factors from the diagram geometry.
@@ -45,7 +45,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable
 
-from .partitions import Family, require_column
+from .partitions import Family, require_column, require_hook_size
 from .qseries import (
     Factors,
     LaurentSeries,
@@ -263,8 +263,7 @@ def gf_distinct_by_part(
 
 def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
     """First-column h-fixed hooks of size k.  Zero series when h >= k."""
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
+    require_hook_size(k)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     summands = ((k + l * (k - h - 1), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1))
@@ -274,8 +273,7 @@ def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
 def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """h-fixed hooks of size k in column m; specializes to the m = 1 builder."""
     require_column(m)
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
+    require_hook_size(k)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     summands = (
@@ -376,8 +374,7 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
     telescoping product, which shifts the odd-span length to (l+1)/2 and the
     even-span base to q^(2j+3).
     """
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
+    require_hook_size(k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -466,8 +463,7 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
     km - (l-1)(m-1) >= k + m - 1 >= 1.
     """
     require_column(m)
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
+    require_hook_size(k)
     summands = (
         (
             k * m - (l - 1) * (m - 1),

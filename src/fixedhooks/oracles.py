@@ -1,12 +1,16 @@
 """Counting oracles for fixed-hook counts and their companion objects.
 
-Every hook count reads one census (:func:`_census`), which streams the
-cells of each partition into Counters as key tuples and derives its four
-tables once per n; the verifier reads the cached :func:`hook_tally` of every
-n <= max_n, the point counts an uncached census of one n.  The second
+Every hook count reads one counter (:func:`_cells`), which counts the
+partitions that own each cell by decomposition instead of listing them: a
+cell splits its partition into the rows above it, the rows below it in its
+column and the parts left of that column, three blocks chosen
+independently, and each block is a table of partitions into exactly j parts.
+The verifier reads the cached :func:`hook_tally` of every n <= max_n, the
+point counts an uncached tally of the columns they ask about.  The second
 formula is :func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
-length of its witness list, and a per-cell loop equal to the census tables.
+length of its witness list, and the tally equal to a per-cell loop over
+every partition.
 The companion objects of Theorems 11, 12 and 13 are counted by exact integer
 DPs over the allowed part sizes: each object splits into blocks of part
 sizes chosen independently, and each block is a bounded-part or gap-avoiding
@@ -26,19 +30,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add
+from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .partitions import (
     Family,
     Partition,
-    conjugate_parts,
     enumerate_parts,
     enumerate_partitions,
     partition_count,
     require_column,
+    require_hook_size,
 )
 
 
@@ -231,25 +234,110 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Batched census
+# Hook census by cell decomposition
 # ---------------------------------------------------------------------------
+#
+# A cell (i, m) whose row has part k, in a column of length c = i + l,
+# splits its partition into three blocks that are chosen independently:
+# the i - 1 rows above are parts >= k, the l rows below are parts in
+# [m, k], and every other row is a part < m.  In a distinct family the rows
+# above are distinct parts > k, those below distinct parts in [m, k - 1]
+# and the rest distinct parts < m; in an odd family every block takes odd
+# parts only.  Less a constant from each part, every block is a partition
+# into exactly j parts from the family's sizes 1, 1 + step, 1 + 2 step, ...
+# up to a cap, so one table of those counts serves all three.
+
+
+def _exact_parts(max_n: int, step: int, distinct: bool) -> Iterator[list[list[int]]]:
+    """Yield ``rows``, with ``rows[j][x]`` the number of ways to write x <= max_n
+    as exactly j parts from the sizes admitted so far: first none, then one
+    more of 1, 1 + step, ... <= max_n at each yield.  Parts repeat unless
+    ``distinct``.  The table is updated in place between yields.
+    """
+    rows = [[1] + [0] * max_n]
+    if not distinct:
+        rows += [[0] * (max_n + 1) for _ in range(max_n)]
+    yield rows
+    for size in range(1, max_n + 1, step):
+        if distinct:
+            rows.append([0] * (max_n + 1))
+        # A repeated size may already sit in rows[j - 1]; a distinct one may not.
+        js = range(len(rows) - 1, 0, -1) if distinct else range(1, len(rows))
+        for j in js:
+            row, fewer = rows[j], rows[j - 1]
+            for x in range(size, max_n + 1):
+                row[x] += fewer[x - size]
+        yield rows
+
+
+def _product(a: list[int], b: list[int], size: int) -> list[int]:
+    """The first ``size`` coefficients of the product of two series."""
+    out = [0] * size
+    lo = next((y for y, by in enumerate(b[:size]) if by), size)
+    tail = b[lo:]
+    for x, ax in enumerate(a[: size - lo]):
+        if ax:
+            for y, by in enumerate(tail[: size - lo - x], start=x + lo):
+                out[y] += ax * by
+    return out
+
+
+def _cells(
+    max_n: int, family: Family, columns: Sequence[int]
+) -> Iterator[tuple[int, int, int, int, int, list[int]]]:
+    """Yield ``(m, c, i, k, low, counts)`` for the cells of the given columns:
+    ``counts[n - low]`` partitions of n <= max_n in the family have column m of
+    length c and part k in row i.  Each (m, c, i, k) is yielded once.
+
+    Raises ValueError when max_n < 0 or the family is unknown.
+    """
+    if max_n < 0:
+        raise ValueError("n must be non-negative")
+    family = Family(family)
+    step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
+    distinct = family in (Family.DISTINCT, Family.ODD_DISTINCT)
+    gap = step if distinct else 0  # the rows above are parts >= k + gap
+    # rests[t]: partitions into the first t sizes; full: every size <= max_n.
+    rests = []
+    for full in _exact_parts(max_n, step, distinct):
+        rests.append(list(map(sum, zip(*full))))
+    # Less m0 - 1 from each, the rows under a cell in column m, whose smallest
+    # admissible part is m0, take the first t sizes when the cell's part k is
+    # t - 1 steps above m0 (t steps if distinct, since they stay below k).
+    for t, below in enumerate(_exact_parts(max_n, step, distinct)):
+        for m in columns:
+            m0 = m + (m - 1) % step
+            k = m0 + (t - 1 + distinct) * step
+            if k < m0 or k > max_n:
+                continue
+            rest = rests[(m0 - 1) // step]
+            for l, below_l in enumerate(below):
+                if k + l * m0 > max_n:
+                    break
+                low_l = k + l * (m0 - 1)
+                lower = _product(below_l, rest, max_n - low_l + 1)
+                for j, above_j in enumerate(full):
+                    if k + j * (k + gap) + l * m0 > max_n:
+                        break
+                    low = low_l + j * (k - 1 + gap)
+                    yield m, j + 1 + l, j + 1, k, low, _product(above_j, lower, max_n - low + 1)
 
 
 @dataclass(frozen=True)
 class HookTally:
-    """One-pass census of hook statistics over the partitions of a range of n.
+    """Hook statistics over the partitions of every n <= max_n in a family.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and
     fixedness h = hook - i, for columns m <= max_m; ``by_hook`` keys on the
     hook size instead.  ``hooks_col[(n, m, k)]`` counts hooks of size k in
     column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.  The
-    census is cached and shared, so the four tables are read-only views.
+    tally is cached and shared, so the four tables are read-only views.
 
-    A cell (i, m) in a column m <= max_m is counted once per n under the key
-    (m, c, i, part), with c the length of column m; that key fixes its hook
-    part - m + c - i + 1, so all four tables are derived from the distinct
-    keys of each n.  A cell right of column max_m is counted by its hook
-    alone, for ``hooks_total``.
+    The cells are counted by decomposition (:func:`_cells`), never by
+    listing partitions: for each key (m, c, i, part), with c the length of
+    column m, one series gives the number of partitions of each n that have
+    such a cell.  That key fixes the hook part - m + c - i + 1, so all four
+    tables are derived from the keys of every column m <= max_n.
     """
 
     max_n: int
@@ -261,47 +349,35 @@ class HookTally:
     hooks_total: Mapping[tuple[int, int], int]
 
 
-def _census(ns: range, family: Family, max_m: int) -> HookTally:
-    """Census every partition of every n in ``ns`` once; see :class:`HookTally`.
-
-    No Python statement runs per cell: each partition's keys are streamed
-    into the Counters by one ``update`` per Counter.  Raises ValueError when
-    max_m < 1, since a negative max_m would slice the conjugate from its end.
-    """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
+def _tables(
+    max_n: int, family: Family, max_m: int, columns: Sequence[int]
+) -> tuple[Counter, Counter, Counter, Counter]:
+    """``by_part``, ``by_hook``, ``hooks_col`` and ``hooks_total`` of
+    :class:`HookTally`, with ``hooks_total`` summed over ``columns`` only."""
     by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
-    columns = range(1, max_m + 1)
-    for n in ns:
-        cols, wide = Counter(), Counter()
-        for parts in enumerate_parts(n, family):
-            conj = conjugate_parts(parts)
-            # Column m holds rows 1 .. c, the first c parts.
-            cols.update(chain.from_iterable(
-                zip(repeat(m), repeat(c), range(1, c + 1), parts) for m, c in zip(columns, conj)
-            ))
-            if len(conj) > max_m:
-                # Row i right of column max_m: hook = conj[j-1] + part - i - j + 1.
-                wide.update(chain.from_iterable(
-                    map(add, conj[max_m:part], range(part - i - max_m, -i, -1))
-                    for i, part in enumerate(parts[: conj[max_m]], start=1)
-                ))
-        for (m, c, i, part), count in cols.items():
-            hook = part - m + c - i + 1
-            h = hook - i
-            by_part[(n, m, part, h)] += count
-            by_hook[(n, m, hook, h)] += count
-            hooks_col[(n, m, hook)] += count
-            hooks_total[(n, hook)] += count
-        hooks_total.update({(n, hook): count for hook, count in wide.items()})
-    tables = map(MappingProxyType, (by_part, by_hook, hooks_col, hooks_total))
-    return HookTally(ns.stop - 1, family, max_m, *tables)
+    for m, c, i, part, low, counts in _cells(max_n, family, columns):
+        hook = part - m + c - i + 1
+        h = hook - i
+        for n, count in enumerate(counts, start=low):
+            if count:
+                hooks_total[(n, hook)] += count
+                if m <= max_m:
+                    by_part[(n, m, part, h)] += count
+                    by_hook[(n, m, hook, h)] += count
+                    hooks_col[(n, m, hook)] += count
+    return by_part, by_hook, hooks_col, hooks_total
 
 
 @lru_cache(maxsize=None)
 def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
-    """The census of every n <= max_n, cached and shared by every caller."""
-    return _census(range(max_n + 1), family, max_m)
+    """The tally of every n <= max_n, cached and shared by every caller.
+
+    Raises ValueError when max_m < 1 or max_n < 0.
+    """
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
+    tables = _tables(max_n, family, max_m, range(1, max_n + 1))
+    return HookTally(max_n, family, max_m, *map(MappingProxyType, tables))
 
 
 def _require_query(m: int, k: int | None, by: str) -> None:
@@ -309,6 +385,8 @@ def _require_query(m: int, k: int | None, by: str) -> None:
     if by not in ("hook", "part"):
         raise ValueError(f"by must be 'hook' or 'part', got {by!r}")
     require_column(m, k if by == "part" else None)
+    if by == "hook" and k is not None:
+        require_hook_size(k)
 
 
 def count_fixed_hooks(
@@ -322,11 +400,11 @@ def count_fixed_hooks(
     h-fixed hook, this is the number of :func:`fixed_hook_witnesses`.
     """
     _require_query(m, k, by)
-    tally = _census(range(n, n + 1), family, m)
-    table = tally.by_hook if by == "hook" else tally.by_part
+    by_part, by_hook, _, _ = _tables(n, family, m, (m,))
+    table = by_hook if by == "hook" else by_part
     if k is not None:
         return table.get((n, m, k, h), 0)
-    return sum(count for (_, col, _, hh), count in table.items() if col == m and hh == h)
+    return sum(count for (nn, _, _, hh), count in table.items() if nn == n and hh == h)
 
 
 def count_hooks_of_size(
@@ -337,12 +415,11 @@ def count_hooks_of_size(
     With ``m`` given, only cells in column m are counted; with ``m`` absent,
     cells in every column.
     """
-    if k < 1:
-        raise ValueError("hook size k must be >= 1")
+    require_hook_size(k)
     if m is None:
-        return _census(range(n, n + 1), family, 1).hooks_total.get((n, k), 0)
+        return _tables(n, family, 0, range(1, n + 1))[3].get((n, k), 0)
     require_column(m)
-    return _census(range(n, n + 1), family, m).hooks_col.get((n, m, k), 0)
+    return _tables(n, family, m, (m,))[2].get((n, m, k), 0)
 
 
 def fixed_hook_witnesses(

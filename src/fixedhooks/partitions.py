@@ -43,6 +43,12 @@ def require_column(m: int, k: int | None = None) -> None:
         raise ValueError(f"part size k={k} has no cell in column m={m}")
 
 
+def require_hook_size(k: int) -> None:
+    """Reject a hook size k < 1: every hook has length at least 1."""
+    if k < 1:
+        raise ValueError("hook size k must be >= 1")
+
+
 def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column counts of the Young diagram: entry j-1 is #{i : parts[i] >= j}."""
     if not parts:

@@ -1,9 +1,11 @@
-"""Identity verification: series coefficients against enumeration oracles.
+"""Identity verification: series coefficients against counting oracles.
 
 A grid of :class:`IdentityCase` checks runs in one process, case by case
 in sorted case-key order, so reports are byte-for-byte reproducible for a
-fixed grid; each case produces one :class:`VerifyReport`.  The oracles read
-a cached hook census, which the default grid computes once per family.
+fixed grid; each case produces one :class:`VerifyReport`.  The hook oracles
+read a cached :func:`~fixedhooks.oracles.hook_tally`, which counts by cell
+decomposition without listing partitions and which the default grid
+computes once per family.
 """
 
 from __future__ import annotations
@@ -107,13 +109,14 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Oracle access (batched through the census for grid speed)
+# Oracle access (batched through one hook tally per family)
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _tally(order: int, family: Family, max_m: int):
-    # One census per family covers every order up to the default grid's 30.
+    # One tally per family covers every order up to the default grid's 30;
+    # a larger order counts every n below it, by decomposition.
     return hook_tally(max(order - 1, DEFAULT_ORDER - 1), family, max_m)
 
 
@@ -215,7 +218,7 @@ def _run_case_inner(case: IdentityCase) -> VerifyReport:
 
     if case.check == "column-total":
         # Summing over all columns and fixedness counts every size-k hook.
-        # hooks_total does not depend on max_m, so share the by-column census.
+        # hooks_total does not depend on max_m, so share the by-column tally.
         tal = _tally(N, case.family, 6)
         acc = LaurentSeries.zero(N)
         for mm in column_window(k, N):

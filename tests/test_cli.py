@@ -232,6 +232,32 @@ def test_count_hooks_rejects_column_below_one(capsys, m):
     assert "column index m must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fixed-by-part", "--n", "-1", "--m", "1", "--h", "0", "--k", "1"),
+    ("fixed-by-hook", "--n", "-1", "--m", "1", "--h", "0", "--sum-k"),
+    ("hooks", "--n", "-3", "--k", "1"),
+    ("colored-t11", "--n", "-2", "--m", "1"),
+    ("restricted-t12", "--n", "-2", "--m", "1", "--h", "0"),
+    ("colored-t13", "--n", "-2", "--m", "1", "--k", "2"),
+])
+def test_count_rejects_negative_n(capsys, argv):
+    assert run_cli_exit("count", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixed-by-hook", "--n", "5", "--m", "1", "--h", "0", "--k", "0"),
+    ("fixed-by-hook", "--n", "5", "--m", "1", "--h", "0", "--k", "0", "--list"),
+    ("hooks", "--n", "5", "--k", "0"),
+])
+def test_count_rejects_hook_size_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 2
+    assert out == ""
+    assert "hook size k must be >= 1" in err
+
+
 def test_python_dash_m_runs_cli():
     src = str(Path(fixedhooks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -502,3 +502,14 @@ def test_t14_below_km_keeps_its_low_terms():
     for m, k, N in [(2, 5, 7), (3, 3, 9), (2, 2, 4)]:
         assert_counts(gf_t14_hooks_of_size_k(m, k, N), lambda n: count_hooks_of_size(n, k, m), N)
     assert gf_t14_hooks_of_size_k(2, 5, 7).coefficient(6) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gf_fixed_by_hook_m1(0, 0, 10),
+    lambda: gf_mfixed_by_hook(2, 0, 0, 10),
+    lambda: gf_odd_distinct_total(0, 10),
+    lambda: gf_t14_hooks_of_size_k(1, -1, 10),
+])
+def test_builders_reject_hook_size_below_one(call):
+    with pytest.raises(ValueError, match="hook size k must be >= 1"):
+        call()

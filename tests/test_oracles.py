@@ -229,6 +229,38 @@ def test_column_checks_are_shared(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: count_fixed_hooks(-1, 1, 0),
+    lambda: count_fixed_hooks(-3, 2, 0, 2, by="part"),
+    lambda: count_hooks_of_size(-1, 1),
+    lambda: count_hooks_of_size(-2, 1, 1),
+    lambda: fixed_hook_witnesses(-1, 1, 0),
+])
+def test_counts_reject_negative_n(call):
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        call()
+
+
+def test_counts_reject_unknown_family():
+    with pytest.raises(ValueError):
+        count_fixed_hooks(5, 1, 0, family="even")
+    with pytest.raises(ValueError):
+        count_hooks_of_size(5, 1, family="even")
+    assert count_hooks_of_size(9, 3, family="odd") == count_hooks_of_size(9, 3, family=Family.ODD)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_fixed_hooks(5, 1, 0, 0),
+    lambda: count_fixed_hooks(5, 2, 0, -1, by="hook"),
+    lambda: fixed_hook_witnesses(5, 1, 0, 0),
+    lambda: count_hooks_of_size(5, 0),
+    lambda: count_hooks_of_size(5, 0, 1),
+])
+def test_counts_reject_hook_size_below_one(call):
+    with pytest.raises(ValueError, match="hook size k must be >= 1"):
+        call()
+
+
 def test_tally_matches_single_call_oracles():
     for family in Family:
         tally = hook_tally(12, family, 4)
@@ -260,7 +292,8 @@ def test_tally_is_read_only():
 
 
 def _reference_tally(max_n, family, max_m):
-    """The census as a per-cell loop: one Counter increment per table per cell."""
+    """The tally by enumeration, the ground truth of the decomposition: every
+    cell of every partition, one Counter increment per table per cell."""
     by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
     for n in range(max_n + 1):
         for parts in enumerate_parts(n, family):
@@ -278,11 +311,16 @@ def _reference_tally(max_n, family, max_m):
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("max_m", [1, 2, 6, 25])
-def test_tally_equals_per_cell_reference(family, max_m):
-    # max_m = 25 leaves no cell right of column max_m for n <= 20.
-    tally = hook_tally(20, family, max_m)
-    want = _reference_tally(20, family, max_m)
+@pytest.mark.parametrize(
+    "max_n, max_m",
+    [(20, 1), (20, 2), (20, 6), (20, 25), (29, 6)],
+    ids=["1", "2", "6", "25", "n29-6"],
+)
+def test_tally_equals_per_cell_reference(family, max_n, max_m):
+    # max_m = 25 leaves no cell right of column max_m for n <= 20; n <= 29
+    # with max_m = 6 is the range verify --all reads.
+    tally = hook_tally(max_n, family, max_m)
+    want = _reference_tally(max_n, family, max_m)
     got = (tally.by_part, tally.by_hook, tally.hooks_col, tally.hooks_total)
     for table, ref in zip(got, want):
         assert dict(table) == dict(ref)
