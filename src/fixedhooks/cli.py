@@ -1,7 +1,9 @@
 """Command-line front end: verify identities, print series, counts, tables.
 
 Exit codes: 0 success (verify: every case passed or was skipped), 1 at least
-one identity mismatch, 2 usage or configuration errors.
+one identity mismatch and no error, 2 usage or configuration errors, 3 an
+internal error: a verify case that ended in ``error``, or any other uncaught
+exception, whose traceback goes to stderr.  So 1 only ever means a mismatch.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .genfun import CATALOG, build_series, resolve_theorem
 from .oracles import (
@@ -179,7 +182,8 @@ def cmd_verify(args) -> int:
             print(note, file=sys.stderr)
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    statuses = {r.status for r in reports}
+    return 3 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +479,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

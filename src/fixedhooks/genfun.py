@@ -291,6 +291,7 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     part it sits in is odd; the sum runs over that parity class only.
     """
     require_column(m)
+    require_hook_size(k)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
 
@@ -316,6 +317,7 @@ def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     than there are available sizes; the binomial vanishes there anyway.
     """
     require_column(m)
+    require_hook_size(k)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     summands = (
@@ -340,6 +342,7 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries
     the count of odd part sizes available below the part carrying the hook.
     """
     require_column(m)
+    require_hook_size(k)
     if k - h - 1 < 0:
         return LaurentSeries.zero(order)
     odd = m % 2
@@ -517,7 +520,9 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
     TheoremId.T12_ClosedForm: BuilderSpec(
         ("m", "h"), Family.ALL, lambda order, m, h: gf_t12_closed_form(m, h, order)
     ),
-    TheoremId.T13_Shifted: BuilderSpec(("m", "k", "h"), Family.ALL, None),
+    TheoremId.T13_Shifted: BuilderSpec(
+        ("m", "k", "h"), Family.ALL, None, variants=("stated", "derived")
+    ),
     TheoremId.T14_HooksOfSizeK: BuilderSpec(
         ("m", "k"), Family.ALL, lambda order, m, k: gf_t14_hooks_of_size_k(m, k, order)
     ),

@@ -138,16 +138,6 @@ def _t13_first_count(a: int, m: int, k: int) -> int:
     return _partitions_avoiding(a - (k - m) * (k - m + 1) // 2, k - m + 1, k + m - 1)
 
 
-@lru_cache(maxsize=None)
-def _distinct_exact(d: int, j: int, cap: int) -> int:
-    """Partitions of d into exactly j distinct parts, each <= cap."""
-    if j == 0:
-        return 1 if d == 0 else 0
-    if cap <= 0 or d < j * (j + 1) // 2:
-        return 0
-    return _distinct_exact(d, j, cap - 1) + _distinct_exact(d - cap, j - 1, cap - 1)
-
-
 def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = "stated") -> int:
     """Colored companions of the h-fixed hooks from parts of size k in column m.
 
@@ -175,14 +165,22 @@ def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = 
     if variant != "derived":
         raise ValueError(f"unknown variant {variant!r}")
     weight = nprime + (k - m - h) * (k + m)
-    if weight < 0:
+    u = max(0, k - m - h)
+    top = weight - u * (k + m)  # the most the extra and free parts can weigh
+    if top < 0:
         return 0
     total = 0
-    u = max(0, k - m - h)
+    # distinct[j][d]: partitions of d into exactly j distinct parts <= u + h.
+    # Parts above rem0 never fit, and the cap u + h only grows with u, so one
+    # stream of the census's table serves every u.
+    tables = _exact_parts(top, 1, distinct=True, max_parts=k - m)
+    distinct, cap = next(tables), 0
     while u * (k + m) <= weight:
         rem0 = weight - u * (k + m)
-        for d in range(rem0 + 1):
-            ways = _distinct_exact(d, k - m, u + h)
+        while cap < min(u + h, rem0):
+            distinct, cap = next(tables), cap + 1
+        exact = distinct[k - m] if k - m < len(distinct) else ()
+        for d, ways in enumerate(exact[: rem0 + 1]):
             if not ways:
                 continue
             rem = rem0 - d
@@ -248,18 +246,22 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 # up to a cap, so one table of those counts serves all three.
 
 
-def _exact_parts(max_n: int, step: int, distinct: bool) -> Iterator[list[list[int]]]:
+def _exact_parts(
+    max_n: int, step: int, distinct: bool, max_parts: int | None = None
+) -> Iterator[list[list[int]]]:
     """Yield ``rows``, with ``rows[j][x]`` the number of ways to write x <= max_n
     as exactly j parts from the sizes admitted so far: first none, then one
     more of 1, 1 + step, ... <= max_n at each yield.  Parts repeat unless
-    ``distinct``.  The table is updated in place between yields.
+    ``distinct``.  Rows stop at j = ``max_parts`` when it is given.  The
+    table is updated in place between yields.
     """
+    last = max_n if max_parts is None else min(max_parts, max_n)
     rows = [[1] + [0] * max_n]
     if not distinct:
-        rows += [[0] * (max_n + 1) for _ in range(max_n)]
+        rows += [[0] * (max_n + 1) for _ in range(last)]
     yield rows
     for size in range(1, max_n + 1, step):
-        if distinct:
+        if distinct and len(rows) <= last:
             rows.append([0] * (max_n + 1))
         # A repeated size may already sit in rows[j - 1]; a distinct one may not.
         js = range(len(rows) - 1, 0, -1) if distinct else range(1, len(rows))

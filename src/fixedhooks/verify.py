@@ -2,10 +2,12 @@
 
 A grid of :class:`IdentityCase` checks runs in one process, case by case
 in sorted case-key order, so reports are byte-for-byte reproducible for a
-fixed grid; each case produces one :class:`VerifyReport`.  The hook oracles
-read a cached :func:`~fixedhooks.oracles.hook_tally`, which counts by cell
-decomposition without listing partitions and which the default grid
-computes once per family.
+fixed grid; each case produces one :class:`VerifyReport`.  What the verifier
+knows of a theorem sits in its row of :data:`THEOREMS`; every case then runs
+through :func:`_sides`, :func:`_first_mismatch` and :func:`_verdict`.  The
+hook oracles read a cached :func:`~fixedhooks.oracles.hook_tally`, which
+counts by cell decomposition without listing partitions and which the
+default grid computes once per family.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from .genfun import CATALOG, TheoremId, build_series, t13_weight_shift
 from .oracles import (
@@ -24,36 +28,60 @@ from .oracles import (
     count_restricted_thm12,
     hook_tally,
 )
-from .partitions import Family
+from .partitions import Family, require_hook_size
 from .qseries import LaurentSeries
 
 DEFAULT_ORDER = 30
 
-# Which comparisons make up a case for each theorem.  "oracle" is the plain
-# coefficient-vs-enumeration check; the closed forms carry extra companions.
-CHECKS: dict[TheoremId, tuple[str, ...]] = {
-    TheoremId.T11_ClosedForm: ("colored", "hook-sum"),
-    TheoremId.T12_ClosedForm: ("by-part", "restricted"),
-    TheoremId.T13_Shifted: ("shift",),
-    TheoremId.T14_HooksOfSizeK: ("oracle", "h-aggregation"),
-    TheoremId.FixedByPart_m1: ("oracle",),
-    TheoremId.MFixedByPart: ("oracle",),
-    TheoremId.OddBySize: ("oracle",),
-    TheoremId.DistinctBySize: ("oracle",),
-    TheoremId.FixedByHook_m1: ("oracle",),
-    TheoremId.MFixedByHook: ("oracle",),
-    TheoremId.OddByHook: ("oracle", "column-total"),
-    TheoremId.DistinctByHook: ("oracle", "column-total"),
-    TheoremId.OddDistinctByHook: ("oracle",),
-    TheoremId.OddDistinctTotal: ("oracle",),
+# A [column-total] case sums a by-hook theorem over every column and
+# fixedness; the grid adds one for each size k up to this.
+_COLUMN_TOTAL_MAX_K = 4
+
+
+@dataclass(frozen=True)
+class TheoremRow:
+    """What the verifier knows of one theorem: ``checks``, the comparisons
+    its cases make ("oracle" is the plain series-vs-count check); ``table``,
+    the :class:`~fixedhooks.oracles.HookTally` table its tally check reads;
+    and its default grid of columns ``m``, sizes ``k(m)`` and fixedness
+    values ``h(k)``.  A parameter the theorem does not take is unused."""
+
+    checks: tuple[str, ...]
+    table: str
+    m: range = range(1, 5)
+    k: Callable[[int | None], range] = lambda m: range(1, 9)
+    h: Callable[[int | None], range] = lambda k: range(-3, k)
+
+
+def _from_column(m: int) -> range:
+    # A by-part theorem needs part size k >= m.
+    return range(max(1, m), 9)
+
+
+THEOREMS: dict[TheoremId, TheoremRow] = {
+    TheoremId.T11_ClosedForm: TheoremRow(("colored", "hook-sum"), "by_hook"),
+    TheoremId.T12_ClosedForm: TheoremRow(
+        ("by-part", "restricted"), "by_part", h=lambda k: range(-3, 4)
+    ),
+    TheoremId.T13_Shifted: TheoremRow(
+        ("oracle",), "by_part", range(1, 4), lambda m: range(m, 7), lambda k: range(-2, 3)
+    ),
+    TheoremId.T14_HooksOfSizeK: TheoremRow(
+        ("oracle", "h-aggregation"), "hooks_col", range(1, 4), lambda m: range(1, 7)
+    ),
+    TheoremId.FixedByPart_m1: TheoremRow(("oracle",), "by_part"),
+    TheoremId.MFixedByPart: TheoremRow(("oracle",), "by_part", k=_from_column),
+    TheoremId.OddBySize: TheoremRow(("oracle",), "by_part", k=_from_column),
+    TheoremId.DistinctBySize: TheoremRow(("oracle",), "by_part", k=_from_column),
+    TheoremId.FixedByHook_m1: TheoremRow(("oracle",), "by_hook"),
+    TheoremId.MFixedByHook: TheoremRow(("oracle",), "by_hook"),
+    TheoremId.OddByHook: TheoremRow(("oracle", "column-total"), "by_hook"),
+    TheoremId.DistinctByHook: TheoremRow(("oracle", "column-total"), "by_hook"),
+    TheoremId.OddDistinctByHook: TheoremRow(("oracle",), "by_hook"),
+    TheoremId.OddDistinctTotal: TheoremRow(("oracle",), "hooks_total", k=lambda m: range(1, 7)),
 }
 
-VARIANT_TAGS = (
-    TheoremId.OddBySize,
-    TheoremId.DistinctBySize,
-    TheoremId.OddDistinctTotal,
-    TheoremId.T13_Shifted,
-)
+VARIANT_TAGS = tuple(t for t in TheoremId if CATALOG[t].variants)
 
 
 @dataclass(frozen=True)
@@ -98,10 +126,10 @@ class IdentityCase:
 
 @dataclass
 class VerifyReport:
-    """Outcome of one case; ``first_mismatch`` is (n, coefficient, oracle)."""
+    """Outcome of one case; ``first_mismatch`` is (n, got, want)."""
 
     case: IdentityCase
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     first_mismatch: tuple[int, int, int] | None = None
     detail: str = ""
     elapsed: float = 0.0
@@ -109,7 +137,7 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Oracle access (batched through one hook tally per family)
+# Running one case
 # ---------------------------------------------------------------------------
 
 
@@ -120,18 +148,10 @@ def _tally(order: int, family: Family, max_m: int):
     return hook_tally(max(order - 1, DEFAULT_ORDER - 1), family, max_m)
 
 
-def _series_matches(series: LaurentSeries, oracle, order: int):
-    """First (n, coefficient, oracle) disagreement below ``order``, or None.
-
-    Exponents below zero are compared against zero, so stray negative powers
-    of q count as mismatches.
-    """
-    for n in range(min(0, series.min_exp), order):
-        want = oracle(n) if n >= 0 else 0
-        got = series.coefficient(n)
-        if got != want:
-            return (n, got, want)
-    return None
+def _count(case: IdentityCase, table: str, *key) -> Callable[[int], int]:
+    """n -> the entry (n, *key) of ``table`` in the tally of the case's family."""
+    entries = getattr(_tally(case.order, case.family, max(6, case.m or 1)), table)
+    return lambda n: entries.get((n, *key), 0)
 
 
 def column_window(k: int, order: int) -> range:
@@ -143,6 +163,7 @@ def column_window(k: int, order: int) -> range:
 def fixedness_window(m: int, k: int, order: int) -> list[int]:
     """Fixedness values h (descending from k-1) whose by-hook series can
     reach below the order; the summand exponent grows linearly in -h."""
+    require_hook_size(k)
     out = []
     h = k - 1
     while True:
@@ -156,137 +177,102 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
     return out
 
 
-def _variants_for(case: IdentityCase) -> tuple[str | None, ...]:
-    if case.theorem in VARIANT_TAGS:
-        return (case.variant,) if case.variant else ("derived", "stated")
-    return (case.variant,)
+def _sides(case: IdentityCase, variant: str | None):
+    """The two sides (got, want) of one comparison of a case: got is a
+    LaurentSeries or a function of n >= 0, want a function of n >= 0.
 
-
-def _oracle_for(case: IdentityCase):
-    """Return n -> expected coefficient for the case's series comparison."""
-    t, m, k, h = case.theorem, case.m, case.k, case.h
-    fam = case.family
-    max_m = max(6, m or 1)
-    if t in (TheoremId.FixedByPart_m1, TheoremId.MFixedByPart, TheoremId.OddBySize,
-             TheoremId.DistinctBySize):
-        tal = _tally(case.order, fam, max_m)
-        mm = 1 if m is None else m
-        return lambda n: tal.by_part.get((n, mm, k, h), 0)
-    if t in (TheoremId.FixedByHook_m1, TheoremId.MFixedByHook, TheoremId.OddByHook,
-             TheoremId.DistinctByHook, TheoremId.OddDistinctByHook):
-        tal = _tally(case.order, fam, max_m)
-        mm = 1 if m is None else m
-        return lambda n: tal.by_hook.get((n, mm, k, h), 0)
-    if t is TheoremId.T14_HooksOfSizeK:
-        tal = _tally(case.order, fam, max_m)
-        return lambda n: tal.hooks_col.get((n, m, k), 0)
-    if t is TheoremId.OddDistinctTotal:
-        tal = _tally(case.order, fam, max_m)
-        return lambda n: tal.hooks_total.get((n, k), 0)
-    raise ValueError(f"no direct oracle for {t.value}")
-
-
-def run_case(case: IdentityCase) -> VerifyReport:
-    started = time.perf_counter()
-    try:
-        report = _run_case_inner(case)
-    except ValueError as exc:
-        report = VerifyReport(case, "skipped", detail=str(exc))
-    report.elapsed = time.perf_counter() - started
-    return report
-
-
-def _run_case_inner(case: IdentityCase) -> VerifyReport:
-    t, N = case.theorem, case.order
-    m, k, h = case.m, case.k, case.h
-
+    Raises ValueError when a builder or an oracle rejects a parameter.
+    """
+    t, N, m, k, h = case.theorem, case.order, case.m, case.k, case.h
+    table = THEOREMS[t].table
     if case.check == "h-aggregation":
         # Summing the by-hook builders over every reachable fixedness must
         # reproduce the all-hooks closed form coefficientwise.  An empty
         # window means no size-k hook reaches column m below N: both sides
         # are zero there.
-        target = build_series(TheoremId.T14_HooksOfSizeK, N, m=m, k=k)
-        window = fixedness_window(m, k, N)
-        acc = LaurentSeries.zero(N)
-        for hh in window:
-            acc = acc + build_series(TheoremId.MFixedByHook, N, m=m, k=k, h=hh)
-        mismatch = _series_matches(acc, lambda n: target.coefficient(n), N)
-        if mismatch:
-            return VerifyReport(case, "fail", mismatch)
-        detail = f"h window {k-1}..{window[-1]}" if window else "h window empty"
-        return VerifyReport(case, "pass", detail=detail)
-
+        want = build_series(t, N, m=m, k=k).coefficient
+        terms = (build_series(TheoremId.MFixedByHook, N, m=m, k=k, h=hh)
+                 for hh in fixedness_window(m, k, N))
+        return sum(terms, LaurentSeries.zero(N)), want
     if case.check == "column-total":
         # Summing over all columns and fixedness counts every size-k hook.
-        # hooks_total does not depend on max_m, so share the by-column tally.
-        tal = _tally(N, case.family, 6)
-        acc = LaurentSeries.zero(N)
-        for mm in column_window(k, N):
-            for hh in fixedness_window(mm, k, N):
-                acc = acc + build_series(t, N, m=mm, k=k, h=hh)
-        mismatch = _series_matches(acc, lambda n: tal.hooks_total.get((n, k), 0), N)
-        if mismatch:
-            return VerifyReport(case, "fail", mismatch)
-        return VerifyReport(case, "pass")
+        want = _count(case, "hooks_total", k)
+        terms = (build_series(t, N, m=mm, k=k, h=hh)
+                 for mm in column_window(k, N) for hh in fixedness_window(mm, k, N))
+        return sum(terms, LaurentSeries.zero(N)), want
+    if case.check == "colored":
+        return build_series(t, N, m=m), lambda n: count_colored_thm11(n, m)
+    if case.check == "restricted":
+        return build_series(t, N, m=m, h=h), lambda n: count_restricted_thm12(n, m, h)
+    if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
+        sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
+        return build_series(t, N, m=m), lambda n: sum(size(n) for size in sizes)
 
     if t is TheoremId.T13_Shifted:
         shift = t13_weight_shift(m, k, h)
-        tal = _tally(N, Family.ALL, max(6, m))
-        outcomes = {}
-        mismatch_by = {}
-        for variant in _variants_for(case):
-            bad = None
-            for n in range(N):
-                lhs = tal.by_part.get((n, m, k, h), 0)
-                rhs = count_colored_thm13(n + shift, m, k, h, variant=variant)
-                if lhs != rhs:
-                    bad = (n, rhs, lhs)
-                    break
-            outcomes[variant] = bad is None
-            mismatch_by[variant] = bad
-        return _variant_verdict(case, outcomes, mismatch_by)
-
-    if t is TheoremId.T11_ClosedForm:
-        series = build_series(t, N, m=m)
-        if case.check == "colored":
-            oracle = lambda n: count_colored_thm11(n, m)
-        else:  # hook-sum
-            tal = _tally(N, Family.ALL, max(6, m))
-            oracle = lambda n: sum(tal.by_hook.get((n, m, kk, 0), 0) for kk in range(1, n + 1))
-        mismatch = _series_matches(series, oracle, N)
-        return VerifyReport(case, "fail" if mismatch else "pass", mismatch)
-
-    if t is TheoremId.T12_ClosedForm:
-        series = build_series(t, N, m=m, h=h)
-        if case.check == "by-part":
-            tal = _tally(N, Family.ALL, max(6, m))
-            oracle = lambda n: tal.by_part.get((n, m, m, h), 0)
-        else:  # restricted
-            oracle = lambda n: count_restricted_thm12(n, m, h)
-        mismatch = _series_matches(series, oracle, N)
-        return VerifyReport(case, "fail" if mismatch else "pass", mismatch)
-
-    # plain series-vs-oracle comparison, possibly across variants
-    oracle = _oracle_for(case)
-    outcomes = {}
-    mismatch_by = {}
-    for variant in _variants_for(case):
-        series = build_series(t, N, m=m, k=k, h=h, variant=variant)
-        bad = _series_matches(series, oracle, N)
-        outcomes[variant] = bad is None
-        mismatch_by[variant] = bad
-    return _variant_verdict(case, outcomes, mismatch_by)
+        got = lambda n: count_colored_thm13(n + shift, m, k, h, variant=variant)
+    else:
+        got = build_series(t, N, m=m, k=k, h=h, variant=variant)
+    mm = 1 if m is None else m  # the m = 1 theorems
+    kk = mm if k is None else k  # T12 counts hooks from parts of size m
+    key = {"hooks_col": (mm, kk), "hooks_total": (kk,)}.get(table, (mm, kk, h))
+    return got, _count(case, table, *key)
 
 
-def _variant_verdict(case, outcomes, mismatch_by) -> VerifyReport:
-    if list(outcomes) == [None]:
-        bad = mismatch_by[None]
-        return VerifyReport(case, "fail" if bad else "pass", bad)
-    detail = "; ".join(f"{v}={'match' if outcomes[v] else 'mismatch'}" for v in sorted(outcomes))
+def _first_mismatch(got, want, order: int) -> tuple[int, int, int] | None:
+    """First (n, got, want) disagreement below ``order``, or None.
+
+    A series is read from its lowest power on, so stray negative powers of q
+    count as mismatches; want is zero there.
+    """
+    lo = 0
+    if isinstance(got, LaurentSeries):
+        lo, got = min(0, got.min_exp), got.coefficient
+    for n in range(lo, order):
+        expected = want(n) if n >= 0 else 0
+        actual = got(n)
+        if actual != expected:
+            return (n, actual, expected)
+    return None
+
+
+def _verdict(case: IdentityCase, mismatches: dict) -> VerifyReport:
+    """The report for a case from each tried variant's first mismatch.
+
+    A case without variants passes or fails on its one comparison; one with
+    variants passes when any matches, else fails on the derived variant's
+    mismatch.
+    """
+    if list(mismatches) == [None]:
+        bad = mismatches[None]
+        detail = ""
+        if case.check == "h-aggregation" and not bad:
+            window = fixedness_window(case.m, case.k, case.order)
+            detail = f"h window {case.k - 1}..{window[-1]}" if window else "h window empty"
+        return VerifyReport(case, "fail" if bad else "pass", bad, detail)
+    outcomes = {v: bad is None for v, bad in mismatches.items()}
+    detail = "; ".join(f"{v}={'match' if ok else 'mismatch'}" for v, ok in sorted(outcomes.items()))
     if any(outcomes.values()):
         return VerifyReport(case, "pass", detail=detail, variants=outcomes)
-    prefer = "derived" if "derived" in mismatch_by else next(iter(mismatch_by))
-    return VerifyReport(case, "fail", mismatch_by[prefer], detail=detail, variants=outcomes)
+    prefer = "derived" if "derived" in mismatches else next(iter(mismatches))
+    return VerifyReport(case, "fail", mismatches[prefer], detail=detail, variants=outcomes)
+
+
+def run_case(case: IdentityCase) -> VerifyReport:
+    """Run one case.  A parameter some builder or oracle rejects makes it
+    ``skipped``; any other exception makes it ``error``, with the exception
+    as its detail."""
+    started = time.perf_counter()
+    variants = (case.variant,) if case.variant else CATALOG[case.theorem].variants or (None,)
+    try:
+        mismatches = {v: _first_mismatch(*_sides(case, v), case.order) for v in variants}
+        report = _verdict(case, mismatches)
+    except ValueError as exc:
+        report = VerifyReport(case, "skipped", detail=str(exc))
+    except Exception as exc:
+        report = VerifyReport(case, "error", detail=f"{type(exc).__name__}: {exc}")
+    report.elapsed = time.perf_counter() - started
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -307,108 +293,39 @@ class GridSpec:
     variant: str | None = None  # None = adjudicate both where applicable
 
 
-_DEFAULT_GRID_TAGS = (
-    TheoremId.T11_ClosedForm,
-    TheoremId.T12_ClosedForm,
-    TheoremId.T13_Shifted,
-    TheoremId.T14_HooksOfSizeK,
-    TheoremId.FixedByPart_m1,
-    TheoremId.MFixedByPart,
-    TheoremId.OddBySize,
-    TheoremId.DistinctBySize,
-    TheoremId.FixedByHook_m1,
-    TheoremId.MFixedByHook,
-    TheoremId.OddByHook,
-    TheoremId.DistinctByHook,
-    TheoremId.OddDistinctByHook,
-    TheoremId.OddDistinctTotal,
-)
-
-_BY_PART_TAGS = (
-    TheoremId.MFixedByPart,
-    TheoremId.OddBySize,
-    TheoremId.DistinctBySize,
-)
-_BY_HOOK_TAGS = (
-    TheoremId.MFixedByHook,
-    TheoremId.OddByHook,
-    TheoremId.DistinctByHook,
-    TheoremId.OddDistinctByHook,
-)
-_M1_TAGS = (TheoremId.FixedByPart_m1, TheoremId.FixedByHook_m1)
-
-
 def build_grid(spec: GridSpec) -> list[IdentityCase]:
     """Expand a grid specification into sorted cases.
 
-    Defaults: m in 1..4, k up to 8, h in -3..k-1 for the fixedness
-    families; the closed forms use the slightly smaller grids they are
-    specified at (T13 and T14 with m in 1..3, T13 with h in -2..2).  Every
-    case runs at ``spec.order``.
+    Each theorem's default columns, sizes and fixedness values come from its
+    row of :data:`THEOREMS`; a parameter the spec gives replaces the default
+    of every theorem that takes it.  Every case runs at ``spec.order``.
     Parameter combinations violating a builder precondition (k < m for the
     by-part theorems) become skipped cases only when explicitly requested.
     """
-    tags = spec.theorems if spec.theorems is not None else _DEFAULT_GRID_TAGS
+    tags = spec.theorems if spec.theorems is not None else tuple(TheoremId)
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
     cases: list[IdentityCase] = []
-
-    def ms(default):
-        return spec.m_values if spec.m_values is not None else default
-
-    def ks(default):
-        return spec.k_values if spec.k_values is not None else default
-
-    def hs_for(k, default):
-        return spec.h_values if spec.h_values is not None else default(k)
-
     for t in tags:
-        checks = CHECKS[t]
+        row, params = THEOREMS[t], CATALOG[t].params
         variant = spec.variant if t in VARIANT_TAGS else None
-        if t is TheoremId.T11_ClosedForm:
-            for m in ms(range(1, 5)):
-                for check in checks:
-                    cases.append(IdentityCase(t, spec.order, m=m, check=check))
-        elif t is TheoremId.T12_ClosedForm:
-            for m in ms(range(1, 5)):
-                for h in hs_for(None, lambda _k: range(-3, 4)):
-                    for check in checks:
-                        cases.append(IdentityCase(t, spec.order, m=m, h=h, check=check))
-        elif t is TheoremId.T13_Shifted:
-            for m in ms(range(1, 4)):
-                for k in ks(range(m, 7)):
-                    for h in hs_for(k, lambda _k: range(-2, 3)):
-                        cases.append(
-                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
-                        )
-        elif t is TheoremId.T14_HooksOfSizeK:
-            for m in ms(range(1, 4)):
-                for k in ks(range(1, 7)):
-                    for check in checks:
-                        cases.append(IdentityCase(t, spec.order, m=m, k=k, check=check))
-        elif t is TheoremId.OddDistinctTotal:
-            for k in ks(range(1, 7)):
-                cases.append(IdentityCase(t, spec.order, k=k, variant=variant))
-        elif t in _M1_TAGS:
-            for k in ks(range(1, 9)):
-                for h in hs_for(k, lambda k: range(-3, k)):
-                    cases.append(IdentityCase(t, spec.order, k=k, h=h))
-        elif t in _BY_PART_TAGS:
-            for m in ms(range(1, 5)):
-                for k in ks(range(max(1, m), 9)):
-                    for h in hs_for(k, lambda k: range(-3, k)):
-                        cases.append(
-                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
-                        )
-        elif t in _BY_HOOK_TAGS:
-            for m in ms(range(1, 5)):
-                for k in ks(range(1, 9)):
-                    if "column-total" in checks and k <= 4:
-                        cases.append(IdentityCase(t, spec.order, k=k, check="column-total"))
-                    for h in hs_for(k, lambda k: range(-3, k)):
-                        cases.append(
-                            IdentityCase(t, spec.order, m=m, k=k, h=h, variant=variant)
-                        )
+
+        def values(name, default, *args):
+            if name not in params:
+                return (None,)
+            given = getattr(spec, f"{name}_values")
+            return default(*args) if given is None else given
+
+        for m in values("m", lambda: row.m):
+            for k in values("k", row.k, m):
+                if "column-total" in row.checks and k <= _COLUMN_TOTAL_MAX_K:
+                    cases.append(IdentityCase(t, spec.order, k=k, check="column-total"))
+                for h in values("h", row.h, k):
+                    cases.extend(
+                        IdentityCase(t, spec.order, m, k, h, check, variant)
+                        for check in row.checks
+                        if check != "column-total"
+                    )
     unique = {c.key(): c for c in cases}
     return [unique[key] for key in sorted(unique)]
 
@@ -422,7 +339,7 @@ def variant_notes(reports: list[VerifyReport]) -> list[str]:
     """Per-theorem resolution of which closed-form variant matched the oracle."""
     stats: dict[TheoremId, dict[str, list[int]]] = {}
     for rep in reports:
-        if rep.case.theorem not in VARIANT_TAGS or rep.status == "skipped":
+        if rep.case.theorem not in VARIANT_TAGS or rep.status in ("skipped", "error"):
             continue
         per = stats.setdefault(rep.case.theorem, {})
         for name, ok in rep.variants.items():
@@ -478,13 +395,14 @@ def render_text(reports: list[VerifyReport], notes: list[str]) -> str:
         elif rep.detail:
             line += f"  ({rep.detail})"
         lines.append(line)
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for rep in reports:
-        counts[rep.status] += 1
-    lines.append(
+    counts = Counter(rep.status for rep in reports)
+    summary = (
         f"total {len(reports)} cases: {counts['pass']} passed, "
         f"{counts['fail']} failed, {counts['skipped']} skipped"
     )
+    if counts["error"]:
+        summary += f", {counts['error']} errored"
+    lines.append(summary)
     lines.extend(notes)
     return "\n".join(lines) + "\n"
 

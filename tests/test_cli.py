@@ -374,3 +374,25 @@ def test_t14_h_aggregation_with_empty_fixedness_window(capsys):
                              "--order", "8")
     assert code == 0 and "Traceback" not in err
     assert "h window empty" in out and "FAIL" not in out
+
+
+def test_uncaught_exception_prints_traceback_and_exits_three(monkeypatch, capsys):
+    import fixedhooks.cli as cli
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("builder exploded")
+
+    monkeypatch.setattr(cli, "build_series", explode)
+    code, out, err = run_cli(capsys, "series", "--thm", "T11", "--m", "1", "--order", "5")
+    assert code == 3
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: builder exploded" in err
+
+
+@pytest.mark.parametrize("thm", ["OddByHook", "DistinctByHook", "OddDistinctByHook"])
+def test_series_rejects_hook_size_below_one(capsys, thm):
+    code, out, err = run_cli(capsys, "series", "--thm", thm, "--m", "1", "--k", "0", "--h", "-2")
+    assert code == 2
+    assert out == ""
+    assert "hook size k must be >= 1" in err

@@ -509,6 +509,9 @@ def test_t14_below_km_keeps_its_low_terms():
     lambda: gf_mfixed_by_hook(2, 0, 0, 10),
     lambda: gf_odd_distinct_total(0, 10),
     lambda: gf_t14_hooks_of_size_k(1, -1, 10),
+    lambda: gf_odd_by_hook(1, 0, -2, 10),
+    lambda: gf_distinct_by_hook(1, -2, -3, 10),
+    lambda: gf_odd_distinct_by_hook(2, 0, -1, 10),
 ])
 def test_builders_reject_hook_size_below_one(call):
     with pytest.raises(ValueError, match="hook size k must be >= 1"):

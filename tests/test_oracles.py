@@ -186,6 +186,13 @@ def test_colored_t13_variants_agree_at_h_zero():
                 assert stated == derived
 
 
+def test_colored_t13_derived_at_a_large_fixedness():
+    # The distinct parts under the hook are capped at u + h, here above 1000;
+    # the count reads one stream of the census's table, not a recursion per cap.
+    assert count_colored_thm13(3000, 1, 2, 1000, variant="derived") == 1
+    assert count_colored_thm13(3010, 1, 2, 1000, variant="derived") == 35
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_counts_equal_witness_walk(family):
     # The census and the walk down column_hooks are two formulas for the

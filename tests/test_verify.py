@@ -1,5 +1,10 @@
+import hashlib
 import json
 
+import pytest
+
+import fixedhooks.verify as verify
+from fixedhooks.cli import main
 from fixedhooks.genfun import CATALOG, TheoremId
 from fixedhooks.partitions import Family
 from fixedhooks.verify import (
@@ -151,3 +156,90 @@ def test_variant_notes_summarize_resolution():
     assert len(notes) == 1
     assert "DistinctBySize" in notes[0]
     assert "derived" in notes[0] and "stated" in notes[0]
+
+
+# sha256 of repr([c.key() + (c.order,) for c in build_grid(spec)]) and the
+# case count, recorded before the grid was rebuilt from the per-theorem table.
+PINNED_GRIDS = [
+    (GridSpec(), 1905,
+     "a9b09660ac7e8ede825b9cb9b6a21fb10f38064b564f84d372f641809740d564"),
+    (GridSpec(order=8, m_values=(0, 2), k_values=(-5, -1, 3), h_values=(0,)), 83,
+     "807df0b5039fb66c94ea10ce4cd578b2ee07414fc937c84d44b875c577bb1d82"),
+    (GridSpec(k_values=(-5,)), 88,
+     "70cfd114cf7bb7b6e3b2baf271d0aae8344305a823cba9b8320c7ff9f78eb475"),
+    (GridSpec(m_values=()), 126,
+     "0ed9d8df15bba31737cb1eddfb21b6ea6c7e907e0ded8e431df2eadfc1f509bc"),
+    (GridSpec(h_values=()), 58,
+     "6e13879a94f5404e8e4b774ec20f5643c0fe648397458c8498964d6125e1d86a"),
+    (GridSpec(k_values=(), h_values=(1,)), 16,
+     "e0574ac69e2cd14df2b8c3471e5bdac9a68db74868bedd7baced8eda124eeac7"),
+    (GridSpec(variant="stated"), 1905,
+     "7a3b35b10e16d0d34d226144c067348a0dd13808b2834ffcb4069af47e96635e"),
+    (GridSpec(families=(Family.ODD_DISTINCT,), variant="derived"), 246,
+     "1d51b2b89a68680f75be299d820ef70c2a2a61a642a276ac4518a76eb593c9fb"),
+    (GridSpec(m_values=(5, 6), k_values=(2, 9)), 336,
+     "fa74473f7222e585c7b28b00d6da77aefbe5413b3cf1db4d31881d605154ee57"),
+]
+
+
+@pytest.mark.parametrize("spec, count, digest", PINNED_GRIDS)
+def test_build_grid_key_lists_are_pinned(spec, count, digest):
+    keys = [c.key() + (c.order,) for c in build_grid(spec)]
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def test_every_theorem_has_one_row():
+    assert set(verify.THEOREMS) == set(TheoremId)
+    assert set(verify.VARIANT_TAGS) == {
+        TheoremId.OddBySize, TheoremId.DistinctBySize, TheoremId.OddDistinctTotal,
+        TheoremId.T13_Shifted,
+    }
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.OddByHook, TheoremId.DistinctByHook])
+def test_column_total_rejects_hook_size_below_one(theorem):
+    for k in (0, -2):
+        report = run_case(IdentityCase(theorem, 8, k=k, check="column-total"))
+        assert report.status == "skipped"
+        assert report.detail == "hook size k must be >= 1"
+
+
+def _failing_build_series(monkeypatch, theorem):
+    real = verify.build_series
+
+    def build(t, *args, **kwargs):
+        if t is theorem:
+            raise RuntimeError("builder exploded")
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_series", build)
+
+
+def test_a_crashing_case_ends_in_error_and_the_grid_finishes(monkeypatch, capsys):
+    _failing_build_series(monkeypatch, TheoremId.OddBySize)
+    code = main(["verify", "--thm", "OddBySize,MFixedByHook", "--m", "1", "--k", "2",
+                 "--h", "0..1", "--order", "8"])
+    out = capsys.readouterr().out
+    assert code == 3
+    lines = out.splitlines()
+    errors = [line for line in lines if line.startswith("ERROR")]
+    assert errors == [
+        "ERROR   OddBySize m=1 k=2 h=0 N=8  (RuntimeError: builder exploded)",
+        "ERROR   OddBySize m=1 k=2 h=1 N=8  (RuntimeError: builder exploded)",
+    ]
+    assert sum(line.startswith("PASS") for line in lines) == 2
+    assert "total 4 cases: 2 passed, 0 failed, 0 skipped, 2 errored" in lines
+    # variant_notes skips error reports as it skips skipped ones.
+    assert not any(line.startswith("variant resolution") for line in lines)
+
+
+def test_an_error_outranks_a_mismatch_in_the_exit_code(monkeypatch, capsys):
+    argv = ["verify", "--thm", "OddBySize,MFixedByHook", "--m", "2", "--k", "3",
+            "--h", "0", "--order", "12", "--variant", "stated"]
+    assert main(argv) == 1
+    assert "errored" not in capsys.readouterr().out
+    _failing_build_series(monkeypatch, TheoremId.MFixedByHook)
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert "FAIL    OddBySize" in out and "ERROR   MFixedByHook" in out
