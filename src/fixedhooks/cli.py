@@ -141,17 +141,17 @@ def cmd_verify(args) -> int:
     theorems = None
     thm_arg = setting("thms", args.thm)
     if thm_arg and thm_arg != "all":
+        if args.all:
+            raise UsageError(f"--all runs every theorem; it cannot be combined with {thm_arg!r}")
         theorems = tuple(resolve_theorem(t) for t in str(thm_arg).split(","))
-    if args.all:
-        theorems = None
     families = None
     fam_arg = setting("family", args.family)
     if fam_arg:
         families = tuple(Family(f) for f in str(fam_arg).split(","))
     variant = setting("variant", args.variant)
-    if variant not in (None, "stated", "derived", "both", "auto"):
+    if variant not in (None, "stated", "derived", "both"):
         raise UsageError(f"unknown variant {variant!r} in {args.config}")
-    if variant in (None, "both", "auto"):
+    if variant == "both":
         variant = None
     order = setting("order", args.order)
     fmt = setting("format", args.format) or "text"
@@ -425,7 +425,7 @@ def make_parser() -> argparse.ArgumentParser:
     # --config file can set them; cmd_verify falls back to 30 and text.
     p = subs.add_parser("verify", help="run identity checks over a parameter grid")
     p.add_argument("--thm", help="comma-separated theorem tags (default: full grid)")
-    p.add_argument("--all", action="store_true", help="run the full default grid")
+    p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
     _add_order(p, None)
     # "both" adjudicates the two variants case by case, so only verify offers it.
     _add_common(p, default_format=None, variants=("stated", "derived", "both"))

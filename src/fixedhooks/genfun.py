@@ -505,7 +505,8 @@ class TheoremId(str, Enum):
 @dataclass(frozen=True)
 class BuilderSpec:
     """How to drive one catalog entry: its parameters, the partition family
-    its coefficients count, the builder, and the variants it supports."""
+    its coefficients count, the builder (called with ``order`` and the
+    parameters by keyword), and the variants it supports."""
 
     params: tuple[str, ...]
     family: Family
@@ -514,66 +515,29 @@ class BuilderSpec:
 
 
 CATALOG: dict[TheoremId, BuilderSpec] = {
-    TheoremId.T11_ClosedForm: BuilderSpec(
-        ("m",), Family.ALL, lambda order, m: gf_t11_closed_form(m, order)
-    ),
-    TheoremId.T12_ClosedForm: BuilderSpec(
-        ("m", "h"), Family.ALL, lambda order, m, h: gf_t12_closed_form(m, h, order)
-    ),
+    TheoremId.T11_ClosedForm: BuilderSpec(("m",), Family.ALL, gf_t11_closed_form),
+    TheoremId.T12_ClosedForm: BuilderSpec(("m", "h"), Family.ALL, gf_t12_closed_form),
     TheoremId.T13_Shifted: BuilderSpec(
         ("m", "k", "h"), Family.ALL, None, variants=("stated", "derived")
     ),
-    TheoremId.T14_HooksOfSizeK: BuilderSpec(
-        ("m", "k"), Family.ALL, lambda order, m, k: gf_t14_hooks_of_size_k(m, k, order)
-    ),
-    TheoremId.FixedByPart_m1: BuilderSpec(
-        ("k", "h"), Family.ALL, lambda order, k, h: gf_fixed_by_part_m1(k, h, order)
-    ),
-    TheoremId.MFixedByPart: BuilderSpec(
-        ("m", "k", "h"),
-        Family.ALL,
-        lambda order, m, k, h: gf_mfixed_by_part(m, k, h, order),
-    ),
+    TheoremId.T14_HooksOfSizeK: BuilderSpec(("m", "k"), Family.ALL, gf_t14_hooks_of_size_k),
+    TheoremId.FixedByPart_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_part_m1),
+    TheoremId.MFixedByPart: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_part),
     TheoremId.OddBySize: BuilderSpec(
-        ("m", "k", "h"),
-        Family.ODD,
-        lambda order, m, k, h, variant="derived": gf_odd_by_part(m, k, h, order, variant),
-        variants=("stated", "derived"),
+        ("m", "k", "h"), Family.ODD, gf_odd_by_part, variants=("stated", "derived")
     ),
     TheoremId.DistinctBySize: BuilderSpec(
-        ("m", "k", "h"),
-        Family.DISTINCT,
-        lambda order, m, k, h, variant="stated": gf_distinct_by_part(m, k, h, order, variant),
-        variants=("stated", "derived"),
+        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, variants=("stated", "derived")
     ),
-    TheoremId.FixedByHook_m1: BuilderSpec(
-        ("k", "h"), Family.ALL, lambda order, k, h: gf_fixed_by_hook_m1(k, h, order)
-    ),
-    TheoremId.MFixedByHook: BuilderSpec(
-        ("m", "k", "h"),
-        Family.ALL,
-        lambda order, m, k, h: gf_mfixed_by_hook(m, k, h, order),
-    ),
-    TheoremId.OddByHook: BuilderSpec(
-        ("m", "k", "h"),
-        Family.ODD,
-        lambda order, m, k, h: gf_odd_by_hook(m, k, h, order),
-    ),
-    TheoremId.DistinctByHook: BuilderSpec(
-        ("m", "k", "h"),
-        Family.DISTINCT,
-        lambda order, m, k, h: gf_distinct_by_hook(m, k, h, order),
-    ),
+    TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1),
+    TheoremId.MFixedByHook: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_hook),
+    TheoremId.OddByHook: BuilderSpec(("m", "k", "h"), Family.ODD, gf_odd_by_hook),
+    TheoremId.DistinctByHook: BuilderSpec(("m", "k", "h"), Family.DISTINCT, gf_distinct_by_hook),
     TheoremId.OddDistinctByHook: BuilderSpec(
-        ("m", "k", "h"),
-        Family.ODD_DISTINCT,
-        lambda order, m, k, h: gf_odd_distinct_by_hook(m, k, h, order),
+        ("m", "k", "h"), Family.ODD_DISTINCT, gf_odd_distinct_by_hook
     ),
     TheoremId.OddDistinctTotal: BuilderSpec(
-        ("k",),
-        Family.ODD_DISTINCT,
-        lambda order, k, variant="derived": gf_odd_distinct_total(k, order, variant),
-        variants=("stated", "derived"),
+        ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, variants=("stated", "derived")
     ),
 }
 
@@ -625,4 +589,4 @@ def build_series(
         if not spec.variants:
             raise ValueError(f"{theorem.value} has no variants")
         kwargs["variant"] = variant
-    return spec.build(order, **kwargs)
+    return spec.build(order=order, **kwargs)

@@ -11,11 +11,15 @@ formula is :func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
 length of its witness list, and the tally equal to a per-cell loop over
 every partition.
-The companion objects of Theorems 11, 12 and 13 are counted by exact integer
-DPs over the allowed part sizes: each object splits into blocks of part
-sizes chosen independently, and each block is a bounded-part or gap-avoiding
-partition count.  The enumerate-and-filter definitions of those objects live
-in the tests as references.  The generating-function builders in
+The companion objects of Theorems 11, 12 and 13 are counted as rows of
+block products: each object splits into blocks of part sizes chosen
+independently (sizes avoided in a gap, a run of sizes all present, free
+second-color parts), and each oracle builds the count of every n up to a
+bound at once, as one coin change over the sizes its blocks admit or a
+product with the census's exactly-j-parts table.  The point counts read
+their row at n; the verifier reads one row per case.  The
+enumerate-and-filter definitions of those objects live in the tests as
+references.  The generating-function builders in
 :mod:`fixedhooks.genfun` are verified coefficient-by-coefficient against
 these oracles; nothing in this module touches q-series arithmetic.
 
@@ -32,27 +36,46 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
     Family,
     Partition,
     enumerate_parts,
     enumerate_partitions,
-    partition_count,
     require_column,
     require_hook_size,
 )
 
 
 # ---------------------------------------------------------------------------
-# Colored-partition oracles
+# Companion objects as rows of block products
 # ---------------------------------------------------------------------------
 #
 # A two-colored partition is an ordinary partition (the first color) together
 # with a second partition whose parts are capped at m - 1 (the second color).
 # Only part sizes 1 .. m-1 may appear twice-colored; larger sizes exist in the
-# first color alone.
+# first color alone.  Every companion object splits into blocks of part sizes
+# chosen independently, so each oracle builds one row, the count of every
+# n <= max_n, as a product of block rows: a coin change over the sizes a
+# block admits (:func:`_row`, a size listed twice coming in two colors), or
+# the census's exactly-j-parts table (:func:`_exact_parts`).
+
+
+def _row(max_n: int, sizes: Iterable[int], ways: list[int] | None = None) -> list[int]:
+    """Partitions of each x <= max_n into parts from ``sizes``, or, with
+    ``ways`` given, that series times theirs, computed in ``ways`` in place."""
+    if ways is None:
+        ways = [1] + [0] * max_n
+    for size in sizes:
+        for x in range(size, max_n + 1):
+            ways[x] += ways[x - size]
+    return ways
+
+
+def _shift(row: list[int], by: int, size: int) -> list[int]:
+    """The first ``size`` coefficients of q^by times the series ``row``."""
+    return [row[n - by] if 0 <= n - by < len(row) else 0 for n in range(size)]
 
 
 def t11_qualifying_sizes(parts: tuple[int, ...], m: int) -> list[int]:
@@ -69,31 +92,22 @@ def t11_qualifying_sizes(parts: tuple[int, ...], m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _partitions_avoiding(n: int, lo: int, hi: int) -> int:
-    """Partitions of n with no part in lo .. hi: coin-change DP over the
-    allowed part sizes.  0 for negative n."""
-    if n < 0:
-        return 0
-    ways = [1] + [0] * n
-    for size in chain(range(1, min(lo, n + 1)), range(hi + 1, n + 1)):
-        for x in range(size, n + 1):
-            ways[x] += ways[x - size]
-    return ways[n]
+def colored_t11_row(max_n: int, m: int) -> list[int]:
+    """:func:`count_colored_thm11` of every n <= max_n.
 
-
-@lru_cache(maxsize=None)
-def _t11_first_weight(a: int, m: int) -> int:
-    """Sum over first-color partitions of a of their number of qualifying sizes.
-
-    Removing the L + m - 1 copies of a qualifying L leaves a partition of
-    a - L(L+m-1) with no part in L .. L+2m-2, and each such partition comes
-    from exactly one object qualifying at L.
+    Removing the L + m - 1 copies of a qualifying L leaves a first color
+    with no part in L .. L+2m-2, and each such object comes from exactly one
+    object qualifying at L: the row is the sum over L of q^{L(L+m-1)} times
+    the partitions avoiding L .. L+2m-2 times the second color.
     """
-    total = 0
+    require_column(m)
+    total = [0] * (max_n + 1)
     L = 1
-    while L * (L + m - 1) <= a:
-        total += _partitions_avoiding(a - L * (L + m - 1), L, L + 2 * m - 2)
+    while (low := L * (L + m - 1)) <= max_n:
+        top = max_n - low
+        sizes = chain(range(1, L), range(L + 2 * m - 1, top + 1), range(1, m))
+        for n, ways in enumerate(_row(top, sizes), start=low):
+            total[n] += ways
         L += 1
     return total
 
@@ -105,13 +119,8 @@ def count_colored_thm11(n: int, m: int) -> int:
 
     An object is counted once per qualifying L.
     """
-    require_column(m)
-    total = 0
-    for a in range(n + 1):
-        w = _t11_first_weight(a, m)
-        if w:
-            total += w * partition_count(n - a, m - 1)
-    return total
+    row = colored_t11_row(n, m)
+    return row[n] if n >= 0 else 0
 
 
 def colored_t11_witnesses(n: int, m: int) -> list[tuple[Partition, Partition, int]]:
@@ -128,14 +137,46 @@ def colored_t11_witnesses(n: int, m: int) -> list[tuple[Partition, Partition, in
     return out
 
 
-def _t13_first_count(a: int, m: int, k: int) -> int:
-    """First-color partitions of a avoiding sizes k-m+1 .. k+m-1 and containing
-    every size 1 .. k-m at least once.
+def colored_t13_row(
+    max_n: int, m: int, k: int, h: int = 0, variant: str = "stated"
+) -> list[int]:
+    """:func:`count_colored_thm13` of every n' <= max_n.
 
-    Removing one part of each size 1 .. k-m leaves a partition of
-    a - (k-m)(k-m+1)/2 that only has to avoid k-m+1 .. k+m-1.
+    ``stated``: removing one part of each size 1 .. k-m leaves a first color
+    that only avoids k-m+1 .. k+m-1, so the row is q^{C(k-m+1, 2)} times
+    those partitions times the second color.  ``derived``: for each u, the
+    u big parts less k+m each are a partition into parts <= u (by
+    conjugation), so the objects are q^{u(k+m)} times k-m distinct parts
+    <= u + h times the parts <= u and the second color.
     """
-    return _partitions_avoiding(a - (k - m) * (k - m + 1) // 2, k - m + 1, k + m - 1)
+    require_column(m, k)
+    if variant == "stated":
+        low = (k - m) * (k - m + 1) // 2
+        top = max_n - low
+        sizes = chain(range(1, k - m + 1), range(k + m, top + 1), range(1, m))
+        return _shift(_row(top, sizes), low, max_n + 1)
+    if variant != "derived":
+        raise ValueError(f"unknown variant {variant!r}")
+    lift = (k - m - h) * (k + m)  # objects of n' weigh n' + lift
+    top = max_n + lift
+    u = max(0, k - m - h)
+    rest = top - u * (k + m)  # the most the distinct and free parts can weigh
+    total = [0] * (top + 1)
+    # distinct[j][d]: partitions of d into exactly j distinct parts <= cap.
+    # Parts above rem never fit, and the cap u + h only grows with u, so one
+    # stream of the census's table serves every u.
+    tables = _exact_parts(rest, 1, distinct=True, max_parts=k - m)
+    distinct, cap = next(tables), 0
+    while (low := u * (k + m)) <= top:
+        rem = top - low
+        while cap < min(u + h, rem):
+            distinct, cap = next(tables), cap + 1
+        if k - m < len(distinct):
+            free = chain(range(1, u + 1), range(1, m))
+            for w, ways in enumerate(_row(rem, free, distinct[k - m][: rem + 1]), start=low):
+                total[w] += ways
+        u += 1
+    return _shift(total, -lift, max_n + 1)
 
 
 def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = "stated") -> int:
@@ -154,67 +195,27 @@ def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = 
 
     Returns 0 for negative ``nprime``.
     """
-    require_column(m, k)
-    if nprime < 0:
-        return 0
-    if variant == "stated":
-        return sum(
-            _t13_first_count(a, m, k) * partition_count(nprime - a, m - 1)
-            for a in range(nprime + 1)
-        )
-    if variant != "derived":
-        raise ValueError(f"unknown variant {variant!r}")
-    weight = nprime + (k - m - h) * (k + m)
-    u = max(0, k - m - h)
-    top = weight - u * (k + m)  # the most the extra and free parts can weigh
-    if top < 0:
-        return 0
-    total = 0
-    # distinct[j][d]: partitions of d into exactly j distinct parts <= u + h.
-    # Parts above rem0 never fit, and the cap u + h only grows with u, so one
-    # stream of the census's table serves every u.
-    tables = _exact_parts(top, 1, distinct=True, max_parts=k - m)
-    distinct, cap = next(tables), 0
-    while u * (k + m) <= weight:
-        rem0 = weight - u * (k + m)
-        while cap < min(u + h, rem0):
-            distinct, cap = next(tables), cap + 1
-        exact = distinct[k - m] if k - m < len(distinct) else ()
-        for d, ways in enumerate(exact[: rem0 + 1]):
-            if not ways:
-                continue
-            rem = rem0 - d
-            pads = sum(
-                partition_count(b, u) * partition_count(rem - b, m - 1)
-                for b in range(rem + 1)
-            )
-            total += ways * pads
-        u += 1
-    return total
+    row = colored_t13_row(nprime, m, k, h, variant)
+    return row[nprime] if nprime >= 0 else 0
 
 
-@lru_cache(maxsize=None)
-def _t12_profile(t: int, m: int) -> tuple[tuple[int, int], ...]:
-    """For partitions of t with exactly one part m and no parts strictly
-    between m and 2m: how many have g parts of size >= 2m, per g (nonzero
-    counts only, g ascending).
+def restricted_t12_row(max_n: int, m: int, h: int) -> list[int]:
+    """:func:`count_restricted_thm12` of every n <= max_n.
 
-    Such a partition is the part m, parts < m of total x, and exactly g
-    parts >= 2m of total t - m - x.  Less 2m - 1 from each, those g parts
-    are a partition of t - m - x - (2m-1)g into exactly g parts, and by
-    conjugation there are ``partition_count(t - m - x - 2mg, g)`` of them.
+    Beside its one part m, an object is parts < m and parts >= 2m, at least
+    -h of them: all partitions into parts >= 2m less those with exactly
+    g < -h parts.  Less 2m from each, those g parts are a partition into at
+    most g parts, so by conjugation one into parts <= g.
     """
-    out = []
-    g = 0
-    while m + 2 * m * g <= t:
-        rest = t - m - 2 * m * g
-        count = sum(
-            partition_count(x, m - 1) * partition_count(rest - x, g) for x in range(rest + 1)
-        )
-        if count:
-            out.append((g, count))
-        g += 1
-    return tuple(out)
+    require_column(m)
+    top = max_n - m * (h + 1)  # the most the parts beside m can weigh
+    big = _row(top, range(2 * m, top + 1))
+    at_most = _row(top, ())  # partitions into parts <= g, from g = 0
+    for g in range(-h):
+        for y in range(2 * m * g, top + 1):
+            big[y] -= at_most[y - 2 * m * g]
+        _row(top, (g + 1,), at_most)
+    return _shift(_row(top, range(1, m), big), m * (h + 1), max_n + 1)
 
 
 def count_restricted_thm12(n: int, m: int, h: int) -> int:
@@ -223,12 +224,8 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 
     Returns 0 when n - m*h < 0.
     """
-    require_column(m)
-    t = n - m * h
-    if t < 0:
-        return 0
-    need = max(0, -h)
-    return sum(c for g, c in _t12_profile(t, m) if g >= need)
+    row = restricted_t12_row(n, m, h)
+    return row[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ knows of a theorem sits in its row of :data:`THEOREMS`; every case then runs
 through :func:`_sides`, :func:`_first_mismatch` and :func:`_verdict`.  The
 hook oracles read a cached :func:`~fixedhooks.oracles.hook_tally`, which
 counts by cell decomposition without listing partitions and which the
-default grid computes once per family.
+default grid computes once per family; the T11, T12 and T13 companion
+oracles give each case one row of counts up to its order.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .genfun import CATALOG, TheoremId, build_series, t13_weight_shift
-from .oracles import (
-    count_colored_thm11,
-    count_colored_thm13,
-    count_restricted_thm12,
-    hook_tally,
-)
+from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import Family, require_hook_size
 from .qseries import LaurentSeries
 
@@ -201,16 +197,17 @@ def _sides(case: IdentityCase, variant: str | None):
                  for mm in column_window(k, N) for hh in fixedness_window(mm, k, N))
         return sum(terms, LaurentSeries.zero(N)), want
     if case.check == "colored":
-        return build_series(t, N, m=m), lambda n: count_colored_thm11(n, m)
+        return build_series(t, N, m=m), colored_t11_row(N - 1, m).__getitem__
     if case.check == "restricted":
-        return build_series(t, N, m=m, h=h), lambda n: count_restricted_thm12(n, m, h)
+        return build_series(t, N, m=m, h=h), restricted_t12_row(N - 1, m, h).__getitem__
     if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
         sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
         return build_series(t, N, m=m), lambda n: sum(size(n) for size in sizes)
 
     if t is TheoremId.T13_Shifted:
         shift = t13_weight_shift(m, k, h)
-        got = lambda n: count_colored_thm13(n + shift, m, k, h, variant=variant)
+        row = colored_t13_row(N - 1 + shift, m, k, h, variant)
+        got = lambda n: row[n + shift] if n + shift >= 0 else 0
     else:
         got = build_series(t, N, m=m, k=k, h=h, variant=variant)
     mm = 1 if m is None else m  # the m = 1 theorems

@@ -91,13 +91,28 @@ def test_verify_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["ordr = 10", "jobs = 2", "order = -1", "order = ten",
-                                  "variant = bogus"])
+                                  "variant = bogus", "variant = auto"])
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
     code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("--all", "--thm", "T11", "--order", "5"), None),
+    (("--all", "--order", "5"), "thms = T11\n"),
+])
+def test_verify_all_with_a_theorem_filter_is_usage_error(tmp_path, capsys, argv, config):
+    # --all runs every theorem; it must not silently drop the filter.
+    if config is not None:
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and "--all" in err
 
 
 def test_verify_without_config_runs_at_order_30(capsys):

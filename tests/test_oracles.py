@@ -1,6 +1,7 @@
 import ast
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -361,9 +362,9 @@ def test_witnesses_are_ordered_and_unique():
 
 
 # ---------------------------------------------------------------------------
-# Enumerate-and-filter references for the part-size DPs of the companion
-# oracles: each object is found by listing every partition and testing the
-# companion theorem's conditions on it.
+# Enumerate-and-filter references for the rows of the companion oracles:
+# each object is found by listing every partition and testing the companion
+# theorem's conditions on it.
 # ---------------------------------------------------------------------------
 
 
@@ -416,6 +417,35 @@ def ref_colored_thm13_stated(nprime, m, k):
     )
 
 
+@lru_cache(maxsize=None)
+def _partitions_at_least(n, lo):
+    """Part tuples of every partition of n into parts >= lo, by listing."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(lo, n + 1)
+        for rest in _partitions_at_least(n - first, first)
+    )
+
+
+def ref_colored_thm13_derived(nprime, m, k, h):
+    # The objects: u first-color parts >= k+m, with u >= k-m-h, then k-m
+    # distinct sizes in [1, u+h] and second-color parts <= m-1, weighing
+    # nprime + (k-m-h)(k+m) together.
+    weight = nprime + (k - m - h) * (k + m)
+    total = 0
+    for a in range(weight + 1):
+        for big in _partitions_at_least(a, k + m):
+            if len(big) < k - m - h:
+                continue
+            for extra in combinations(range(1, len(big) + h + 1), k - m):
+                rest = weight - a - sum(extra)
+                if rest >= 0:
+                    total += sum(1 for _ in enumerate_parts(rest, max_part=m - 1))
+    return total
+
+
 def _assert_companions_match(n, m, h, k):
     assert count_restricted_thm12(n, m, h) == ref_restricted_thm12(n, m, h)
     assert count_colored_thm11(n, m) == ref_colored_thm11(n, m)
@@ -425,12 +455,45 @@ def _assert_companions_match(n, m, h, k):
 def test_companion_dps_match_enumeration():
     for n in range(20):
         for m in range(1, 5):
-            assert oracles._t11_first_weight(n, m) == ref_t11_first_weight(n, m)
-            assert oracles._t12_profile(n, m) == ref_t12_profile(n, m)
+            # At n + mh every object is a partition of n, and h = -g keeps
+            # those with at least g parts >= 2m: h from 3 down to
+            # -(n // 2m) - 1 tells every g of the profile of n apart.
+            for h in range(-(n // (2 * m)) - 1, 4):
+                assert count_restricted_thm12(n + m * h, m, h) == ref_restricted_thm12(
+                    n + m * h, m, h
+                )
             for k in range(m, 7):
-                assert oracles._t13_first_count(n, m, k) == ref_t13_first_count(n, m, k)
                 for h in range(-3, 4):
                     _assert_companions_match(n, m, h, k)
+
+
+def test_colored_t13_derived_matches_enumeration():
+    for m in range(1, 4):
+        for k in range(m, m + 3):
+            for h in range(-2, 3):
+                for nprime in range(16):
+                    want = ref_colored_thm13_derived(nprime, m, k, h)
+                    assert count_colored_thm13(nprime, m, k, h, variant="derived") == want
+
+
+@pytest.mark.parametrize("row, count", [
+    (lambda N: oracles.colored_t11_row(N, 3), lambda n: count_colored_thm11(n, 3)),
+    (lambda N: oracles.restricted_t12_row(N, 2, -2),
+     lambda n: count_restricted_thm12(n, 2, -2)),
+    (lambda N: oracles.colored_t13_row(N, 2, 4, 1),
+     lambda n: count_colored_thm13(n, 2, 4, 1)),
+    (lambda N: oracles.colored_t13_row(N, 2, 4, -1, "derived"),
+     lambda n: count_colored_thm13(n, 2, 4, -1, "derived")),
+    (lambda N: oracles.colored_t13_row(N, 1, 3, 4, "derived"),
+     lambda n: count_colored_thm13(n, 1, 3, 4, "derived")),
+])
+def test_companion_rows_equal_point_counts(row, count):
+    # A row of every n <= N holds the point counts, and its length is N + 1.
+    assert row(-1) == []
+    values = row(40)
+    assert len(values) == 41
+    assert values == [count(n) for n in range(41)]
+    assert count(-1) == 0
 
 
 @settings(max_examples=60, deadline=None)
