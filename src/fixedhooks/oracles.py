@@ -5,8 +5,12 @@ partitions that own each cell by decomposition instead of listing them: a
 cell splits its partition into the rows above it, the rows below it in its
 column and the parts left of that column, three blocks chosen
 independently, and each block is a table of partitions into exactly j parts.
-The verifier reads the cached :func:`hook_tally` of every n <= max_n, the
-point counts an uncached tally of the columns they ask about.  The second
+Each series of counts is packed into one integer, the count of n in slot n
+(Kronecker substitution), so a block product is one integer product and a
+table entry a sum of integers.  The verifier reads the cached
+:func:`hook_tally` of every n <= max_n, whose tables unpack the row of
+counts a case asks for, and the point counts an uncached tally of the
+columns they ask about.  The second
 formula is :func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
 length of its witness list, and the tally equal to a per-cell loop over
@@ -31,11 +35,10 @@ h-fixed hook for each h.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
@@ -43,6 +46,7 @@ from .partitions import (
     Partition,
     enumerate_parts,
     enumerate_partitions,
+    partition_count,
     require_column,
     require_hook_size,
 )
@@ -162,10 +166,12 @@ def colored_t13_row(
     u = max(0, k - m - h)
     rest = top - u * (k + m)  # the most the distinct and free parts can weigh
     total = [0] * (top + 1)
-    # distinct[j][d]: partitions of d into exactly j distinct parts <= cap.
-    # Parts above rem never fit, and the cap u + h only grows with u, so one
-    # stream of the census's table serves every u.
-    tables = _exact_parts(rest, 1, distinct=True, max_parts=k - m)
+    # Slot d of distinct[j]: partitions of d into exactly j distinct parts
+    # <= cap.  Parts above rem never fit, and the cap u + h only grows with
+    # u, so one stream of the census's table serves every u.  By conjugation
+    # no slot exceeds the partitions of rest into parts <= k - m.
+    width = _slot_width(partition_count(rest, k - m))
+    tables = _exact_parts(rest, 1, True, width, max_parts=k - m)
     distinct, cap = next(tables), 0
     while (low := u * (k + m)) <= top:
         rem = top - low
@@ -173,8 +179,9 @@ def colored_t13_row(
             distinct, cap = next(tables), cap + 1
         if k - m < len(distinct):
             free = chain(range(1, u + 1), range(1, m))
-            for w, ways in enumerate(_row(rem, free, distinct[k - m][: rem + 1]), start=low):
-                total[w] += ways
+            ways = list(_unpack(distinct[k - m], width, rest + 1)[: rem + 1])
+            for w, count in enumerate(_row(rem, free, ways), start=low):
+                total[w] += count
         u += 1
     return _shift(total, -lift, max_n + 1)
 
@@ -243,50 +250,58 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 # up to a cap, so one table of those counts serves all three.
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per slot of a packed row of counts <= ``bound``: the least
+    multiple of 8 with 2**width > bound."""
+    return max(8, -(-bound.bit_length() // 8) * 8)
+
+
+def _unpack(packed: int, width: int, slots: int) -> tuple[int, ...]:
+    """The first ``slots`` slots of a packed row; raises OverflowError when
+    a higher slot is not zero."""
+    size = width // 8
+    data = packed.to_bytes(slots * size, "little")
+    return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+
+
 def _exact_parts(
-    max_n: int, step: int, distinct: bool, max_parts: int | None = None
-) -> Iterator[list[list[int]]]:
-    """Yield ``rows``, with ``rows[j][x]`` the number of ways to write x <= max_n
-    as exactly j parts from the sizes admitted so far: first none, then one
-    more of 1, 1 + step, ... <= max_n at each yield.  Parts repeat unless
-    ``distinct``.  Rows stop at j = ``max_parts`` when it is given.  The
-    table is updated in place between yields.
+    max_n: int, step: int, distinct: bool, width: int, max_parts: int | None = None
+) -> Iterator[list[int]]:
+    """Yield ``rows``, with slot x of the packed row ``rows[j]`` (bits
+    x * width onwards) the number of ways to write x <= max_n as exactly j
+    parts from the sizes admitted so far: first none, then one more of 1,
+    1 + step, ... <= max_n at each yield.  Parts repeat unless ``distinct``.
+    Rows stop at j = ``max_parts`` when it is given.  The table is updated
+    in place between yields.
     """
+    mask = (1 << max(0, max_n + 1) * width) - 1
     last = max_n if max_parts is None else min(max_parts, max_n)
-    rows = [[1] + [0] * max_n]
-    if not distinct:
-        rows += [[0] * (max_n + 1) for _ in range(last)]
+    rows = [1] if distinct else [1] + [0] * last
     yield rows
     for size in range(1, max_n + 1, step):
         if distinct and len(rows) <= last:
-            rows.append([0] * (max_n + 1))
+            rows.append(0)
         # A repeated size may already sit in rows[j - 1]; a distinct one may not.
         js = range(len(rows) - 1, 0, -1) if distinct else range(1, len(rows))
         for j in js:
-            row, fewer = rows[j], rows[j - 1]
-            for x in range(size, max_n + 1):
-                row[x] += fewer[x - size]
+            rows[j] += (rows[j - 1] << size * width) & mask
         yield rows
 
 
-def _product(a: list[int], b: list[int], size: int) -> list[int]:
-    """The first ``size`` coefficients of the product of two series."""
-    out = [0] * size
-    lo = next((y for y, by in enumerate(b[:size]) if by), size)
-    tail = b[lo:]
-    for x, ax in enumerate(a[: size - lo]):
-        if ax:
-            for y, by in enumerate(tail[: size - lo - x], start=x + lo):
-                out[y] += ax * by
-    return out
-
-
 def _cells(
-    max_n: int, family: Family, columns: Sequence[int]
-) -> Iterator[tuple[int, int, int, int, int, list[int]]]:
-    """Yield ``(m, c, i, k, low, counts)`` for the cells of the given columns:
-    ``counts[n - low]`` partitions of n <= max_n in the family have column m of
-    length c and part k in row i.  Each (m, c, i, k) is yielded once.
+    max_n: int, family: Family, columns: Sequence[int], width: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield ``(m, c, i, k, counts)`` for the cells of the given columns:
+    slot n of the packed row ``counts`` holds the number of partitions of
+    n <= max_n in the family that have column m of length c and part k in
+    row i.  Each (m, c, i, k) is yielded once.
+
+    A block product is one integer product, its factors and the result
+    masked to the slots that a shift by the cell's least weight keeps at or
+    below max_n.  Packing evaluates a series at 2**width and a mask of s
+    slots reduces modulo 2**(s * width), both ring homomorphisms, so the
+    slots of a product or a sum are exact wherever the true counts fit in
+    a slot.
 
     Raises ValueError when max_n < 0 or the family is unknown.
     """
@@ -296,14 +311,17 @@ def _cells(
     step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
     distinct = family in (Family.DISTINCT, Family.ODD_DISTINCT)
     gap = step if distinct else 0  # the rows above are parts >= k + gap
+    masks = [(1 << slots * width) - 1 for slots in range(max_n + 2)]
     # rests[t]: partitions into the first t sizes; full: every size <= max_n.
     rests = []
-    for full in _exact_parts(max_n, step, distinct):
-        rests.append(list(map(sum, zip(*full))))
+    for full in _exact_parts(max_n, step, distinct, width):
+        rests.append(sum(full))
+    # Row j is zero below slot j: less 1 more from each part, it starts at 0.
+    full = [row >> j * width for j, row in enumerate(full)]
     # Less m0 - 1 from each, the rows under a cell in column m, whose smallest
     # admissible part is m0, take the first t sizes when the cell's part k is
     # t - 1 steps above m0 (t steps if distinct, since they stay below k).
-    for t, below in enumerate(_exact_parts(max_n, step, distinct)):
+    for t, below in enumerate(_exact_parts(max_n, step, distinct, width)):
         for m in columns:
             m0 = m + (m - 1) % step
             k = m0 + (t - 1 + distinct) * step
@@ -311,15 +329,64 @@ def _cells(
                 continue
             rest = rests[(m0 - 1) // step]
             for l, below_l in enumerate(below):
-                if k + l * m0 > max_n:
+                low_l = k + l * m0  # the least weight of the cell's row and those below
+                if low_l > max_n:
                     break
-                low_l = k + l * (m0 - 1)
-                lower = _product(below_l, rest, max_n - low_l + 1)
+                lower = (below_l >> l * width) * rest & masks[max_n - low_l + 1]
                 for j, above_j in enumerate(full):
-                    if k + j * (k + gap) + l * m0 > max_n:
+                    low = low_l + j * (k + gap)  # the least weight of the partitions
+                    if low > max_n:
                         break
-                    low = low_l + j * (k - 1 + gap)
-                    yield m, j + 1 + l, j + 1, k, low, _product(above_j, lower, max_n - low + 1)
+                    fit = masks[max_n - low + 1]  # the slots still <= max_n after the shift
+                    counts = (above_j & fit) * (lower & fit) & fit
+                    yield m, j + 1 + l, j + 1, k, counts << low * width
+
+
+class CountTable(Mapping):
+    """A read-only table of counts keyed ``(n, *key)`` for n <= max_n, whose
+    entries are its nonzero counts.
+
+    Each key holds one packed row, the counts of every n in slots of
+    ``width`` bits, unpacked the first time the row is read.
+    """
+
+    __slots__ = ("_packed", "_rows", "_max_n", "_width")
+
+    def __init__(self, packed: Mapping[tuple, int], max_n: int, width: int):
+        self._packed = dict(packed)
+        self._rows: dict[tuple, tuple[int, ...]] = {}
+        self._max_n = max_n
+        self._width = width
+
+    def _row(self, key: tuple) -> tuple[int, ...]:
+        row = self._rows.get(key)
+        if row is None:
+            packed = self._packed.get(key, 0)
+            row = _unpack(packed, self._width, self._max_n + 1)
+            if packed:
+                self._rows[key] = row
+        return row
+
+    def row(self, key: tuple) -> list[int]:
+        """The counts at ``key`` of n = 0 .. max_n."""
+        return list(self._row(key))
+
+    def __getitem__(self, entry: tuple) -> int:
+        n, key = entry[0], entry[1:]
+        if key in self._packed and 0 <= n <= self._max_n:
+            count = self._row(key)[n]
+            if count:
+                return count
+        raise KeyError(entry)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for key in self._packed:
+            for n, count in enumerate(self._row(key)):
+                if count:
+                    yield (n, *key)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 @dataclass(frozen=True)
@@ -330,53 +397,62 @@ class HookTally:
     fixedness h = hook - i, for columns m <= max_m; ``by_hook`` keys on the
     hook size instead.  ``hooks_col[(n, m, k)]`` counts hooks of size k in
     column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.  The
-    tally is cached and shared, so the four tables are read-only views.
+    tally is cached and shared, so each table is a read-only
+    :class:`CountTable`, whose ``row(key)`` gives the counts at ``key`` (the
+    entry key less n) of every n <= max_n as one list.
 
     The cells are counted by decomposition (:func:`_cells`), never by
     listing partitions: for each key (m, c, i, part), with c the length of
-    column m, one series gives the number of partitions of each n that have
-    such a cell.  That key fixes the hook part - m + c - i + 1, so all four
-    tables are derived from the keys of every column m <= max_n.
+    column m, one packed row gives the number of partitions of each n that
+    have such a cell.  That key fixes the hook part - m + c - i + 1, so all
+    four tables are sums of those rows over the keys of every column
+    m <= max_n.
     """
 
     max_n: int
     family: Family
     max_m: int
-    by_part: Mapping[tuple[int, int, int, int], int]
-    by_hook: Mapping[tuple[int, int, int, int], int]
-    hooks_col: Mapping[tuple[int, int, int], int]
-    hooks_total: Mapping[tuple[int, int], int]
+    by_part: CountTable
+    by_hook: CountTable
+    hooks_col: CountTable
+    hooks_total: CountTable
 
 
 def _tables(
     max_n: int, family: Family, max_m: int, columns: Sequence[int]
-) -> tuple[Counter, Counter, Counter, Counter]:
+) -> tuple[CountTable, CountTable, CountTable, CountTable]:
     """``by_part``, ``by_hook``, ``hooks_col`` and ``hooks_total`` of
     :class:`HookTally`, with ``hooks_total`` summed over ``columns`` only."""
-    by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
-    for m, c, i, part, low, counts in _cells(max_n, family, columns):
+    # A partition of n has n cells, so no count reaches max_n * p(max_n).
+    width = _slot_width(max_n * partition_count(max_n))
+    by_part, by_hook = defaultdict(int), defaultdict(int)
+    hooks_col, hooks_total = defaultdict(int), defaultdict(int)
+    for m, c, i, part, counts in _cells(max_n, family, columns, width):
         hook = part - m + c - i + 1
-        h = hook - i
-        for n, count in enumerate(counts, start=low):
-            if count:
-                hooks_total[(n, hook)] += count
-                if m <= max_m:
-                    by_part[(n, m, part, h)] += count
-                    by_hook[(n, m, hook, h)] += count
-                    hooks_col[(n, m, hook)] += count
-    return by_part, by_hook, hooks_col, hooks_total
+        if m > max_m:
+            hooks_total[(hook,)] += counts
+        else:
+            by_part[(m, part, hook - i)] += counts
+            by_hook[(m, hook, hook - i)] += counts
+    for (m, hook, _), counts in by_hook.items():
+        hooks_col[(m, hook)] += counts
+        hooks_total[(hook,)] += counts
+    tables = (by_part, by_hook, hooks_col, hooks_total)
+    return tuple(CountTable(table, max_n, width) for table in tables)
 
 
 @lru_cache(maxsize=None)
 def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
     """The tally of every n <= max_n, cached and shared by every caller.
 
+    Every table is summed from packed rows, so a case reads all its counts
+    as one ``row``.
+
     Raises ValueError when max_m < 1 or max_n < 0.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    tables = _tables(max_n, family, max_m, range(1, max_n + 1))
-    return HookTally(max_n, family, max_m, *map(MappingProxyType, tables))
+    return HookTally(max_n, family, max_m, *_tables(max_n, family, max_m, range(1, max_n + 1)))
 
 
 def _require_query(m: int, k: int | None, by: str) -> None:
@@ -401,9 +477,8 @@ def count_fixed_hooks(
     _require_query(m, k, by)
     by_part, by_hook, _, _ = _tables(n, family, m, (m,))
     table = by_hook if by == "hook" else by_part
-    if k is not None:
-        return table.get((n, m, k, h), 0)
-    return sum(count for (nn, _, _, hh), count in table.items() if nn == n and hh == h)
+    sizes = range(1, n + 1) if k is None else (k,)
+    return sum(table.get((n, m, size, h), 0) for size in sizes)
 
 
 def count_hooks_of_size(

@@ -86,7 +86,11 @@ class LaurentSeries:
 
     def coefficients(self, start: int, stop: int) -> list[int]:
         """Coefficients of q**start .. q**(stop-1); ``stop`` must be <= order."""
-        return [self.coefficient(e) for e in range(start, stop)]
+        if start < stop and stop > self.order:
+            first = max(start, self.order)
+            raise ValueError(f"exponent {first} is beyond the truncation order {self.order}")
+        lo, hi = (max(e - self.min_exp, 0) for e in (start, stop))
+        return [0] * (min(stop, self.min_exp) - start) + list(self.coeffs[lo:hi])
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for the nonzero known terms."""

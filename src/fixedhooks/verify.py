@@ -6,9 +6,11 @@ fixed grid; each case produces one :class:`VerifyReport`.  What the verifier
 knows of a theorem sits in its row of :data:`THEOREMS`; every case then runs
 through :func:`_sides`, :func:`_first_mismatch` and :func:`_verdict`.  The
 hook oracles read a cached :func:`~fixedhooks.oracles.hook_tally`, which
-counts by cell decomposition without listing partitions and which the
-default grid computes once per family; the T11, T12 and T13 companion
-oracles give each case one row of counts up to its order.
+counts by cell decomposition without listing partitions, which the
+default grid computes once per family and whose tables give a case its
+counts as one row; the T11, T12 and T13 companion oracles give each case
+one row of counts up to its order.  :func:`_first_mismatch` compares that
+row with the series' coefficient list.
 """
 
 from __future__ import annotations
@@ -144,10 +146,11 @@ def _tally(order: int, family: Family, max_m: int):
     return hook_tally(max(order - 1, DEFAULT_ORDER - 1), family, max_m)
 
 
-def _count(case: IdentityCase, table: str, *key) -> Callable[[int], int]:
-    """n -> the entry (n, *key) of ``table`` in the tally of the case's family."""
+def _count(case: IdentityCase, table: str, *key) -> list[int]:
+    """The entries (n, *key) of ``table`` in the tally of the case's family,
+    for n below the case's order, read as one row."""
     entries = getattr(_tally(case.order, case.family, max(6, case.m or 1)), table)
-    return lambda n: entries.get((n, *key), 0)
+    return entries.row(key)[: case.order]
 
 
 def column_window(k: int, order: int) -> range:
@@ -175,7 +178,7 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
 
 def _sides(case: IdentityCase, variant: str | None):
     """The two sides (got, want) of one comparison of a case: got is a
-    LaurentSeries or a function of n >= 0, want a function of n >= 0.
+    LaurentSeries or the counts of n = 0 .. order - 1, want those counts.
 
     Raises ValueError when a builder or an oracle rejects a parameter.
     """
@@ -186,7 +189,7 @@ def _sides(case: IdentityCase, variant: str | None):
         # reproduce the all-hooks closed form coefficientwise.  An empty
         # window means no size-k hook reaches column m below N: both sides
         # are zero there.
-        want = build_series(t, N, m=m, k=k).coefficient
+        want = build_series(t, N, m=m, k=k).coefficients(0, N)
         terms = (build_series(TheoremId.MFixedByHook, N, m=m, k=k, h=hh)
                  for hh in fixedness_window(m, k, N))
         return sum(terms, LaurentSeries.zero(N)), want
@@ -197,17 +200,17 @@ def _sides(case: IdentityCase, variant: str | None):
                  for mm in column_window(k, N) for hh in fixedness_window(mm, k, N))
         return sum(terms, LaurentSeries.zero(N)), want
     if case.check == "colored":
-        return build_series(t, N, m=m), colored_t11_row(N - 1, m).__getitem__
+        return build_series(t, N, m=m), colored_t11_row(N - 1, m)
     if case.check == "restricted":
-        return build_series(t, N, m=m, h=h), restricted_t12_row(N - 1, m, h).__getitem__
+        return build_series(t, N, m=m, h=h), restricted_t12_row(N - 1, m, h)
     if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
         sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
-        return build_series(t, N, m=m), lambda n: sum(size(n) for size in sizes)
+        return build_series(t, N, m=m), [sum(size[n] for size in sizes) for n in range(N)]
 
     if t is TheoremId.T13_Shifted:
         shift = t13_weight_shift(m, k, h)
         row = colored_t13_row(N - 1 + shift, m, k, h, variant)
-        got = lambda n: row[n + shift] if n + shift >= 0 else 0
+        got = [row[n + shift] if n + shift >= 0 else 0 for n in range(N)]
     else:
         got = build_series(t, N, m=m, k=k, h=h, variant=variant)
     mm = 1 if m is None else m  # the m = 1 theorems
@@ -216,21 +219,22 @@ def _sides(case: IdentityCase, variant: str | None):
     return got, _count(case, table, *key)
 
 
-def _first_mismatch(got, want, order: int) -> tuple[int, int, int] | None:
-    """First (n, got, want) disagreement below ``order``, or None.
+def _first_mismatch(got, want: list[int], order: int) -> tuple[int, int, int] | None:
+    """First (n, got, want) disagreement below ``order``, or None; ``want``
+    holds the counts of n = 0 .. order - 1.
 
     A series is read from its lowest power on, so stray negative powers of q
     count as mismatches; want is zero there.
     """
     lo = 0
     if isinstance(got, LaurentSeries):
-        lo, got = min(0, got.min_exp), got.coefficient
-    for n in range(lo, order):
-        expected = want(n) if n >= 0 else 0
-        actual = got(n)
-        if actual != expected:
-            return (n, actual, expected)
-    return None
+        lo = min(0, got.min_exp)
+        got = got.coefficients(lo, order)
+    want = [0] * -lo + want
+    if got == want:
+        return None
+    n = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    return (n + lo, got[n], want[n])
 
 
 def _verdict(case: IdentityCase, mismatches: dict) -> VerifyReport:

@@ -352,6 +352,50 @@ def test_tally_hooks_of_size_k_are_k_times_parts_of_size_k():
             assert tally.hooks_total.get((n, k), 0) == k * parts_of_size[k]
 
 
+def test_tally_hooks_of_size_k_by_partition_numbers_to_n80():
+    # The same theorem with the parts equal to k counted as sum_{j>=1}
+    # p(n - jk), and the n cells of each partition of n, hold up to n = 80,
+    # where the counts pass 2**30, without listing a partition.
+    tally = hook_tally(80)
+    assert 80 * partition_count(80) > 2**30
+    for n in range(81):
+        for k in range(1, n + 1):
+            parts_of_size = sum(partition_count(n - j * k) for j in range(1, n // k + 1))
+            assert tally.hooks_total.get((n, k), 0) == k * parts_of_size
+        assert sum(tally.hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
+
+
+@pytest.mark.parametrize("name", ["by_part", "by_hook", "hooks_col", "hooks_total"])
+def test_tally_tables_keep_the_mapping_contract(name):
+    tally = hook_tally(14, Family.ODD, 3)
+    table = getattr(tally, name)
+    entries = dict(table)
+    assert len(table) == len(entries) == len(list(table)) > 0
+    assert all(isinstance(count, int) and count > 0 for count in entries.values())
+    assert {entry[1:] for entry in table} == {entry[1:] for entry in entries}
+    for entry in list(entries)[:50]:
+        key = entry[1:]
+        assert table[entry] == entries[entry] and entry in table
+        assert table.row(key) == [entries.get((n, *key), 0) for n in range(15)]
+        for n in (-1, 15, 40):
+            assert table.get((n, *key)) is None and table.get((n, *key), 0) == 0
+            assert (n, *key) not in table
+        with pytest.raises(KeyError):
+            table[(-1, *key)]
+    absent = (99,) * (len(next(iter(entries))) - 1)
+    assert table.row(absent) == [0] * 15 and table.get((3, *absent), 0) == 0
+    # Rows are copies, and the tables take no writes: the tally is shared.
+    entry = next(iter(entries))
+    table.row(entry[1:])[entry[0]] += 1
+    assert table[entry] == entries[entry]
+    with pytest.raises(TypeError):
+        table[entry] = 1
+    with pytest.raises(TypeError):
+        del table[entry]
+    assert not hasattr(table, "update") and not hasattr(table, "pop")
+    assert hook_tally(14, Family.ODD, 3) is tally and dict(table) == entries
+
+
 def test_witnesses_are_ordered_and_unique():
     w = fixed_hook_witnesses(10, 3, 0)
     assert [p.parts for p in w] == [

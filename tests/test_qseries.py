@@ -84,6 +84,16 @@ def test_coefficient_access_beyond_order():
         f.coefficient(5)
 
 
+@settings(max_examples=200)
+@given(series_strategy(), st.integers(-14, 30), st.integers(-14, 30))
+def test_coefficients_is_a_zero_padded_slice(f, start, stop):
+    if start < stop and stop > f.order:
+        with pytest.raises(ValueError, match="beyond the truncation order"):
+            f.coefficients(start, stop)
+    else:
+        assert f.coefficients(start, stop) == [f.coefficient(e) for e in range(start, stop)]
+
+
 def test_shift_examples():
     assert list(LaurentSeries.one(6).shift(5).items()) == [(5, 1)]
     assert list(LaurentSeries.monomial(1, 6).shift(-1).items()) == [(0, 1)]

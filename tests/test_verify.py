@@ -7,6 +7,7 @@ import fixedhooks.verify as verify
 from fixedhooks.cli import main
 from fixedhooks.genfun import CATALOG, TheoremId
 from fixedhooks.partitions import Family
+from fixedhooks.qseries import LaurentSeries
 from fixedhooks.verify import (
     GridSpec,
     IdentityCase,
@@ -87,6 +88,20 @@ def test_failure_reports_first_mismatch():
     assert report.first_mismatch is not None
     n, got, want = report.first_mismatch
     assert got != want
+
+
+def test_first_mismatch_reads_series_from_their_lowest_power():
+    series = LaurentSeries(-2, [1, 0, 5, 7], 4)
+    assert verify._first_mismatch(series, [5, 7, 0, 0], 4) == (-2, 1, 0)
+    assert verify._first_mismatch(series.truncate(2) - LaurentSeries(-2, [1], 2), [5, 7], 2) is None
+    assert verify._first_mismatch([5, 7, 1], [5, 7, 2], 3) == (2, 1, 2)
+    assert verify._first_mismatch([5, 7, 1], [5, 7, 1], 3) is None
+
+
+def test_hook_sum_at_order_one_reads_no_size_and_passes():
+    # At N = 1 no hook size is below the order: the count is the empty sum.
+    report = run_case(IdentityCase(TheoremId.T11_ClosedForm, 1, m=1, check="hook-sum"))
+    assert report.status == "pass"
 
 
 def test_variant_adjudication_passes_when_one_matches():
