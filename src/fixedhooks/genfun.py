@@ -5,20 +5,21 @@ caller-supplied order N whose coefficient at q^n is a fixed-hook count of the
 matching enumeration oracle in :mod:`fixedhooks.oracles`.
 
 Every builder is written as a stream of summands ``(e, factors)``: the
-summand is q^e times the product of a finite factor multiset of binomials
-``(1 - s*q^a)^p`` (see :func:`fixedhooks.qseries.merge_factors` and its
+summand is q^e times the product of a finite factor multiset, a tuple of
+Pochhammer runs (see :func:`fixedhooks.qseries.merge_factors` and its
 constructors), and :func:`_sum` adds them up.  Consecutive summands share
-most of their factors, so :func:`_sum` keeps the previous summand's
-coefficients and applies only the binomials that changed, one O(N) pass
-each; no two series are ever multiplied.  Nested sums are flattened into double-indexed
-streams.  Every factor is a power series with constant term 1, so a summand
-has valuation e, and the window [min e, N) that holds every needed
-coefficient is known before the first pass.  Infinite sums stop once e
-reaches N, by the monotone growth of e noted inline per builder.  Factors
-common to every summand are passed to :func:`_sum` as a tail and applied
-to the total once; an infinite product in the tail is passed as a plain
-``(base_exp, step, sign, power)`` tuple, and :func:`_sum` cuts it at the
-window's width.
+most of their factors, so :func:`_sum` adds them by Horner's rule from the
+last one back: it multiplies the running sum by the binomials in which two
+neighbouring summands differ, read off their runs, one O(N) pass each, and
+adds each summand's q^e as one coefficient; no two series are ever
+multiplied.  Nested sums are flattened into double-indexed streams.  Every
+factor is a power series with constant term 1, so a summand has valuation
+e, and the window [min e, N) holds every needed coefficient.  Infinite sums
+stop once e reaches N, by the monotone growth of e noted inline per
+builder.  Factors common to every summand are passed to :func:`_sum` as a
+tail and applied to the sum once; an infinite product in the tail is passed
+as a plain ``(base_exp, step, sign, power)`` tuple, and :func:`_sum` cuts
+it at the window's width.
 
 Two conventions do the index bookkeeping everywhere, as for the dense
 kernels:
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import add
 from typing import Callable, Iterable
 
 from .partitions import Family, require_column, require_hook_size
@@ -50,6 +49,7 @@ from .qseries import (
     Factors,
     LaurentSeries,
     apply_factors,
+    factor_change,
     gauss_factors,
     inv_poch_factors,
     merge_factors,
@@ -65,56 +65,41 @@ def _choose2(x: int) -> int:
 def _sum(
     order: int,
     summands: Iterable[tuple[int, Factors | None]],
-    tail: Factors | None = None,
+    tail: Factors = (),
     infinite: Iterable[tuple[int, int, int, int]] = (),
 ) -> LaurentSeries:
     """Sum of q^e * prod(factors) over the summands, times ``tail`` and the
     infinite products ``infinite``, exact below ``order``.
 
-    The running product ``state`` always equals the product of ``applied``
-    on its width.  A summand at e needs only its first order - e
-    coefficients, on which a binomial of degree >= order - e acts as 1, so
-    such binomials are left as they are until a later summand needs them.
-    The width shrinks to what the remaining summands need.  The tail acts on
-    the window [min e, order), so each ``(base_exp, step, sign, power)`` of
-    ``infinite``, the product ``(sign*q^base_exp; q^step)_inf ** power``, is
-    cut here at that window's width; summand factor multisets are finite.
+    The sum is taken by Horner's rule from the last summand back.  With P_i
+    the product of summand i's factors, ``acc`` holds
+    sum_{j >= i} q^(e_j) P_j / P_i on the window [min_{j >= i} e_j, order).
+    Stepping back to summand i - 1 multiplies it by P_i / P_(i-1), the
+    binomials below its width by which the two summands' runs differ (see
+    :func:`~fixedhooks.qseries.factor_change`), and adds q^(e_(i-1)), a
+    single coefficient.  The first summand's product and the tail are
+    applied last.  The tail acts on the window [min e, order), so each
+    ``(base_exp, step, sign, power)`` of ``infinite``, the product
+    ``(sign*q^base_exp; q^step)_inf ** power``, is cut here at that window's
+    width; summand factor multisets are finite.
     """
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
         return LaurentSeries.zero(order)
-    # The lowest exponent from each summand on fixes the width still needed.
-    lows = list(accumulate((t[0] for t in reversed(terms)), min))[::-1]
-    lo = lows[0]
-    total = [0] * (order - lo)
-    state = [1] + [0] * (order - lo - 1)
-    applied: Factors = {}
-    for (e, factors), low in zip(terms, lows):
-        width = order - low
-        if width < len(state):
-            del state[width:]
-            applied = {key: p for key, p in applied.items() if key[1] < width}
-        need = order - e
-        change: Factors = {}
-        for key in applied.keys() | factors.keys():
-            if key[1] < need:
-                want = factors.get(key, 0)
-                p = want - applied.get(key, 0)
-                if p:
-                    change[key] = p
-                    if want:
-                        applied[key] = want
-                    else:
-                        del applied[key]
-        apply_factors(state, change)
-        at = e - lo  # total[at:] is exactly the need coefficients of this summand
-        total[at:] = map(add, total[at:], state[:need])
-    if tail:
-        apply_factors(total, tail)
+    (low, after), rest = terms[-1], terms[:-1]
+    acc = [1] + [0] * (order - low - 1)
+    for e, factors in reversed(rest):
+        apply_factors(acc, factor_change(factors, after, len(acc)))
+        if e < low:
+            acc[:0] = [0] * (low - e)
+            low = e
+        acc[e - low] += 1
+        after = factors
     for base_exp, step, sign, power in infinite:
-        cut = poch_factors(base_exp, None, len(total), step, sign)
-        apply_factors(total, {key: power for key in cut})
-    return LaurentSeries(lo, total, order)
+        (run,) = poch_factors(base_exp, None, len(acc), step, sign)
+        tail += (run[:4] + (power,),)
+    apply_factors(acc, factor_change((), after + tail, len(acc)))
+    return LaurentSeries(low, acc, order)
 
 
 def _half(m: int) -> int:

@@ -13,10 +13,15 @@ Every generating function here is a sum of products of binomials
 of them in two forms:
 
 * product form: :func:`poch_factors`, :func:`inv_poch_factors` and
-  :func:`gauss_factors` return the binomials as a factor multiset
-  (:data:`Factors`), and :func:`apply_factors` multiplies a coefficient list
-  by a multiset in place, one O(width) pass per binomial.  The series
-  builders in :mod:`fixedhooks.genfun` use only this form;
+  :func:`gauss_factors` return a factor multiset (:data:`Factors`), a short
+  tuple of Pochhammer runs ``(sign, base_exp, step, count, power)``; a
+  Gaussian binomial is one numerator and one denominator run.
+  :func:`factor_change` turns two multisets into the single binomials
+  (:data:`Binomials`) that lead from one product to the other, in time
+  proportional to the runs and the binomials that changed, and
+  :func:`apply_factors` multiplies a coefficient list by them in place, one
+  O(width) pass per binomial.  The series builders in
+  :mod:`fixedhooks.genfun` use only this form;
 * dense form: :func:`poch`, :func:`inv_poch` and :func:`gauss_binomial`
   return cached :class:`LaurentSeries`.  They serve the public API and the
   tests, and are filled by the same in-place passes.
@@ -28,6 +33,7 @@ symbol, so both forms reject the same bad parameters.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -99,13 +105,12 @@ class LaurentSeries:
                 yield self.min_exp + i, c
 
     def valuation(self) -> int | None:
-        """Smallest exponent with a nonzero coefficient, or None if zero so far."""
-        for e, _ in self.items():
-            return e
-        return None
+        """Smallest exponent with a nonzero coefficient, or None if zero so far.
+        Leading zeros are never stored, so this is the first stored exponent."""
+        return self.min_exp if self.coeffs else None
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -197,25 +202,26 @@ class LaurentSeries:
         return LaurentSeries(min(self.min_exp, order), self.coeffs[:keep], order)
 
 
-Factors = dict[tuple[int, int], int]
-"""A multiset of binomials: ``{(sign, a): p}`` stands for the product of
-``(1 - sign*q^a)**p`` over its keys, with ``sign`` in {+1, -1} and p != 0.
-``None`` in place of a multiset stands for the zero product."""
+Run = tuple[int, int, int, int, int]
+"""A Pochhammer run ``(sign, base_exp, step, count, power)``: the product
+``(sign*q^base_exp; q^step)_count ** power``, that is ``(1 - sign*q^a)**power``
+for a = base_exp, base_exp + step, ... (count exponents), with ``sign`` in
+{+1, -1}, ``step >= 1`` and ``count >= 0``."""
+
+Factors = tuple[Run, ...]
+"""A factor multiset: the product of its runs.  ``None`` in place of a
+multiset stands for the zero product."""
+
+Binomials = dict[tuple[int, int], int]
+"""Single binomials: ``{(sign, a): p}`` stands for the product of
+``(1 - sign*q^a)**p`` over its keys, p != 0."""
 
 
 def merge_factors(*parts: Factors | None) -> Factors | None:
     """The product of several multisets (None, the zero product, absorbs)."""
-    out: Factors = {}
-    for part in parts:
-        if part is None:
-            return None
-        for key, power in part.items():
-            power += out.get(key, 0)
-            if power:
-                out[key] = power
-            else:
-                del out[key]
-    return out
+    if None in parts:
+        return None
+    return sum(parts, ())
 
 
 def _check_sign_step(sign: int, step: int) -> None:
@@ -228,7 +234,7 @@ def _check_sign_step(sign: int, step: int) -> None:
 def poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors:
-    """``(sign*q^base_exp; q^step)_count`` as a multiset, keeping the factors
+    """``(sign*q^base_exp; q^step)_count`` as one run, keeping the factors
     that act below q^order: ``(1 - q^(base_exp + step*i))`` for sign +1 and
     ``(1 + q^(base_exp + step*i))`` for sign -1, i = 0 .. count-1.  The
     infinite product (count None) needs an order and ``base_exp >= 1``; a
@@ -245,47 +251,84 @@ def poch_factors(
         stop = base_exp + step * count
         if order is not None:
             stop = min(stop, order)
-    return {(sign, a): 1 for a in range(base_exp, stop, step)}
+    return ((sign, base_exp, step, len(range(base_exp, stop, step)), 1),)
 
 
 def inv_poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors | None:
-    """``1 / (sign*q^base_exp; q^step)_count`` as a multiset; None (zero) for a
+    """``1 / (sign*q^base_exp; q^step)_count`` as one run; None (zero) for a
     negative count, as for :func:`inv_poch`."""
     _check_sign_step(sign, step)
     if count is not None and count < 0:
         return None
-    return {key: -1 for key in poch_factors(base_exp, count, order, step, sign)}
+    (run,) = poch_factors(base_exp, count, order, step, sign)
+    return (run[:4] + (-1,),)
 
 
 def gauss_factors(a: int, b: int, step: int = 1) -> Factors | None:
-    """The Gaussian binomial in q**step as a multiset.  Of
-    ``(q;q)_a / ((q;q)_b (q;q)_{a-b})`` only the numerator factors above
+    """The Gaussian binomial in q**step as a numerator and a denominator run.
+    Of ``(q;q)_a / ((q;q)_b (q;q)_{a-b})`` only the numerator factors above
     max(b, a-b) and the denominator factors up to min(b, a-b) survive.
-    None (zero) unless 0 <= b <= a; b == 0 gives the empty product whatever
+    None (zero) unless 0 <= b <= a; b == 0 gives two empty runs whatever
     ``a`` is."""
     if b == 0:
-        return {}
-    if b < 0 or b > a:
+        a = max(a, 0)
+    elif b < 0 or b > a:
         return None
     low, high = min(b, a - b), max(b, a - b)
-    out = {(1, step * i): 1 for i in range(high + 1, a + 1)}
-    out.update({(1, step * i): -1 for i in range(1, low + 1)})
-    return out
+    return ((1, step * (high + 1), step, a - high, 1), (1, step, step, low, -1))
 
 
-def apply_factors(coeffs: list[int], factors: Factors) -> None:
+def factor_change(old: Factors, new: Factors, width: int) -> Binomials:
+    """The binomials below q^width that turn the product of ``old`` into
+    that of ``new``.
+
+    The runs are paired by position.  Two paired runs with the same sign,
+    step and power whose bases agree mod step cover two intervals
+    [b1, e1) and [b2, e2) of one residue class; the new one less the old
+    one is the range between b2 and b1 and the range between e1 and e2,
+    each counted with the sign that says which run holds it.  Any other
+    pair trades all of the old run for all of the new one.
+    """
+    spans = []  # (sign, start, stop, step, power): one power per exponent
+    for was, now in zip_longest(old, new):
+        if was == now:
+            continue
+        # was[0::2] is (sign, step, power)
+        if was and now and was[0::2] == now[0::2] and (was[1] - now[1]) % was[2] == 0:
+            sign, b1, step, c1, power = was
+            b2 = now[1]
+            e1, e2 = b1 + step * c1, b2 + step * now[3]
+            spans.append((sign, b2, b1, step, power) if b2 < b1 else (sign, b1, b2, step, -power))
+            spans.append((sign, e1, e2, step, power) if e1 < e2 else (sign, e2, e1, step, -power))
+            continue
+        if was:
+            sign, base, step, count, power = was
+            spans.append((sign, base, base + step * count, step, -power))
+        if now:
+            sign, base, step, count, power = now
+            spans.append((sign, base, base + step * count, step, power))
+    change: Binomials = {}
+    for sign, start, stop, step, power in spans:
+        for a in range(start, min(stop, width), step):
+            change[sign, a] = change.get((sign, a), 0) + power
+    return {key: p for key, p in change.items() if p}
+
+
+def apply_factors(coeffs: list[int], binomials: Binomials) -> None:
     """Multiply the power series ``coeffs`` (exponents 0 .. width-1) in place
-    by the product of ``factors``, exactly below q^width.
+    by the product of ``binomials``, exactly below q^width.
 
     Multiplying by ``1 - s*q^a`` is ``c[x] -= s*c[x-a]`` on the old values,
     one slice pass; dividing by it is the ascending recurrence
-    ``c[x] += s*c[x-a]`` on the new values.  Factors with a >= width leave
-    the window alone.
+    ``c[x] += s*c[x-a]`` on the new values.  For s = 1 that recurrence is a
+    running sum over each residue class mod a, taken slice by slice when the
+    classes are longer than a.  Binomials with a >= width leave the window
+    alone.
     """
     width = len(coeffs)
-    for (sign, a), power in factors.items():
+    for (sign, a), power in binomials.items():
         if a >= width:
             continue
         if a < 0 or (a == 0 and power < 0):
@@ -293,6 +336,9 @@ def apply_factors(coeffs: list[int], factors: Factors) -> None:
         for _ in range(abs(power)):
             if power > 0:
                 coeffs[a:] = map(sub if sign == 1 else add, coeffs[a:], coeffs[:width - a])
+            elif sign == 1 and a * a < width:
+                for r in range(a):
+                    coeffs[r::a] = accumulate(coeffs[r::a])
             else:
                 for x in range(a, width):
                     if coeffs[x - a]:
@@ -303,7 +349,7 @@ def _unit_times(factors: Factors, order: int) -> tuple[int, ...]:
     coeffs = [0] * max(order, 0)
     if coeffs:
         coeffs[0] = 1
-    apply_factors(coeffs, factors)
+    apply_factors(coeffs, factor_change((), factors, order))
     return tuple(coeffs)
 
 

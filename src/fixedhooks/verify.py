@@ -22,7 +22,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from operator import add
+from typing import Callable, Iterable
 
 from .genfun import CATALOG, TheoremId, build_series, t13_weight_shift
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
@@ -176,6 +177,20 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
     return out
 
 
+def _add_up(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
+    """The sum of series that are all truncated at ``order``, added into one
+    coefficient list in place.  Each term stores exactly its coefficients
+    from its valuation up to the order, the tail of that list."""
+    lo, total = 0, [0] * order
+    for s in terms:
+        if s.min_exp < lo:
+            total[:0] = [0] * (lo - s.min_exp)
+            lo = s.min_exp
+        at = s.min_exp - lo
+        total[at:] = map(add, total[at:], s.coeffs)
+    return LaurentSeries(lo, total, order)
+
+
 def _sides(case: IdentityCase, variant: str | None):
     """The two sides (got, want) of one comparison of a case: got is a
     LaurentSeries or the counts of n = 0 .. order - 1, want those counts.
@@ -192,13 +207,13 @@ def _sides(case: IdentityCase, variant: str | None):
         want = build_series(t, N, m=m, k=k).coefficients(0, N)
         terms = (build_series(TheoremId.MFixedByHook, N, m=m, k=k, h=hh)
                  for hh in fixedness_window(m, k, N))
-        return sum(terms, LaurentSeries.zero(N)), want
+        return _add_up(terms, N), want
     if case.check == "column-total":
         # Summing over all columns and fixedness counts every size-k hook.
         want = _count(case, "hooks_total", k)
         terms = (build_series(t, N, m=mm, k=k, h=hh)
                  for mm in column_window(k, N) for hh in fixedness_window(mm, k, N))
-        return sum(terms, LaurentSeries.zero(N)), want
+        return _add_up(terms, N), want
     if case.check == "colored":
         return build_series(t, N, m=m), colored_t11_row(N - 1, m)
     if case.check == "restricted":

@@ -7,7 +7,16 @@ from fixedhooks.oracles import (
     count_hooks_of_size,
     count_restricted_thm12,
 )
-from fixedhooks.qseries import LaurentSeries, gauss_binomial, inv_poch, poch
+from fixedhooks.qseries import (
+    LaurentSeries,
+    gauss_binomial,
+    gauss_factors,
+    inv_poch,
+    inv_poch_factors,
+    merge_factors,
+    poch,
+    poch_factors,
+)
 from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
@@ -493,8 +502,36 @@ def test_infinite_tail_is_cut_at_the_window_width():
     # A summand below q^0 widens the window past the order; the infinite
     # product must still act on all of it.
     for e in (-5, 0, 3):
-        got = _sum(20, [(e, {})], infinite=[(1, 1, 1, -1)])
+        got = _sum(20, [(e, ())], infinite=[(1, 1, 1, -1)])
         assert got == inv_poch(1, None, 20 - e).shift(e)
+
+
+def test_sum_of_a_non_monotone_stream_equals_dense_reference():
+    # The exponents go down and up, one summand sits below q^0 and one at
+    # the order; runs move, change length, appear and vanish between
+    # summands, and one summand is the zero product.
+    N = 40
+    summands = [
+        (6, merge_factors(gauss_factors(7, 3), inv_poch_factors(1, 4))),
+        (-3, merge_factors(gauss_factors(8, 3), inv_poch_factors(1, 6))),
+        (11, merge_factors(gauss_factors(6, 2, 2), inv_poch_factors(3, 5, step=2, sign=-1))),
+        (2, poch_factors(4, 3)),
+        (45, poch_factors(1, 2)),
+        (0, merge_factors(poch_factors(2, 5, sign=-1), gauss_factors(9, 4))),
+        (9, merge_factors(gauss_factors(9, 4), inv_poch_factors(1, -1))),
+        (5, merge_factors(gauss_factors(4, 0), inv_poch_factors(2, 3, step=3))),
+    ]
+    dense = [
+        (6, [lambda M: gauss_binomial(7, 3, 1, M), lambda M: inv_poch(1, 4, M)]),
+        (-3, [lambda M: gauss_binomial(8, 3, 1, M), lambda M: inv_poch(1, 6, M)]),
+        (11, [lambda M: gauss_binomial(6, 2, 2, M), lambda M: inv_poch(3, 5, M, step=2, sign=-1)]),
+        (2, [lambda M: poch(4, 3, M)]),
+        (0, [lambda M: poch(2, 5, M, sign=-1), lambda M: gauss_binomial(9, 4, 1, M)]),
+        (5, [lambda M: inv_poch(2, 3, M, step=3)]),
+    ]
+    tail = inv_poch_factors(1, 2)
+    want = ref_sum(N, dense, [lambda M: inv_poch(1, 2, M), lambda M: inv_poch(2, None, M)])
+    assert _sum(N, summands, tail, [(2, 1, 1, -1)]) == want
 
 
 def test_t14_below_km_keeps_its_low_terms():

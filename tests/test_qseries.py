@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -5,6 +7,7 @@ from fixedhooks.partitions import enumerate_parts, partition_count
 from fixedhooks.qseries import (
     LaurentSeries,
     apply_factors,
+    factor_change,
     gauss_binomial,
     gauss_factors,
     inv_poch,
@@ -92,6 +95,15 @@ def test_coefficients_is_a_zero_padded_slice(f, start, stop):
             f.coefficients(start, stop)
     else:
         assert f.coefficients(start, stop) == [f.coefficient(e) for e in range(start, stop)]
+
+
+@settings(max_examples=200)
+@given(series_strategy(), series_strategy())
+def test_valuation_is_the_first_nonzero_exponent(a, b):
+    for f in (a, b, a + b, a - a, a * b):
+        first = next((e for e, _ in f.items()), None)
+        assert f.valuation() == first
+        assert f.is_zero() == (first is None)
 
 
 def test_shift_examples():
@@ -292,9 +304,18 @@ def test_gauss_counts_partitions_in_a_box():
 # ---------------------------------------------------------------------------
 
 
-def in_place(coeffs, factors):
+def expand(runs):
+    """The single binomials {(sign, a): p} of a run tuple, exponent by exponent."""
+    out = Counter()
+    for sign, base, step, count, power in runs:
+        for i in range(count):
+            out[sign, base + step * i] += power
+    return {key: p for key, p in out.items() if p}
+
+
+def in_place(coeffs, binomials):
     out = list(coeffs)
-    apply_factors(out, factors)
+    apply_factors(out, binomials)
     return out
 
 
@@ -334,9 +355,9 @@ def test_pochhammer_multisets_equal_dense_kernels(sign, base, count, step, coeff
     if count is not None and count < 0:
         assert inverse is None and inv_poch(base, count, width, step, sign).is_zero()
         return
-    assert in_place(coeffs, poch_factors(base, count, width, step, sign)) == dense_product(
-        coeffs, poch(base, count, width, step, sign))
-    assert in_place(coeffs, inverse) == dense_product(
+    assert in_place(coeffs, expand(poch_factors(base, count, width, step, sign))) == \
+        dense_product(coeffs, poch(base, count, width, step, sign))
+    assert in_place(coeffs, expand(inverse)) == dense_product(
         coeffs, inv_poch(base, count, width, step, sign))
 
 
@@ -353,15 +374,64 @@ def test_gauss_multiset_equals_dense_kernel(a, b, step, coeffs):
     if factors is None:
         assert dense.is_zero()
     else:
-        assert in_place(coeffs, factors) == dense_product(coeffs, dense)
+        assert in_place(coeffs, expand(factors)) == dense_product(coeffs, dense)
 
 
 def test_merge_factors_cancels_and_absorbs_zero():
     # [4 choose 2] / (1 - q^3)(1 - q^4) * (q;q)_2 = 1
     merged = merge_factors(gauss_factors(4, 2), inv_poch_factors(3, 2), poch_factors(1, 2))
-    assert merged == {}
+    assert expand(merged) == {}
     assert merge_factors(poch_factors(1, 3), None) is None
-    assert merge_factors(poch_factors(1, 2), poch_factors(2, 1)) == {(1, 1): 1, (1, 2): 2}
+    assert expand(merge_factors(poch_factors(1, 2), poch_factors(2, 1))) == {(1, 1): 1, (1, 2): 2}
+
+
+# A run drawn near another: the same or a moved base and count, and the
+# same or another sign, step and power.
+runs = st.tuples(
+    st.sampled_from([1, -1]),
+    st.integers(0, 40),
+    st.integers(1, 4),
+    st.integers(0, 15),
+    st.sampled_from([-2, -1, 1, 2]),
+)
+
+
+@st.composite
+def run_pairs(draw):
+    """(old, new): run tuples of lengths 0..4 whose paired runs mostly share
+    sign, step and power, so that both the end ranges and the fallback run."""
+    old = draw(st.lists(runs, max_size=4))
+    new = []
+    for sign, base, step, count, power in old[:draw(st.integers(0, len(old)))]:
+        kind = draw(st.sampled_from(["same", "moved", "mismatched"]))
+        if kind == "moved":
+            base = max(0, base + step * draw(st.integers(-6, 6)) + draw(st.sampled_from([0, 0, 1])))
+            count = max(0, count + draw(st.integers(-6, 6)))
+        elif kind == "mismatched":
+            sign, base, step, count, power = draw(runs)
+        new.append((sign, base, step, count, power))
+    new += draw(st.lists(runs, max_size=2))
+    return tuple(old), tuple(new)
+
+
+@settings(max_examples=500)
+@given(run_pairs(), st.integers(0, 70))
+def test_factor_change_is_the_difference_of_the_expanded_multisets(pair, width):
+    old, new = pair
+    want = Counter(expand(new))
+    want.subtract(expand(old))
+    want = {key: p for key, p in want.items() if p and key[1] < width}
+    assert factor_change(old, new, width) == want
+
+
+def test_factor_change_keeps_only_the_moved_ends():
+    # (q^3; q^2)_4 -> (q^5; q^2)_5: q^3 leaves, q^11 and q^13 arrive.
+    assert factor_change(((1, 3, 2, 4, 1),), ((1, 5, 2, 5, 1),), 40) == \
+        {(1, 3): -1, (1, 11): 1, (1, 13): 1}
+    assert factor_change(((1, 3, 2, 4, 1),), ((1, 5, 2, 5, 1),), 12) == \
+        {(1, 3): -1, (1, 11): 1}
+    assert factor_change((), gauss_factors(5, 2), 9) == {(1, 4): 1, (1, 5): 1, (1, 1): -1,
+                                                         (1, 2): -1}
 
 
 def test_apply_factors_rejects_poles_and_negative_exponents():
