@@ -111,11 +111,14 @@ def render_colored(first: Partition, second: Partition) -> str:
 
 
 def _write(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

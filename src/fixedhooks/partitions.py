@@ -175,6 +175,9 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
+# _UNBOUNDED[x] is p(x), the number of partitions of x.
+_UNBOUNDED: list[int] = [1]
+
 # _BOUNDED[c][x] is the number of partitions of x into parts <= c.  Rows
 # are extended bottom-up, so row lengths never increase with c.
 _BOUNDED: list[list[int]] = [[1]]
@@ -184,15 +187,28 @@ _BOUNDED: list[list[int]] = [[1]]
 def partition_count(n: int, max_part: int | None = None) -> int:
     """Number of partitions of n (into parts <= max_part when given).
 
-    Bounded-part dynamic programming, exact integers, without recursion:
-    p(x, <= c) = p(x, <= c-1) + p(x-c, <= c) fills a table of rows that
-    later calls extend, at O(1) work per new table entry.
+    Exact integers, without recursion.  Without a bound, Euler's pentagonal
+    recurrence p(x) = sum_{j >= 1} (-1)^(j+1) (p(x - g_j) + p(x - g_j - j)),
+    g_j = j(3j-1)/2, extends one list of p(x): O(n) memory in all.  With a
+    bound, p(x, <= c) = p(x, <= c-1) + p(x-c, <= c) fills a table of rows
+    that later calls extend, at O(1) work per new table entry.
     """
     if n < 0:
         return 0
+    if max_part is None:
+        p = _UNBOUNDED
+        for x in range(len(p), n + 1):
+            total, j, g = 0, 1, 1
+            while g <= x:
+                pair = p[x - g] + (p[x - g - j] if g + j <= x else 0)
+                total += pair if j % 2 else -pair
+                j += 1
+                g += 3 * j - 2
+            p.append(total)
+        return p[n]
     if n == 0:
         return 1
-    cap = n if max_part is None else min(max_part, n)
+    cap = min(max_part, n)
     if cap <= 0:
         return 0
     while len(_BOUNDED) <= cap:

@@ -27,7 +27,11 @@ of them in two forms:
   tests, and are filled by the same in-place passes.
 
 :func:`poch_factors` checks the sign, step and count of every Pochhammer
-symbol, so both forms reject the same bad parameters.
+symbol, so both forms reject the same bad parameters; :func:`gauss_factors`
+checks its step.  The three product-form constructors are memoised by
+``functools.lru_cache`` with a bounded size (4096 entries each), since the
+builders ask for the same few hundred runs for every m and h of a grid; a
+call that raises caches nothing.  The dense kernels keep unbounded caches.
 """
 
 from __future__ import annotations
@@ -219,18 +223,46 @@ Binomials = dict[tuple[int, int], int]
 
 def merge_factors(*parts: Factors | None) -> Factors | None:
     """The product of several multisets (None, the zero product, absorbs)."""
-    if None in parts:
-        return None
-    return sum(parts, ())
+    merged: Factors = ()
+    for part in parts:
+        if part is None:
+            return None
+        merged += part
+    return merged
 
 
-def _check_sign_step(sign: int, step: int) -> None:
+def _pochhammer(
+    base_exp: int, count: int | None, order: int | None, step: int, sign: int, power: int
+) -> Factors | None:
+    """``(sign*q^base_exp; q^step)_count ** power`` as one run, power +-1,
+    after checking sign, step and count once; a negative count is an error
+    for power 1 and the zero product (None) for power -1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if step < 1:
         raise ValueError("step must be >= 1")
+    if count is None:
+        if order is None or base_exp < 1:
+            raise ValueError("infinite products need an order and base_exp >= 1")
+        stop = order
+    elif count < 0:
+        if power > 0:
+            raise ValueError("count must be non-negative")
+        return None
+    else:
+        stop = base_exp + step * count
+        if order is not None:
+            stop = min(stop, order)
+    return ((sign, base_exp, step, len(range(base_exp, stop, step)), power),)
 
 
+# Entries kept by each product-form constructor's cache.  They are pure
+# functions of a few small ints that return immutable tuples; typed keys
+# keep an equal float from picking up an int's run.
+_CONSTRUCTOR_CACHE = 4096
+
+
+@lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
 def poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors:
@@ -240,38 +272,27 @@ def poch_factors(
     infinite product (count None) needs an order and ``base_exp >= 1``; a
     finite one keeps every factor when order is None.
     """
-    _check_sign_step(sign, step)
-    if count is not None and count < 0:
-        raise ValueError("count must be non-negative")
-    if count is None:
-        if order is None or base_exp < 1:
-            raise ValueError("infinite products need an order and base_exp >= 1")
-        stop = order
-    else:
-        stop = base_exp + step * count
-        if order is not None:
-            stop = min(stop, order)
-    return ((sign, base_exp, step, len(range(base_exp, stop, step)), 1),)
+    return _pochhammer(base_exp, count, order, step, sign, 1)
 
 
+@lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
 def inv_poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors | None:
     """``1 / (sign*q^base_exp; q^step)_count`` as one run; None (zero) for a
     negative count, as for :func:`inv_poch`."""
-    _check_sign_step(sign, step)
-    if count is not None and count < 0:
-        return None
-    (run,) = poch_factors(base_exp, count, order, step, sign)
-    return (run[:4] + (-1,),)
+    return _pochhammer(base_exp, count, order, step, sign, -1)
 
 
+@lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
 def gauss_factors(a: int, b: int, step: int = 1) -> Factors | None:
     """The Gaussian binomial in q**step as a numerator and a denominator run.
     Of ``(q;q)_a / ((q;q)_b (q;q)_{a-b})`` only the numerator factors above
     max(b, a-b) and the denominator factors up to min(b, a-b) survive.
     None (zero) unless 0 <= b <= a; b == 0 gives two empty runs whatever
-    ``a`` is."""
+    ``a`` is.  The step must be >= 1."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
     if b == 0:
         a = max(a, 0)
     elif b < 0 or b > a:
@@ -291,28 +312,33 @@ def factor_change(old: Factors, new: Factors, width: int) -> Binomials:
     each counted with the sign that says which run holds it.  Any other
     pair trades all of the old run for all of the new one.
     """
-    spans = []  # (sign, start, stop, step, power): one power per exponent
+    change: Binomials = {}
+    get = change.get
     for was, now in zip_longest(old, new):
         if was == now:
             continue
-        # was[0::2] is (sign, step, power)
-        if was and now and was[0::2] == now[0::2] and (was[1] - now[1]) % was[2] == 0:
+        if was and now:
             sign, b1, step, c1, power = was
-            b2 = now[1]
-            e1, e2 = b1 + step * c1, b2 + step * now[3]
-            spans.append((sign, b2, b1, step, power) if b2 < b1 else (sign, b1, b2, step, -power))
-            spans.append((sign, e1, e2, step, power) if e1 < e2 else (sign, e2, e1, step, -power))
-            continue
-        if was:
-            sign, base, step, count, power = was
-            spans.append((sign, base, base + step * count, step, -power))
-        if now:
-            sign, base, step, count, power = now
-            spans.append((sign, base, base + step * count, step, power))
-    change: Binomials = {}
-    for sign, start, stop, step, power in spans:
-        for a in range(start, min(stop, width), step):
-            change[sign, a] = change.get((sign, a), 0) + power
+            sign2, b2, step2, c2, power2 = now
+            if sign == sign2 and step == step2 and power == power2 and (b1 - b2) % step == 0:
+                e1, e2 = b1 + step * c1, b2 + step * c2
+                p = power
+                if b1 < b2:
+                    b1, b2, p = b2, b1, -power
+                for a in range(b2, b1 if b1 < width else width, step):
+                    change[sign, a] = get((sign, a), 0) + p
+                p = power
+                if e2 < e1:
+                    e1, e2, p = e2, e1, -power
+                for a in range(e1, e2 if e2 < width else width, step):
+                    change[sign, a] = get((sign, a), 0) + p
+                continue
+        for run, gained in ((was, -1), (now, 1)):
+            if run:
+                sign, base, step, count, power = run
+                stop = base + step * count
+                for a in range(base, stop if stop < width else width, step):
+                    change[sign, a] = get((sign, a), 0) + gained * power
     return {key: p for key, p in change.items() if p}
 
 
@@ -333,16 +359,20 @@ def apply_factors(coeffs: list[int], binomials: Binomials) -> None:
             continue
         if a < 0 or (a == 0 and power < 0):
             raise ValueError(f"(1 - {sign}*q^{a})^{power} is not a power series")
-        for _ in range(abs(power)):
-            if power > 0:
-                coeffs[a:] = map(sub if sign == 1 else add, coeffs[a:], coeffs[:width - a])
-            elif sign == 1 and a * a < width:
+        if power > 0:
+            op = sub if sign == 1 else add
+            for _ in range(power):
+                coeffs[a:] = map(op, coeffs[a:], coeffs[:width - a])
+        elif sign == 1 and a * a < width:
+            for _ in range(-power):
                 for r in range(a):
                     coeffs[r::a] = accumulate(coeffs[r::a])
-            else:
+        else:
+            for _ in range(-power):
                 for x in range(a, width):
-                    if coeffs[x - a]:
-                        coeffs[x] += sign * coeffs[x - a]
+                    c = coeffs[x - a]
+                    if c:
+                        coeffs[x] += sign * c
 
 
 def _unit_times(factors: Factors, order: int) -> tuple[int, ...]:
@@ -381,8 +411,7 @@ def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: 
     reciprocal of a pole), which is what makes sums over shifting row counts
     terminate cleanly.  Sign and step are checked first.
     """
-    _check_sign_step(sign, step)
-    if count is not None and count < 0:
+    if inv_poch_factors(base_exp, count, order, step, sign) is None:
         return LaurentSeries.zero(order)
     coeffs = _inv_poch_coeffs(sign, base_exp, step, count, order)
     return LaurentSeries(0, coeffs, order) if order > 0 else LaurentSeries.zero(order)

