@@ -194,37 +194,35 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _series_rows(args):
-    theorem = resolve_theorem(args.thm)
-    series = build_series(
-        theorem, args.order, m=args.m, k=args.k, h=args.h, variant=args.variant
-    )
-    lo = min(0, series.min_exp)
-    rows = []
-    for n in range(lo, args.order):
-        rows.append(
-            {
-                "theorem": theorem.value,
-                "m": args.m,
-                "k": args.k,
-                "h": args.h,
-                "n": n,
-                "coefficient": series.coefficient(n),
-            }
-        )
-    return rows
+def _coefficient_rows(theorem, params: dict, series, order: int) -> list[dict]:
+    """One row per coefficient of ``series`` built with ``params``, from
+    q^min(0, valuation) up to the order."""
+    return [
+        {
+            "theorem": theorem.value,
+            "m": params.get("m"),
+            "k": params.get("k"),
+            "h": params.get("h"),
+            "n": n,
+            "coefficient": series.coefficient(n),
+        }
+        for n in range(min(0, series.min_exp), order)
+    ]
 
 
 def cmd_series(args) -> int:
     if args.thm is None:
         raise UsageError("series requires --thm")
-    rows = _series_rows(args)
+    theorem = resolve_theorem(args.thm)
+    params = {"m": args.m, "k": args.k, "h": args.h}
+    series = build_series(theorem, args.order, variant=args.variant, **params)
+    rows = _coefficient_rows(theorem, params, series, args.order)
     if args.format == "text":
         text = "".join(f"{r['n']}\t{r['coefficient']}\n" for r in rows)
     elif args.format == "csv":
         text = "n,coefficient\n" + "".join(f"{r['n']},{r['coefficient']}\n" for r in rows)
     elif args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n" if rows else "[]\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         raise UsageError(f"unknown format {args.format!r}")
     _write(text, args.out)
@@ -359,20 +357,12 @@ def cmd_table(args) -> int:
         columns.append((value, kwargs, series))
 
     if args.format == "json":
-        rows = []
-        for value, kwargs, series in columns:
-            for n in range(min(0, series.min_exp), args.order):
-                rows.append(
-                    {
-                        "theorem": theorem.value,
-                        "m": kwargs.get("m"),
-                        "k": kwargs.get("k"),
-                        "h": kwargs.get("h"),
-                        "n": n,
-                        "coefficient": series.coefficient(n),
-                    }
-                )
-        text = json.dumps(rows, indent=2) + "\n" if rows else "[]\n"
+        rows = [
+            row
+            for _, kwargs, series in columns
+            for row in _coefficient_rows(theorem, kwargs, series, args.order)
+        ]
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         header = ["n"] + [f"{axis}={value}" for value, _, _ in columns]
         lines = [",".join(header)]

@@ -21,14 +21,17 @@ tail and applied to the sum once; an infinite product in the tail is passed
 as a plain ``(base_exp, step, sign, power)`` tuple, and :func:`_sum` cuts
 it at the window's width.
 
-Two conventions do the index bookkeeping everywhere, as for the dense
+Three conventions do the index bookkeeping everywhere, as for the dense
 kernels:
 
 * ``inv_poch_factors(..., count)`` is the zero product (None) for
   ``count < 0`` (reciprocal of a pole), which switches off summands whose row
   count would be negative;
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
-  giving 1), which enforces the printed summation limits.
+  giving 1), which enforces the printed summation limits;
+* a ``None`` tail of :func:`_sum` is that zero product too, so the sum is
+  the zero series before any summand is read: a by-hook builder's tail
+  ``1/(q;q)_{k-h-1}`` makes its series zero for h >= k.
 
 Three builders take a ``variant`` argument because the closed form they
 implement circulates in two index conventions that disagree for columns
@@ -65,7 +68,7 @@ def _choose2(x: int) -> int:
 def _sum(
     order: int,
     summands: Iterable[tuple[int, Factors | None]],
-    tail: Factors = (),
+    tail: Factors | None = (),
     infinite: Iterable[tuple[int, int, int, int]] = (),
 ) -> LaurentSeries:
     """Sum of q^e * prod(factors) over the summands, times ``tail`` and the
@@ -81,8 +84,11 @@ def _sum(
     applied last.  The tail acts on the window [min e, order), so each
     ``(base_exp, step, sign, power)`` of ``infinite``, the product
     ``(sign*q^base_exp; q^step)_inf ** power``, is cut here at that window's
-    width; summand factor multisets are finite.
+    width; summand factor multisets are finite.  A ``None`` tail, the zero
+    product, gives the zero series without reading ``summands``.
     """
+    if tail is None:
+        return LaurentSeries.zero(order)
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
         return LaurentSeries.zero(order)
@@ -249,8 +255,6 @@ def gf_distinct_by_part(
 def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
     """First-column h-fixed hooks of size k.  Zero series when h >= k."""
     require_hook_size(k)
-    if k - h - 1 < 0:
-        return LaurentSeries.zero(order)
     summands = ((k + l * (k - h - 1), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1))
     return _sum(order, summands, inv_poch_factors(1, k - h - 1))
 
@@ -259,11 +263,8 @@ def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """h-fixed hooks of size k in column m; specializes to the m = 1 builder."""
     require_column(m)
     require_hook_size(k)
-    if k - h - 1 < 0:
-        return LaurentSeries.zero(order)
     summands = (
-        ((m - 1) * (2 * k - h - l) + k + l * (k - h - 1), gauss_factors(k - 1, l - 1))
-        for l in range(1, k + 1)
+        (by_hook_exponent(m, k, h, l), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1)
     )
     return _sum(order, summands,
                 merge_factors(inv_poch_factors(1, k - h - 1), inv_poch_factors(1, m - 1)))
@@ -277,12 +278,10 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """
     require_column(m)
     require_hook_size(k)
-    if k - h - 1 < 0:
-        return LaurentSeries.zero(order)
 
     def summands():
         for l in range(2 - m % 2, k + 1, 2):
-            e = k + l * (k - h - 1) + (m - 1) * (2 * k - h - l)
+            e = by_hook_exponent(m, k, h, l)
             if m % 2 == 1:
                 top = k - l + (l - 1) // 2
             else:
@@ -303,15 +302,9 @@ def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """
     require_column(m)
     require_hook_size(k)
-    if k - h - 1 < 0:
-        return LaurentSeries.zero(order)
     summands = (
         (
-            k
-            + l * (k - h - 1)
-            + (m - 1) * (2 * k - h - l)
-            + _choose2(k - h)
-            + _choose2(k - l),
+            by_hook_exponent(m, k, h, l) + _choose2(k - h) + _choose2(k - l),
             gauss_factors(l - 1, k - l),
         )
         for l in range((k + 2) // 2, k + 1)
@@ -328,15 +321,11 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries
     """
     require_column(m)
     require_hook_size(k)
-    if k - h - 1 < 0:
-        return LaurentSeries.zero(order)
     odd = m % 2
     lmin = (2 * k + 2 - odd) // 3
     summands = (
         (
-            (m - 1) * (2 * k - h - l)
-            + k
-            + l * (k - h - 1)
+            by_hook_exponent(m, k, h, l)
             + 2 * _choose2(k - h)
             + 2 * _choose2(k - l)
             + (0 if odd else k - l),
@@ -440,6 +429,14 @@ def t13_weight_shift(m: int, k: int, h: int) -> int:
     the colored objects live at n + C(k-m+1, 2) - k(k-h-m+1)."""
     require_column(m, k)
     return _choose2(k - m + 1) - k * (k - h - m + 1)
+
+
+def by_hook_exponent(m: int, k: int, h: int, l: int) -> int:
+    """Summand l's exponent in the by-hook series, before a family's own
+    terms: the least weight of a partition with an h-fixed hook of size k
+    and horizontal span l in column m, whose row and the k-h-1 rows above
+    hold parts >= m+l-1 and whose k-l rows below hold parts >= m."""
+    return (m - 1) * (2 * k - h - l) + k + l * (k - h - 1)
 
 
 def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:

@@ -347,41 +347,31 @@ class CountTable(Mapping):
     entries are its nonzero counts.
 
     Each key holds one packed row, the counts of every n in slots of
-    ``width`` bits, unpacked the first time the row is read.
+    ``width`` bits, and every read unpacks it.
     """
 
-    __slots__ = ("_packed", "_rows", "_max_n", "_width")
+    __slots__ = ("_packed", "_max_n", "_width")
 
     def __init__(self, packed: Mapping[tuple, int], max_n: int, width: int):
         self._packed = dict(packed)
-        self._rows: dict[tuple, tuple[int, ...]] = {}
         self._max_n = max_n
         self._width = width
 
-    def _row(self, key: tuple) -> tuple[int, ...]:
-        row = self._rows.get(key)
-        if row is None:
-            packed = self._packed.get(key, 0)
-            row = _unpack(packed, self._width, self._max_n + 1)
-            if packed:
-                self._rows[key] = row
-        return row
-
     def row(self, key: tuple) -> list[int]:
         """The counts at ``key`` of n = 0 .. max_n."""
-        return list(self._row(key))
+        return list(_unpack(self._packed.get(key, 0), self._width, self._max_n + 1))
 
     def __getitem__(self, entry: tuple) -> int:
         n, key = entry[0], entry[1:]
         if key in self._packed and 0 <= n <= self._max_n:
-            count = self._row(key)[n]
+            count = self.row(key)[n]
             if count:
                 return count
         raise KeyError(entry)
 
     def __iter__(self) -> Iterator[tuple]:
         for key in self._packed:
-            for n, count in enumerate(self._row(key)):
+            for n, count in enumerate(self.row(key)):
                 if count:
                     yield (n, *key)
 

@@ -8,7 +8,6 @@ the package lives in :mod:`fixedhooks.qseries` and :mod:`fixedhooks.genfun`.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -183,7 +182,6 @@ _UNBOUNDED: list[int] = [1]
 _BOUNDED: list[list[int]] = [[1]]
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int, max_part: int | None = None) -> int:
     """Number of partitions of n (into parts <= max_part when given).
 

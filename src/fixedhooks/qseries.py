@@ -27,8 +27,9 @@ of them in two forms:
   tests, and are filled by the same in-place passes.
 
 :func:`poch_factors` checks the sign, step and count of every Pochhammer
-symbol, so both forms reject the same bad parameters; :func:`gauss_factors`
-checks its step.  The three product-form constructors are memoised by
+symbol and :func:`gauss_factors` the step of every Gaussian binomial, and
+the dense form checks its parameters through them, so both forms reject the
+same bad parameters.  The three product-form constructors are memoised by
 ``functools.lru_cache`` with a bounded size (4096 entries each), since the
 builders ask for the same few hundred runs for every m and h of a grid; a
 call that raises caches nothing.  The dense kernels keep unbounded caches.
@@ -423,19 +424,14 @@ def _gauss_coeffs(a: int, b: int, step: int, order: int) -> tuple[int, ...]:
 
 
 def gauss_binomial(a: int, b: int, step: int = 1, order: int = 64) -> LaurentSeries:
-    """Gaussian binomial coefficient as a truncated series in q**step.
+    """Gaussian binomial coefficient as a truncated series in q**step, for
+    any step >= 1 (see :func:`gauss_factors`, which checks it).
 
     For 0 <= b <= a this is the generating polynomial for partitions into at
     most b parts each at most a - b (exact once ``order`` exceeds the degree
     ``step*b*(a-b)``).  For b < 0 or b > a it is the zero series, and b == 0
     gives 1 whatever ``a`` is.
     """
-    if step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
-    if order <= 0:
-        return LaurentSeries.zero(order)
-    if b == 0:
-        return LaurentSeries.one(order)
-    if b < 0 or b > a:
+    if gauss_factors(a, b, step) is None or order <= 0:
         return LaurentSeries.zero(order)
     return LaurentSeries(0, _gauss_coeffs(a, b, step, order), order)

@@ -21,11 +21,10 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable
 
-from .genfun import CATALOG, TheoremId, build_series, t13_weight_shift
+from .genfun import CATALOG, TheoremId, build_series, by_hook_exponent, t13_weight_shift
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import Family, require_hook_size
 from .qseries import LaurentSeries
@@ -140,18 +139,12 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _tally(order: int, family: Family, max_m: int):
-    # One tally per family covers every order up to the default grid's 30;
-    # a larger order counts every n below it, by decomposition.
-    return hook_tally(max(order - 1, DEFAULT_ORDER - 1), family, max_m)
-
-
 def _count(case: IdentityCase, table: str, *key) -> list[int]:
     """The entries (n, *key) of ``table`` in the tally of the case's family,
-    for n below the case's order, read as one row."""
-    entries = getattr(_tally(case.order, case.family, max(6, case.m or 1)), table)
-    return entries.row(key)[: case.order]
+    for n below the case's order, read as one row.  One tally per family
+    covers every order up to the default grid's."""
+    tally = hook_tally(max(case.order, DEFAULT_ORDER) - 1, case.family, max(6, case.m or 1))
+    return getattr(tally, table).row(key)[: case.order]
 
 
 def column_window(k: int, order: int) -> range:
@@ -167,9 +160,7 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
     out = []
     h = k - 1
     while True:
-        emin = min(
-            (m - 1) * (2 * k - h - l) + k + l * (k - h - 1) for l in range(1, k + 1)
-        )
+        emin = min(by_hook_exponent(m, k, h, l) for l in range(1, k + 1))
         if emin > order:
             break
         out.append(h)

@@ -155,6 +155,21 @@ def test_fixed_by_hook_m1_against_oracle():
 def test_fixed_by_hook_m1_h_at_least_k_is_zero():
     assert gf_fixed_by_hook_m1(2, 2, N).is_zero()
     assert gf_fixed_by_hook_m1(1, 5, N).is_zero()
+    for k in range(1, 6):
+        for h in (k, k + 2):
+            assert gf_fixed_by_hook_m1(k, h, N) == LaurentSeries.zero(N)
+
+
+@pytest.mark.parametrize(
+    "build", [gf_mfixed_by_hook, gf_odd_by_hook, gf_distinct_by_hook, gf_odd_distinct_by_hook]
+)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_by_hook_h_at_least_k_is_zero(build, m):
+    # The tail 1/(q;q)_{k-h-1} is the zero product there, so _sum returns
+    # zero before it reads a summand.
+    for k in range(1, 6):
+        for h in (k, k + 2):
+            assert build(m, k, h, N) == LaurentSeries.zero(N)
 
 
 def test_fixed_by_hook_m1_smallest_hook():
@@ -504,6 +519,14 @@ def test_infinite_tail_is_cut_at_the_window_width():
     for e in (-5, 0, 3):
         got = _sum(20, [(e, ())], infinite=[(1, 1, 1, -1)])
         assert got == inv_poch(1, None, 20 - e).shift(e)
+
+
+def test_sum_with_a_zero_product_tail_reads_no_summand():
+    def summands():
+        raise AssertionError("a summand was read")
+        yield
+
+    assert _sum(N, summands(), None) == LaurentSeries.zero(N)
 
 
 def test_sum_of_a_non_monotone_stream_equals_dense_reference():

@@ -263,14 +263,26 @@ def test_gauss_small_cases():
     assert gauss_binomial(3, 5, 1, 8).is_zero()
     assert gauss_binomial(3, -1, 1, 8).is_zero()
     assert gauss_binomial(-2, 0, 1, 8) == LaurentSeries.one(8)
+    # any step >= 1, as in gauss_factors
+    assert list(gauss_binomial(3, 1, step=3, order=10).items()) == [(0, 1), (3, 1), (6, 1)]
 
 
 def test_gauss_step_two_is_substitution():
     plain = gauss_binomial(5, 2, 1, 15)
-    doubled = gauss_binomial(5, 2, 2, 30)
-    for e, c in plain.items():
-        assert doubled.coefficient(2 * e) == c
-    assert all(e % 2 == 0 for e, _ in doubled.items())
+    for step in (2, 3):
+        stretched = gauss_binomial(5, 2, step, 15 * step)
+        for e, c in plain.items():
+            assert stretched.coefficient(step * e) == c
+        assert all(e % step == 0 for e, _ in stretched.items())
+
+
+def test_gauss_binomial_rejects_a_step_below_one():
+    # the dense form checks its step through gauss_factors, before its order
+    # or the range of b can return early
+    for a, b, order in ((3, 1, 10), (3, 5, 10), (3, 0, 10), (3, 1, 0)):
+        for step in (0, -1):
+            with pytest.raises(ValueError, match="step must be >= 1"):
+                gauss_binomial(a, b, step, order)
 
 
 def test_gauss_polynomial_properties():
@@ -366,7 +378,7 @@ def test_pochhammer_multisets_equal_dense_kernels(sign, base, count, step, coeff
 @given(
     st.integers(-2, 14),
     st.integers(-2, 14),
-    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3]),
     st.lists(st.integers(-50, 50), min_size=1, max_size=80),
 )
 def test_gauss_multiset_equals_dense_kernel(a, b, step, coeffs):
