@@ -1,17 +1,11 @@
 """Counting oracles for fixed-hook counts and their companion objects.
 
-Every hook count reads one counter (:func:`_cells`), which counts the
-partitions that own each cell by decomposition instead of listing them: a
-cell splits its partition into the rows above it, the rows below it in its
-column and the parts left of that column, three blocks chosen
-independently, and each block is a table of partitions into exactly j parts.
-Each series of counts is packed into one integer, the count of n in slot n
-(Kronecker substitution), so a block product is one integer product and a
-table entry a sum of integers.  The verifier reads the cached
-:func:`hook_tally` of every n <= max_n, whose tables unpack the row of
-counts a case asks for, and the point counts an uncached tally of the
-columns they ask about.  The second
-formula is :func:`fixed_hook_witnesses`, a walk down each partition's
+Every hook count reads a :class:`HookTally`, whose rows count the
+partitions that own each cell by decomposition instead of listing them (see
+"Hook census by cell decomposition" below), each row packed into one integer
+and computed the first time it is read.  The verifier reads the cached
+:func:`hook_tally`, and each point count computes its one row alone.  The
+second formula is :func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
 length of its witness list, and the tally equal to a per-cell loop over
 every partition.
@@ -35,11 +29,13 @@ h-fixed hook for each h.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice, product
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .partitions import (
     Family,
@@ -179,7 +175,7 @@ def colored_t13_row(
             distinct, cap = next(tables), cap + 1
         if k - m < len(distinct):
             free = chain(range(1, u + 1), range(1, m))
-            ways = list(_unpack(distinct[k - m], width, rest + 1)[: rem + 1])
+            ways = _unpack(distinct[k - m], width, rest + 1)[: rem + 1]
             for w, count in enumerate(_row(rem, free, ways), start=low):
                 total[w] += count
         u += 1
@@ -239,29 +235,41 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 # Hook census by cell decomposition
 # ---------------------------------------------------------------------------
 #
-# A cell (i, m) whose row has part k, in a column of length c = i + l,
-# splits its partition into three blocks that are chosen independently:
-# the i - 1 rows above are parts >= k, the l rows below are parts in
-# [m, k], and every other row is a part < m.  In a distinct family the rows
-# above are distinct parts > k, those below distinct parts in [m, k - 1]
-# and the rest distinct parts < m; in an odd family every block takes odd
-# parts only.  Less a constant from each part, every block is a partition
-# into exactly j parts from the family's sizes 1, 1 + step, 1 + 2 step, ...
-# up to a cap, so one table of those counts serves all three.
+# A cell (i, m) whose row has part k, with l rows below it in its column,
+# has hook k - m + l + 1, and it splits its partition into three blocks that
+# are chosen independently: the j = i - 1 rows above are parts >= k, the l
+# rows below are parts in [m, k], and every other row is a part < m.  In a
+# distinct family the rows above are distinct parts > k, those below
+# distinct parts in [m, k - 1] and the rest distinct parts < m; in an odd
+# family every block takes odd parts only.  Less a constant from each part,
+# every block is exactly j parts from the family's sizes 1, 1 + step, ...
+# up to a cap, so one table of those counts serves all three.  A series of
+# counts is packed into one integer, so a block product is one masked
+# integer product: packing evaluates at 2**width and a mask of s slots
+# reduces modulo 2**(s * width), both ring homomorphisms, and carries only
+# move up, so every slot <= max_n is exact wherever its true count fits.
 
 
 def _slot_width(bound: int) -> int:
-    """Bits per slot of a packed row of counts <= ``bound``: the least
-    multiple of 8 with 2**width > bound."""
-    return max(8, -(-bound.bit_length() // 8) * 8)
+    """Bits per slot of a packed row of counts <= ``bound``: the least of 8,
+    16, 32, 64 and the multiples of 64 past them with 2**width > bound."""
+    bits = bound.bit_length()
+    return next((width for width in (8, 16, 32, 64) if bits <= width), -(-bits // 64) * 64)
 
 
-def _unpack(packed: int, width: int, slots: int) -> tuple[int, ...]:
+_WORD_CODES = {struct.calcsize(code): code for code in "QIHB"}  # native codes by word size
+
+
+def _unpack(packed: int, width: int, slots: int) -> list[int]:
     """The first ``slots`` slots of a packed row; raises OverflowError when
     a higher slot is not zero."""
     size = width // 8
-    data = packed.to_bytes(slots * size, "little")
-    return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    data = packed.to_bytes(slots * size, sys.byteorder)
+    if size in _WORD_CODES:
+        row = memoryview(data).cast(_WORD_CODES[size]).tolist()
+    else:
+        row = [int.from_bytes(data[i : i + size], sys.byteorder) for i in range(0, len(data), size)]
+    return row if sys.byteorder == "little" else row[::-1]
 
 
 def _exact_parts(
@@ -288,58 +296,82 @@ def _exact_parts(
         yield rows
 
 
-def _cells(
-    max_n: int, family: Family, columns: Sequence[int], width: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield ``(m, c, i, k, counts)`` for the cells of the given columns:
-    slot n of the packed row ``counts`` holds the number of partitions of
-    n <= max_n in the family that have column m of length c and part k in
-    row i.  Each (m, c, i, k) is yielded once.
+class _Census:
+    """The blocks of one family's census up to max_n and the packed rows of
+    its four tables.  Raises ValueError when max_n < 0 or the family is
+    unknown."""
 
-    A block product is one integer product, its factors and the result
-    masked to the slots that a shift by the cell's least weight keeps at or
-    below max_n.  Packing evaluates a series at 2**width and a mask of s
-    slots reduces modulo 2**(s * width), both ring homomorphisms, so the
-    slots of a product or a sum are exact wherever the true counts fit in
-    a slot.
+    def __init__(self, max_n: int, family: Family):
+        if max_n < 0:
+            raise ValueError("n must be non-negative")
+        family = Family(family)
+        self.max_n = max_n
+        self.step = step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
+        self.distinct = distinct = family in (Family.DISTINCT, Family.ODD_DISTINCT)
+        self.gap = step if distinct else 0  # the rows above are parts >= k + gap
+        # A partition of n has n cells, so no count reaches max_n * p(max_n).
+        self.width = width = _slot_width(max_n * partition_count(max_n))
+        # rests[t]: partitions into the first t sizes; full: every size <= max_n.
+        tables = _exact_parts(max_n, step, distinct, width)
+        full = next(tables)  # updated in place, so it ends as every size's table
+        self.rests = [sum(full)] + [sum(full) for _ in tables]
+        # Row j is zero below slot j: less 1 more from each part, it starts at 0.
+        self.full = [row >> j * width for j, row in enumerate(full)]
+        # fits[low]: the mask of the slots still <= max_n after a shift by low.
+        self.fits = [(1 << (max_n - low + 1) * width) - 1 for low in range(max_n + 1)]
+        self._belows: dict[int, list[int]] = {}
+        self._aboves: dict[int, int] = {}
 
-    Raises ValueError when max_n < 0 or the family is unknown.
-    """
-    if max_n < 0:
-        raise ValueError("n must be non-negative")
-    family = Family(family)
-    step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
-    distinct = family in (Family.DISTINCT, Family.ODD_DISTINCT)
-    gap = step if distinct else 0  # the rows above are parts >= k + gap
-    masks = [(1 << slots * width) - 1 for slots in range(max_n + 2)]
-    # rests[t]: partitions into the first t sizes; full: every size <= max_n.
-    rests = []
-    for full in _exact_parts(max_n, step, distinct, width):
-        rests.append(sum(full))
-    # Row j is zero below slot j: less 1 more from each part, it starts at 0.
-    full = [row >> j * width for j, row in enumerate(full)]
-    # Less m0 - 1 from each, the rows under a cell in column m, whose smallest
-    # admissible part is m0, take the first t sizes when the cell's part k is
-    # t - 1 steps above m0 (t steps if distinct, since they stay below k).
-    for t, below in enumerate(_exact_parts(max_n, step, distinct, width)):
-        for m in columns:
-            m0 = m + (m - 1) % step
-            k = m0 + (t - 1 + distinct) * step
-            if k < m0 or k > max_n:
-                continue
-            rest = rests[(m0 - 1) // step]
-            for l, below_l in enumerate(below):
-                low_l = k + l * m0  # the least weight of the cell's row and those below
-                if low_l > max_n:
-                    break
-                lower = (below_l >> l * width) * rest & masks[max_n - low_l + 1]
-                for j, above_j in enumerate(full):
-                    low = low_l + j * (k + gap)  # the least weight of the partitions
-                    if low > max_n:
-                        break
-                    fit = masks[max_n - low + 1]  # the slots still <= max_n after the shift
-                    counts = (above_j & fit) * (lower & fit) & fit
-                    yield m, j + 1 + l, j + 1, k, counts << low * width
+    def _cell(self, m: int, k: int, l: int, j: int | None) -> int:
+        """Slot n: the partitions of n, less their parts < m, with a cell in
+        column m with part k, l rows below it and j rows above it (any
+        number when j is None): a hook k - m + l + 1 in row j + 1."""
+        m0 = m + (m - 1) % self.step  # the family's least part >= m
+        fewest = j or 0  # the fewest rows above
+        low = k + l * m0 + fewest * (k + self.gap)  # the least weight of those partitions
+        if m < 1 or k < m0 or low > self.max_n or (k - m0) % self.step or fewest < 0:
+            return 0
+        # Less m0 - 1 from each, the rows below take the first t sizes: k is
+        # t - 1 steps above m0 (t steps if distinct, since they stay below k).
+        t = (k - m0) // self.step + 1 - self.distinct
+        if t not in self._belows:
+            tables = _exact_parts(self.max_n, self.step, self.distinct, self.width)
+            below = next(islice(tables, t, None))
+            self._belows[t] = [row >> l * self.width for l, row in enumerate(below)]
+        if l >= len(below := self._belows[t]):
+            return 0
+        above, fit = self.full[j] if j is not None else self._above(k), self.fits[low]
+        return ((above & fit) * (below[l] & fit) & fit) << low * self.width
+
+    def _above(self, k: int) -> int:
+        """Slot x: the rows above a cell with part k, of any number, of weight x."""
+        if k not in self._aboves:
+            size = k + self.gap
+            rows = enumerate(self.full[: self.max_n // size + 1])
+            self._aboves[k] = sum((row & self.fits[j * size]) << j * size * self.width
+                                  for j, row in rows)
+        return self._aboves[k]
+
+    def _rest(self, m: int, counts: int) -> int:
+        """``counts`` times the partitions into the family's parts < m."""
+        return counts and counts * self.rests[-(-(m - 1) // self.step)] & self.fits[0]
+
+    def by_part(self, m: int, k: int, h: int) -> int:
+        # j >= 0 from l = first on, and each later l adds a row below and one above: > k.
+        ls = range(first := max(0, h - k + m), first + self.max_n // (k + 1) + 1)
+        return self._rest(m, sum(self._cell(m, k, l, k - m + l - h) for l in ls))
+
+    def by_hook(self, m: int, hook: int, h: int) -> int:
+        # The cell's part and the j rows above weigh at least k * (j + 1).
+        j = hook - h - 1
+        ls = range(max(0, hook + m - 1 - self.max_n // max(1, j + 1)), hook)
+        return self._rest(m, sum(self._cell(m, hook + m - 1 - l, l, j) for l in ls))
+
+    def hooks_col(self, m: int, hook: int) -> int:
+        return self._rest(m, sum(self._cell(m, hook + m - 1 - l, l, None) for l in range(hook)))
+
+    def hooks_total(self, hook: int) -> int:
+        return sum(self.hooks_col(m, hook) for m in range(1, self.max_n + 1))
 
 
 class CountTable(Mapping):
@@ -347,33 +379,32 @@ class CountTable(Mapping):
     entries are its nonzero counts.
 
     Each key holds one packed row, the counts of every n in slots of
-    ``width`` bits, and every read unpacks it.
+    ``width`` bits, computed by ``count(*key)`` on first read and cached;
+    every read unpacks it.  Every key outside the product of the ranges
+    ``keys`` has a zero row, so iteration runs over that product.
     """
 
-    __slots__ = ("_packed", "_max_n", "_width")
+    __slots__ = ("_count", "_keys", "_packed", "_max_n", "_width")
 
-    def __init__(self, packed: Mapping[tuple, int], max_n: int, width: int):
-        self._packed = dict(packed)
-        self._max_n = max_n
-        self._width = width
+    def __init__(self, count: Callable[..., int], keys: tuple[range, ...], max_n: int, width: int):
+        self._count, self._keys, self._max_n, self._width = count, keys, max_n, width
+        self._packed: dict[tuple, int] = {}
 
     def row(self, key: tuple) -> list[int]:
         """The counts at ``key`` of n = 0 .. max_n."""
-        return list(_unpack(self._packed.get(key, 0), self._width, self._max_n + 1))
+        if key not in self._packed:
+            self._packed[key] = self._count(*key)
+        return _unpack(self._packed[key], self._width, self._max_n + 1)
 
     def __getitem__(self, entry: tuple) -> int:
         n, key = entry[0], entry[1:]
-        if key in self._packed and 0 <= n <= self._max_n:
-            count = self.row(key)[n]
-            if count:
-                return count
+        if 0 <= n <= self._max_n and (count := self.row(key)[n]):
+            return count
         raise KeyError(entry)
 
     def __iter__(self) -> Iterator[tuple]:
-        for key in self._packed:
-            for n, count in enumerate(self.row(key)):
-                if count:
-                    yield (n, *key)
+        for key in product(*self._keys):
+            yield from ((n, *key) for n, count in enumerate(self.row(key)) if count)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -384,65 +415,34 @@ class HookTally:
     """Hook statistics over the partitions of every n <= max_n in a family.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and
-    fixedness h = hook - i, for columns m <= max_m; ``by_hook`` keys on the
-    hook size instead.  ``hooks_col[(n, m, k)]`` counts hooks of size k in
-    column m <= max_m, and ``hooks_total[(n, k)]`` in all columns.  The
-    tally is cached and shared, so each table is a read-only
+    fixedness h = hook - i; ``by_hook`` keys on the hook size instead.
+    ``hooks_col[(n, m, k)]`` counts hooks of size k in column m, and
+    ``hooks_total[(n, k)]`` in all columns.  Each table is a read-only
     :class:`CountTable`, whose ``row(key)`` gives the counts at ``key`` (the
     entry key less n) of every n <= max_n as one list.
-
-    The cells are counted by decomposition (:func:`_cells`), never by
-    listing partitions: for each key (m, c, i, part), with c the length of
-    column m, one packed row gives the number of partitions of each n that
-    have such a cell.  That key fixes the hook part - m + c - i + 1, so all
-    four tables are sums of those rows over the keys of every column
-    m <= max_n.
     """
 
     max_n: int
     family: Family
-    max_m: int
     by_part: CountTable
     by_hook: CountTable
     hooks_col: CountTable
     hooks_total: CountTable
 
 
-def _tables(
-    max_n: int, family: Family, max_m: int, columns: Sequence[int]
-) -> tuple[CountTable, CountTable, CountTable, CountTable]:
-    """``by_part``, ``by_hook``, ``hooks_col`` and ``hooks_total`` of
-    :class:`HookTally`, with ``hooks_total`` summed over ``columns`` only."""
-    # A partition of n has n cells, so no count reaches max_n * p(max_n).
-    width = _slot_width(max_n * partition_count(max_n))
-    by_part, by_hook = defaultdict(int), defaultdict(int)
-    hooks_col, hooks_total = defaultdict(int), defaultdict(int)
-    for m, c, i, part, counts in _cells(max_n, family, columns, width):
-        hook = part - m + c - i + 1
-        if m > max_m:
-            hooks_total[(hook,)] += counts
-        else:
-            by_part[(m, part, hook - i)] += counts
-            by_hook[(m, hook, hook - i)] += counts
-    for (m, hook, _), counts in by_hook.items():
-        hooks_col[(m, hook)] += counts
-        hooks_total[(hook,)] += counts
-    tables = (by_part, by_hook, hooks_col, hooks_total)
-    return tuple(CountTable(table, max_n, width) for table in tables)
-
-
 @lru_cache(maxsize=None)
-def hook_tally(max_n: int, family: Family = Family.ALL, max_m: int = 6) -> HookTally:
-    """The tally of every n <= max_n, cached and shared by every caller.
+def hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
+    """The tally of every n <= max_n, cached and shared by every caller; a
+    case pays only for the rows it reads.
 
-    Every table is summed from packed rows, so a case reads all its counts
-    as one ``row``.
-
-    Raises ValueError when max_m < 1 or max_n < 0.
+    Raises ValueError when max_n < 0 or the family is unknown.
     """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    return HookTally(max_n, family, max_m, *_tables(max_n, family, max_m, range(1, max_n + 1)))
+    census = _Census(max_n, family)
+    sizes, hs = range(1, max_n + 1), range(-max_n, max_n)
+    counts = (census.by_part, census.by_hook, census.hooks_col, census.hooks_total)
+    keys = ((sizes, sizes, hs), (sizes, sizes, hs), (sizes, sizes), (sizes,))
+    tables = (CountTable(*table, max_n, census.width) for table in zip(counts, keys))
+    return HookTally(max_n, Family(family), *tables)
 
 
 def _require_query(m: int, k: int | None, by: str) -> None:
@@ -465,10 +465,10 @@ def count_fixed_hooks(
     h-fixed hook, this is the number of :func:`fixed_hook_witnesses`.
     """
     _require_query(m, k, by)
-    by_part, by_hook, _, _ = _tables(n, family, m, (m,))
-    table = by_hook if by == "hook" else by_part
+    census = _Census(n, family)  # n is its top slot
+    row = census.by_hook if by == "hook" else census.by_part
     sizes = range(1, n + 1) if k is None else (k,)
-    return sum(table.get((n, m, size, h), 0) for size in sizes)
+    return sum(row(m, size, h) >> n * census.width for size in sizes)
 
 
 def count_hooks_of_size(
@@ -480,10 +480,11 @@ def count_hooks_of_size(
     cells in every column.
     """
     require_hook_size(k)
-    if m is None:
-        return _tables(n, family, 0, range(1, n + 1))[3].get((n, k), 0)
-    require_column(m)
-    return _tables(n, family, m, (m,))[2].get((n, m, k), 0)
+    if m is not None:
+        require_column(m)
+    census = _Census(n, family)  # n is its top slot
+    row = census.hooks_total(k) if m is None else census.hooks_col(m, k)
+    return row >> n * census.width
 
 
 def fixed_hook_witnesses(

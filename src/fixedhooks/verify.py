@@ -6,10 +6,9 @@ fixed grid; each case produces one :class:`VerifyReport`.  What the verifier
 knows of a theorem sits in its row of :data:`THEOREMS`; every case then runs
 through :func:`_sides`, :func:`_first_mismatch` and :func:`_verdict`.  The
 hook oracles read a cached :func:`~fixedhooks.oracles.hook_tally`, which
-counts by cell decomposition without listing partitions, which the
-default grid computes once per family and whose tables give a case its
-counts as one row; the T11, T12 and T13 companion oracles give each case
-one row of counts up to its order.  :func:`_first_mismatch` compares that
+counts by cell decomposition without listing partitions and computes each
+row of counts the first time a case reads it; the T11, T12 and T13
+companion oracles give each case one row of counts up to its order.  :func:`_first_mismatch` compares that
 row with the series' coefficient list.
 """
 
@@ -143,7 +142,7 @@ def _count(case: IdentityCase, table: str, *key) -> list[int]:
     """The entries (n, *key) of ``table`` in the tally of the case's family,
     for n below the case's order, read as one row.  One tally per family
     covers every order up to the default grid's."""
-    tally = hook_tally(max(case.order, DEFAULT_ORDER) - 1, case.family, max(6, case.m or 1))
+    tally = hook_tally(max(case.order, DEFAULT_ORDER) - 1, case.family)
     return getattr(tally, table).row(key)[: case.order]
 
 

@@ -271,7 +271,7 @@ def test_counts_reject_hook_size_below_one(call):
 
 def test_tally_matches_single_call_oracles():
     for family in Family:
-        tally = hook_tally(12, family, 4)
+        tally = hook_tally(12, family)
         for n in range(13):
             for m in (1, 2, 3):
                 for k in range(m, 7):
@@ -299,7 +299,8 @@ def test_tally_is_read_only():
         tally.by_part[(5, 1, 5, 0)] = 1
 
 
-def _reference_tally(max_n, family, max_m):
+@lru_cache(maxsize=None)
+def _reference_tally(max_n, family):
     """The tally by enumeration, the ground truth of the decomposition: every
     cell of every partition, one Counter increment per table per cell."""
     by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
@@ -309,13 +310,21 @@ def _reference_tally(max_n, family, max_m):
             for i, part in enumerate(parts, start=1):
                 for m in range(1, part + 1):
                     hook = part + conj[m - 1] - i - m + 1
+                    h = hook - i
                     hooks_total[(n, hook)] += 1
-                    if m <= max_m:
-                        h = hook - i
-                        by_part[(n, m, part, h)] += 1
-                        by_hook[(n, m, hook, h)] += 1
-                        hooks_col[(n, m, hook)] += 1
+                    by_part[(n, m, part, h)] += 1
+                    by_hook[(n, m, hook, h)] += 1
+                    hooks_col[(n, m, hook)] += 1
     return by_part, by_hook, hooks_col, hooks_total
+
+
+def _tables(tally):
+    return tally.by_part, tally.by_hook, tally.hooks_col, tally.hooks_total
+
+
+def _assert_rows_match(table, ref, keys, max_n):
+    for key in keys:
+        assert table.row(key) == [ref[(n, *key)] for n in range(max_n + 1)], key
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -325,20 +334,74 @@ def _reference_tally(max_n, family, max_m):
     ids=["1", "2", "6", "25", "n29-6"],
 )
 def test_tally_equals_per_cell_reference(family, max_n, max_m):
+    # Reading every row of the columns m <= max_m, and of hooks_total, from
+    # a fresh tally matches the reference and computes those rows alone.
     # max_m = 25 leaves no cell right of column max_m for n <= 20; n <= 29
     # with max_m = 6 is the range verify --all reads.
-    tally = hook_tally(max_n, family, max_m)
-    want = _reference_tally(max_n, family, max_m)
-    got = (tally.by_part, tally.by_hook, tally.hooks_col, tally.hooks_total)
-    for table, ref in zip(got, want):
+    tally = hook_tally.__wrapped__(max_n, family)
+    for table, ref in zip(_tables(tally), _reference_tally(max_n, family)):
+        keys = {entry[1:] for entry in ref if len(entry) == 2 or entry[1] <= max_m}
+        _assert_rows_match(table, ref, keys, max_n)
+        assert set(table._packed) == keys
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_equals_per_cell_reference_in_every_column(family):
+    # Every key that enumeration produces at n <= 29, in every column, and
+    # zero rows at keys it never produces: a column m < 1, k < m, h >= hook,
+    # and a part or hook above max_n.
+    max_n = 29
+    tally = hook_tally(max_n, family)
+    refs = _reference_tally(max_n, family)
+    for table, ref in zip(_tables(tally), refs):
+        _assert_rows_match(table, ref, {entry[1:] for entry in ref}, max_n)
+    cells = [(m, k, h) for m in (-1, 0, 1, 2, 3, 7) for k in range(1, 33) for h in (-2, 0, 1, 5)]
+    never = [
+        [(m, k, h) for m, k, h in cells if m < 1 or k < m or k > max_n],
+        [(m, k, h) for m, k, h in cells if m < 1 or h >= k or k > max_n],
+        [(m, k) for m in (-1, 0, 1, 2, 30) for k in (1, 3, 30, 31, 40) if m < 1 or k > max_n],
+        [(30,), (31,), (40,)],
+    ]
+    for table, keys, ref in zip(_tables(tally), never, refs):
+        assert all((n, *key) not in ref for key in keys for n in range(max_n + 1))
+        _assert_rows_match(table, ref, keys, max_n)
+    for table, ref in zip(_tables(tally)[2:], refs[2:]):
         assert dict(table) == dict(ref)
 
 
-def test_tally_rejects_max_m_below_one():
+def test_reading_one_row_computes_only_that_row():
+    tally = hook_tally.__wrapped__(29, Family.ALL)
+    assert tally.by_hook.row((2, 4, 1)) == tally.by_hook.row((2, 4, 1))
+    assert tally.hooks_total.get((20, 3), 0) > 0
+    cached = {name: list(table._packed) for name, table in zip("pbct", _tables(tally))}
+    assert cached == {"p": [], "b": [(2, 4, 1)], "c": [], "t": [(3,)]}
+
+
+def test_tally_rejects_negative_n_and_unknown_family():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        hook_tally(-1)
     with pytest.raises(ValueError):
-        hook_tally(5, max_m=0)
-    with pytest.raises(ValueError):
-        hook_tally(5, max_m=-2)
+        hook_tally(5, "even")
+
+
+def test_census_cells_at_n29():
+    # The cells of every partition of n <= 29 in the four families, the
+    # count a traced benchmark run reports for the census.
+    assert sum(sum(hook_tally(29, f).hooks_total.values()) for f in Family) == 667_734
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_unpack_round_trips_at_every_slot_width(width):
+    assert oracles._slot_width(2**width - 1) == width
+    assert oracles._slot_width(2**width) == {8: 16, 16: 32, 32: 64}.get(width, width + 64)
+    row = [0, 1, 2**width - 1, 5, 2 ** (width - 1), 0, 7]
+    packed = sum(count << n * width for n, count in enumerate(row))
+    assert oracles._unpack(packed, width, len(row)) == row
+    assert oracles._unpack(packed, width, len(row) + 3) == row + [0, 0, 0]
+    with pytest.raises(OverflowError):
+        oracles._unpack(packed, width, len(row) - 1)
+    with pytest.raises(OverflowError):
+        oracles._unpack(packed | 1 << (len(row) + 2) * width, width, len(row))
 
 
 def test_tally_hooks_of_size_k_are_k_times_parts_of_size_k():
@@ -365,9 +428,19 @@ def test_tally_hooks_of_size_k_by_partition_numbers_to_n80():
         assert sum(tally.hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
 
 
+def test_hooks_of_size_k_by_partition_numbers_at_n200():
+    # The same theorem at n = 200 through the single-count path, whose rows
+    # have 64-bit slots, again without listing a partition.
+    got = {k: count_hooks_of_size(200, k) for k in range(1, 7)}
+    assert got == {
+        k: k * sum(partition_count(200 - j * k) for j in range(1, 200 // k + 1)) for k in range(1, 7)
+    }
+    assert got[3] == 39341717399838
+
+
 @pytest.mark.parametrize("name", ["by_part", "by_hook", "hooks_col", "hooks_total"])
 def test_tally_tables_keep_the_mapping_contract(name):
-    tally = hook_tally(14, Family.ODD, 3)
+    tally = hook_tally(14, Family.ODD)
     table = getattr(tally, name)
     entries = dict(table)
     assert len(table) == len(entries) == len(list(table)) > 0
@@ -393,7 +466,7 @@ def test_tally_tables_keep_the_mapping_contract(name):
     with pytest.raises(TypeError):
         del table[entry]
     assert not hasattr(table, "update") and not hasattr(table, "pop")
-    assert hook_tally(14, Family.ODD, 3) is tally and dict(table) == entries
+    assert hook_tally(14, Family.ODD) is tally and dict(table) == entries
 
 
 def test_witnesses_are_ordered_and_unique():
