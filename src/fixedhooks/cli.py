@@ -1,5 +1,11 @@
 """Command-line front end: verify identities, print series, counts, tables.
 
+The argument parser states each input rule once: the flags each subcommand
+and each ``count`` oracle reads, which of them it requires, their types and
+their choices.  A ``verify --config`` file is read as the ``--flag=value``
+argv it stands for and parsed again ahead of the user's flags, so a flag
+overrides the file and every value passes its flag's own rules.
+
 Exit codes: 0 success (verify: every case passed or was skipped), 1 at least
 one identity mismatch and no error, 2 usage or configuration errors, 3 an
 internal error: a verify case that ended in ``error``, or any other uncaught
@@ -42,18 +48,13 @@ class UsageError(Exception):
 
 def parse_range(text: str) -> tuple[int, ...]:
     """'3' -> (3,); '1..4' -> (1, 2, 3, 4); '-3..2' inclusive on both ends."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise UsageError(f"bad range {text!r}") from None
-        return tuple(range(lo, hi + 1))
+    lo_s, dots, hi_s = text.strip().partition("..")
     try:
-        return (int(text),)
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
     except ValueError:
-        raise UsageError(f"bad integer or range {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad integer or range {text!r}") from None
+    return tuple(range(lo, hi + 1))
 
 
 def _nonnegative(name: str):
@@ -73,24 +74,6 @@ def _nonnegative(name: str):
 
 order_arg = _nonnegative("order")  # a truncation order
 weight_arg = _nonnegative("n")  # a partition weight
-
-
-def read_config(path: str) -> dict[str, str]:
-    """Simple key = value lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line {raw.rstrip()!r} in {path}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    return values
 
 
 def render_colored(first: Partition, second: Partition) -> str:
@@ -131,60 +114,58 @@ def _write(text: str, out: str | None):
 CONFIG_KEYS = ("thms", "m", "k", "h", "order", "family", "variant", "format")
 
 
+def read_config(path: str) -> list[str]:
+    """The ``--flag=value`` argv of a verify --config file: ``key = value``
+    lines, one of CONFIG_KEYS each; '#' starts a comment."""
+    argv = []
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not eq:
+                    raise UsageError(f"bad config line {raw.rstrip()!r} in {path}")
+                if key not in CONFIG_KEYS:
+                    raise UsageError(f"unknown config key {key!r} in {path}; "
+                                     f"choose from {', '.join(CONFIG_KEYS)}")
+                argv.append(f"--{'thm' if key == 'thms' else key}={value}")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from None
+    return argv
+
+
 def cmd_verify(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise UsageError(f"unknown config key(s) {', '.join(unknown)} in {args.config}; "
-                         f"choose from {', '.join(CONFIG_KEYS)}")
-
-    def setting(name, flag_value):
-        return flag_value if flag_value is not None else cfg.get(name)
-
     theorems = None
-    thm_arg = setting("thms", args.thm)
-    if thm_arg and thm_arg != "all":
+    if args.thm not in (None, "all"):
         if args.all:
-            raise UsageError(f"--all runs every theorem; it cannot be combined with {thm_arg!r}")
-        theorems = tuple(resolve_theorem(t) for t in str(thm_arg).split(","))
+            raise UsageError(f"--all runs every theorem; it cannot be combined with {args.thm!r}")
+        theorems = tuple(resolve_theorem(t) for t in args.thm.split(","))
     families = None
-    fam_arg = setting("family", args.family)
-    if fam_arg:
-        families = tuple(Family(f) for f in str(fam_arg).split(","))
-    variant = setting("variant", args.variant)
-    if variant not in (None, "stated", "derived", "both"):
-        raise UsageError(f"unknown variant {variant!r} in {args.config}")
-    if variant == "both":
-        variant = None
-    order = setting("order", args.order)
-    fmt = setting("format", args.format) or "text"
+    if args.family is not None:
+        families = tuple(Family(f) for f in args.family.split(","))
 
     spec = GridSpec(
         theorems=theorems,
-        order=DEFAULT_ORDER if order is None else order_arg(str(order)),
-        m_values=parse_range(str(setting("m", args.m))) if setting("m", args.m) is not None else None,
-        k_values=parse_range(str(setting("k", args.k))) if setting("k", args.k) is not None else None,
-        h_values=parse_range(str(setting("h", args.h))) if setting("h", args.h) is not None else None,
+        order=args.order,
+        m_values=args.m,
+        k_values=args.k,
+        h_values=args.h,
         families=families,
-        variant=variant,
+        variant=None if args.variant == "both" else args.variant,
     )
     cases = build_grid(spec)
     if not cases:
         raise UsageError("grid is empty: no theorem matches the given filters")
     reports = run_cases(cases)
     notes = variant_notes(reports)
-    if fmt == "text":
+    if args.format == "text":
         _write(render_text(reports, notes), args.out)
-    elif fmt == "csv":
-        _write(render_csv(reports), args.out)
-        for note in notes:
-            print(note, file=sys.stderr)
-    elif fmt == "json":
-        _write(render_jsonl(reports), args.out)
-        for note in notes:
-            print(note, file=sys.stderr)
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        _write((render_csv if args.format == "csv" else render_jsonl)(reports), args.out)
+        for note in notes:
+            print(note, file=sys.stderr)
     statuses = {r.status for r in reports}
     return 3 if "error" in statuses else 1 if "fail" in statuses else 0
 
@@ -211,8 +192,6 @@ def _coefficient_rows(theorem, params: dict, series, order: int) -> list[dict]:
 
 
 def cmd_series(args) -> int:
-    if args.thm is None:
-        raise UsageError("series requires --thm")
     theorem = resolve_theorem(args.thm)
     params = {"m": args.m, "k": args.k, "h": args.h}
     series = build_series(theorem, args.order, variant=args.variant, **params)
@@ -221,10 +200,8 @@ def cmd_series(args) -> int:
         text = "".join(f"{r['n']}\t{r['coefficient']}\n" for r in rows)
     elif args.format == "csv":
         text = "n,coefficient\n" + "".join(f"{r['n']},{r['coefficient']}\n" for r in rows)
-    elif args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
     else:
-        raise UsageError(f"unknown format {args.format!r}")
+        text = json.dumps(rows, indent=2) + "\n"
     _write(text, args.out)
     return 0
 
@@ -234,50 +211,30 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The optional flags each oracle reads (--n is required by all of them); a
-# flag outside an oracle's row is a usage error, never silently ignored.
+# The flags each oracle reads besides --n, --format and --out: those it
+# requires, then those it may take.  A tuple among the required flags asks
+# for exactly one of them.  The parser rejects every other flag.
 _COUNT_FLAGS = {
-    "fixed-by-part": ("m", "k", "h", "family", "sum_k", "list"),
-    "fixed-by-hook": ("m", "k", "h", "family", "sum_k", "list"),
-    "hooks": ("m", "k", "family"),
-    "colored-t11": ("m", "list"),
-    "restricted-t12": ("m", "h"),
-    "colored-t13": ("m", "k", "h", "variant"),
+    "fixed-by-part": (("m", ("k", "sum_k"), "h"), ("family", "list")),
+    "fixed-by-hook": (("m", ("k", "sum_k"), "h"), ("family", "list")),
+    "hooks": (("k",), ("m", "family")),
+    "colored-t11": (("m",), ("list",)),
+    "restricted-t12": (("m", "h"), ()),
+    "colored-t13": (("m", "k"), ("h", "variant")),
 }
-_ORACLES = tuple(_COUNT_FLAGS)
-_OPTIONAL_COUNT_FLAGS = ("m", "k", "h", "family", "sum_k", "list", "variant")
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"count {args.oracle} requires --{name}")
 
 
 def cmd_count(args) -> int:
-    if args.oracle not in _COUNT_FLAGS:
-        raise UsageError(f"unknown oracle {args.oracle!r}; choose from {', '.join(_ORACLES)}")
-    for name in _OPTIONAL_COUNT_FLAGS:
-        value = getattr(args, name)
-        if value is not None and value is not False and name not in _COUNT_FLAGS[args.oracle]:
-            raise UsageError(f"count {args.oracle} does not take --{name.replace('_', '-')}")
-    if args.sum_k and args.k is not None:
-        raise UsageError("--sum-k sums over every k; drop --k")
-    fam = Family(args.family) if args.family else Family.ALL
+    fam = Family(args.family)
     witnesses: list[str] | None = None
     if args.oracle in ("fixed-by-part", "fixed-by-hook"):
-        _require(args, "n", "m", "h")
-        if not args.sum_k:
-            _require(args, "k")
         query = (args.n, args.m, args.h, args.k, fam, args.oracle.removeprefix("fixed-by-"))
         value = count_fixed_hooks(*query)
         if args.list:
             witnesses = [str(p) for p in fixed_hook_witnesses(*query)]
     elif args.oracle == "hooks":
-        _require(args, "n", "k")
         value = count_hooks_of_size(args.n, args.k, args.m, fam)
     elif args.oracle == "colored-t11":
-        _require(args, "n", "m")
         value = count_colored_thm11(args.n, args.m)
         if args.list:
             witnesses = [
@@ -285,13 +242,9 @@ def cmd_count(args) -> int:
                 for first, second, _ in colored_t11_witnesses(args.n, args.m)
             ]
     elif args.oracle == "restricted-t12":
-        _require(args, "n", "m", "h")
         value = count_restricted_thm12(args.n, args.m, args.h)
     else:  # colored-t13
-        _require(args, "n", "m", "k")
-        value = count_colored_thm13(
-            args.n, args.m, args.k, args.h or 0, variant=args.variant or "stated"
-        )
+        value = count_colored_thm13(args.n, args.m, args.k, args.h or 0, variant=args.variant)
 
     if args.format == "json":
         payload = {
@@ -326,8 +279,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.thm is None:
-        raise UsageError("table requires --thm")
     theorem = resolve_theorem(args.thm)
     params = CATALOG[theorem].params
     if CATALOG[theorem].build is None:
@@ -335,12 +286,12 @@ def cmd_table(args) -> int:
 
     ranges: dict[str, tuple[int, ...]] = {}
     for name in ("m", "k", "h"):
-        raw = getattr(args, name)
-        if raw is None:
+        values = getattr(args, name)
+        if values is None:
             continue
         if name not in params:
             raise UsageError(f"{theorem.value} does not take --{name}")
-        ranges[name] = parse_range(raw)
+        ranges[name] = values
     for name in params:
         if name not in ranges:
             raise UsageError(f"{theorem.value} requires --{name}")
@@ -372,11 +323,8 @@ def cmd_table(args) -> int:
                 row = [str(n)] + [str(s.coefficient(n)) for _, _, s in columns]
                 lines.append(",".join(row))
         if args.format == "text":
-            text = "\n".join(line.replace(",", "\t") for line in lines) + "\n"
-        elif args.format == "csv":
-            text = "\n".join(lines) + "\n"
-        else:
-            raise UsageError(f"unknown format {args.format!r}")
+            lines = [line.replace(",", "\t") for line in lines]
+        text = "\n".join(lines) + "\n"
     _write(text, args.out)
     return 0
 
@@ -386,24 +334,39 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, default_format="text", variants=("stated", "derived")):
-    """The flags every subcommand reads."""
-    sub.add_argument("--m", help="column index (integer or a..b range where allowed)")
-    sub.add_argument("--k", help="part or hook size (integer or range)")
-    sub.add_argument("--h", help="fixedness offset (integer or range)")
-    sub.add_argument("--format", default=default_format, choices=("text", "csv", "json"))
+_PARAMS = {"m": "column index", "k": "part or hook size", "h": "fixedness offset"}
+
+# The add_argument keywords of each count flag in _COUNT_FLAGS.
+_COUNT_ARGS = {
+    **{name: {"type": int, "help": what} for name, what in _PARAMS.items()},
+    "family": {"choices": [f.value for f in Family], "help": "partition family"},
+    "sum_k": {"action": "store_true", "help": "sum the count over all sizes k"},
+    "list": {"action": "store_true", "help": "print the witnessing objects"},
+    "variant": {"choices": ("stated", "derived"), "default": "stated",
+                "help": "the closed-form variant to count"},
+}
+
+
+def _add_output(sub):
+    sub.add_argument("--format", default="text", choices=("text", "csv", "json"))
     sub.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_series_flags(sub, param_type, default_order, variants=("stated", "derived")):
+    """The flags verify, series and table share; --m/--k/--h of ``param_type``."""
+    sub.add_argument("-N", "--order", type=order_arg, default=default_order,
+                     help="truncation order: coefficients are reported for exponents below N")
+    for name, what in _PARAMS.items():
+        if param_type is parse_range:
+            what += " (integer or a..b range)"
+        sub.add_argument(f"--{name}", type=param_type, help=what)
+    _add_output(sub)
     sub.add_argument("--variant", choices=variants,
                      help="pin a closed-form variant where a theorem has two")
 
 
-def _add_order(sub, default):
-    sub.add_argument("-N", "--order", type=order_arg, default=default,
-                     help="truncation order: coefficients are reported for exponents below N")
-
-
-def _add_family(sub):
-    sub.add_argument("--family", help="partition family filter: all,odd,distinct,odd-distinct")
+def _add_count_flag(sub, name, **extra):
+    sub.add_argument("--" + name.replace("_", "-"), **_COUNT_ARGS[name], **extra)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -414,62 +377,58 @@ def make_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    # verify's --order and --format have no argparse default, so that a
-    # --config file can set them; cmd_verify falls back to 30 and text.
     p = subs.add_parser("verify", help="run identity checks over a parameter grid")
-    p.add_argument("--thm", help="comma-separated theorem tags (default: full grid)")
+    p.add_argument("--thm", help="comma-separated theorem tags, or all (the default)")
     p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
-    _add_order(p, None)
     # "both" adjudicates the two variants case by case, so only verify offers it.
-    _add_common(p, default_format=None, variants=("stated", "derived", "both"))
-    _add_family(p)
-    p.add_argument("--config", help="key = value file overriding the grid defaults")
+    _add_series_flags(p, parse_range, DEFAULT_ORDER, ("stated", "derived", "both"))
+    p.add_argument("--family", help="comma-separated partition families: "
+                   + ",".join(f.value for f in Family))
+    p.add_argument("--config", help="key = value file of grid settings; flags override it")
     p.set_defaults(fn=cmd_verify)
 
     p = subs.add_parser("series", help="print coefficients of one builder")
-    p.add_argument("--thm", help="theorem tag")
-    _add_order(p, 30)
-    _add_common(p)
-    p.set_defaults(fn=cmd_series, _scalar_params=True)
+    p.add_argument("--thm", required=True, help="theorem tag")
+    _add_series_flags(p, int, 30)
+    p.set_defaults(fn=cmd_series)
 
     p = subs.add_parser("count", help="evaluate a counting oracle")
-    p.add_argument("oracle", help="one of: " + ", ".join(_ORACLES))
-    p.add_argument("--n", type=weight_arg, help="partition weight")
-    p.add_argument("--sum-k", action="store_true", help="sum the count over all sizes k")
-    p.add_argument("--list", action="store_true", help="print the witnessing objects")
-    _add_common(p)
-    _add_family(p)
-    p.set_defaults(fn=cmd_count, _scalar_params=True)
+    oracles = p.add_subparsers(dest="oracle", required=True)
+    for oracle, (required, optional) in _COUNT_FLAGS.items():
+        # Without abbreviations, so that --h where an oracle has none is not --help.
+        o = oracles.add_parser(oracle, allow_abbrev=False)
+        # The report names m, k, h and the family whether or not the oracle reads them.
+        o.set_defaults(fn=cmd_count, m=None, k=None, h=None, family="all")
+        o.add_argument("--n", type=weight_arg, required=True, help="partition weight")
+        for name in required:
+            if isinstance(name, tuple):
+                group = o.add_mutually_exclusive_group(required=True)
+                for one in name:
+                    _add_count_flag(group, one)
+            else:
+                _add_count_flag(o, name, required=True)
+        for name in optional:
+            _add_count_flag(o, name)
+        _add_output(o)
 
     p = subs.add_parser("table", help="coefficient table over one varying parameter")
-    p.add_argument("--thm", help="theorem tag")
-    _add_order(p, 30)
-    _add_common(p)
+    p.add_argument("--thm", required=True, help="theorem tag")
+    _add_series_flags(p, parse_range, 30)
     p.set_defaults(fn=cmd_table)
 
     return parser
 
 
-def _coerce_scalars(args):
-    """series and count take plain integers for --m/--k/--h."""
-    for name in ("m", "k", "h"):
-        raw = getattr(args, name, None)
-        if raw is None:
-            continue
-        values = parse_range(raw)
-        if len(values) != 1:
-            raise UsageError(f"--{name} must be a single integer here, got {raw!r}")
-        setattr(args, name, values[0])
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "_scalar_params", False):
-            _coerce_scalars(args)
+        if getattr(args, "config", None) is not None:
+            # The file's flags go first, so the user's own flags override them.
+            args = parser.parse_args(argv[:1] + read_config(args.config) + argv[1:])
         return args.fn(args)
-    except (UsageError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

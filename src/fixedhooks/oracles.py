@@ -306,8 +306,8 @@ class _Census:
             raise ValueError("n must be non-negative")
         family = Family(family)
         self.max_n = max_n
-        self.step = step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
-        self.distinct = distinct = family in (Family.DISTINCT, Family.ODD_DISTINCT)
+        self.step = step = family.step
+        self.distinct = distinct = family.distinct
         self.gap = step if distinct else 0  # the rows above are parts >= k + gap
         # A partition of n has n cells, so no count reaches max_n * p(max_n).
         self.width = width = _slot_width(max_n * partition_count(max_n))

@@ -23,7 +23,18 @@ class Family(str, Enum):
     DISTINCT = "distinct"
     ODD_DISTINCT = "odd-distinct"
 
+    @property
+    def step(self) -> int:
+        """The distance between admissible part sizes: 2 in the odd families."""
+        return 2 if self in (Family.ODD, Family.ODD_DISTINCT) else 1
+
+    @property
+    def distinct(self) -> bool:
+        """Whether the family's parts are strictly decreasing."""
+        return self in (Family.DISTINCT, Family.ODD_DISTINCT)
+
     def admits(self, parts: tuple[int, ...]) -> bool:
+        """The rule again, apart from step and distinct: the tests' reference."""
         if self in (Family.ODD, Family.ODD_DISTINCT):
             if any(p % 2 == 0 for p in parts):
                 return False
@@ -160,8 +171,8 @@ def enumerate_parts(
     family = Family(family)
     # Odd parts step by 2 from an odd cap; distinct parts leave a gap of one
     # step below each part.
-    step = 2 if family in (Family.ODD, Family.ODD_DISTINCT) else 1
-    gap = step if family in (Family.DISTINCT, Family.ODD_DISTINCT) else 0
+    step = family.step
+    gap = step if family.distinct else 0
     cap = n if max_part is None else min(n, max_part)
     yield from _gen_parts(n, cap - (cap + 1) % step, step, gap)
 

@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 import fixedhooks
-from fixedhooks.cli import main, parse_range, read_config, render_colored
+from fixedhooks.cli import (
+    _COUNT_ARGS,
+    _COUNT_FLAGS,
+    CONFIG_KEYS,
+    main,
+    parse_range,
+    read_config,
+    render_colored,
+)
 from fixedhooks.partitions import Partition
 
 
@@ -15,6 +23,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_exit(*argv):
+    """The exit code of the CLI, including argparse's own usage errors."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_parse_range():
@@ -95,8 +111,10 @@ def test_verify_config_file(tmp_path, capsys):
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
-    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-    assert code == 2
+    # An unknown key is a UsageError; a bad value fails its flag's own type
+    # or choices when the parser reads the file's flags.
+    assert run_cli_exit("verify", "--config", str(cfg)) == 2
+    out, err = capsys.readouterr()
     assert out == "" and "error:" in err
 
 
@@ -136,14 +154,6 @@ def test_verify_without_config_runs_at_order_30(capsys):
     assert "T14_HooksOfSizeK m=1 k=2 N=30" in out
 
 
-def run_cli_exit(*argv):
-    """The exit code of the CLI, including argparse's own usage errors."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv", [
     ("verify", "--thm", "T11", "--m", "1", "--order", "-5"),
     ("series", "--thm", "T11", "--m", "1", "--order", "-3"),
@@ -181,7 +191,9 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
 def test_variant_both_outside_verify_is_usage_error(capsys, argv):
     assert run_cli_exit(*argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "invalid choice: 'both'" in err
+    # colored-t11 reads no variant at all, so its parser has no --variant.
+    assert out == "" and ("invalid choice: 'both'" in err
+                          or "unrecognized arguments: --variant both" in err)
 
 
 def test_verify_adjudicates_variant_both(capsys):
@@ -301,29 +313,144 @@ def test_python_dash_m_runs_cli():
 
 
 def test_count_unknown_oracle(capsys):
-    code, _, err = run_cli(capsys, "count", "nonsense", "--n", "3")
-    assert code == 2
-    assert "unknown oracle" in err
+    assert run_cli_exit("count", "nonsense", "--n", "3") == 2
+    _, err = capsys.readouterr()
+    assert "invalid choice: 'nonsense'" in err
+
+
+# One value for each count flag; a flag without a value is a switch.
+_COUNT_VALUES = {"m": "2", "k": "3", "h": "0", "family": "odd", "sum_k": None, "list": None,
+                 "variant": "derived"}
+
+
+def _count_argv(oracle, *names):
+    argv = ["count", oracle, "--n", "6"]
+    for name in names:
+        argv.append("--" + name.replace("_", "-"))
+        if _COUNT_VALUES[name] is not None:
+            argv.append(_COUNT_VALUES[name])
+    return argv
+
+
+def _needed(oracle):
+    """One flag for each required entry of the oracle's row: --k of --k/--sum-k."""
+    return [name if isinstance(name, str) else name[0] for name in _COUNT_FLAGS[oracle][0]]
+
+
+def _reads(oracle):
+    """Every flag of the oracle's row, both flags of a choice among them."""
+    required, optional = _COUNT_FLAGS[oracle]
+    return {one for name in required + optional
+            for one in ((name,) if isinstance(name, str) else name)}
+
+
+def test_count_flag_values_cover_the_table(capsys):
+    assert set(_COUNT_VALUES) == set(_COUNT_ARGS)
+    for oracle in _COUNT_FLAGS:
+        assert _reads(oracle) <= set(_COUNT_ARGS)
+        assert run_cli_exit(*_count_argv(oracle, *_needed(oracle))) == 0
 
 
 @pytest.mark.parametrize("argv", [
-    ("colored-t11", "--n", "10", "--m", "3", "--family", "odd", "--format", "json"),
-    ("restricted-t12", "--n", "10", "--m", "2", "--h", "0", "--family", "odd"),
-    ("colored-t13", "--n", "10", "--m", "1", "--k", "2", "--family", "distinct"),
-    ("colored-t11", "--n", "10", "--m", "3", "--k", "4"),
-    ("restricted-t12", "--n", "10", "--m", "2", "--h", "0", "--k", "4"),
-    ("colored-t11", "--n", "10", "--m", "3", "--h", "0"),
+    _count_argv(oracle, *_needed(oracle), name)
+    for oracle in _COUNT_FLAGS
+    for name in _COUNT_VALUES
+    if name not in _reads(oracle)
 ])
 def test_count_rejects_flags_the_oracle_does_not_read(capsys, argv):
-    code, out, err = run_cli(capsys, "count", *argv)
-    assert code == 2
-    assert out == "" and "does not take --" in err
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize("oracle, dropped", [
+    (oracle, name) for oracle in _COUNT_FLAGS for name in _needed(oracle)
+])
+def test_count_requires_each_flag_its_row_requires(capsys, oracle, dropped):
+    argv = _count_argv(oracle, *(name for name in _needed(oracle) if name != dropped))
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "required" in err and f"--{dropped}" in err
+    assert run_cli_exit(*argv[:2], *argv[4:]) == 2  # and --n, which every oracle requires
+    assert "required: --n" in capsys.readouterr().err
 
 
 def test_count_rejects_k_with_sum_k(capsys):
-    code, out, err = run_cli(capsys, "count", "fixed-by-part", "--n", "6", "--m", "1",
-                             "--h", "0", "--k", "2", "--sum-k")
-    assert code == 2 and out == "" and "--sum-k" in err
+    argv = ("count", "fixed-by-part", "--n", "6", "--m", "1", "--h", "0", "--k", "2", "--sum-k")
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --sum-k: not allowed with argument --k" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--thm", "T14", "--m", "1", "--k", "3..3"),
+    ("count", "hooks", "--n", "5", "--k", "3..3"),
+])
+def test_series_and_count_take_plain_integers(capsys, argv):
+    assert run_cli_exit(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid int value: '3..3'" in err
+
+
+@pytest.mark.parametrize("command", [
+    (), ("verify",), ("series",), ("count",), ("table",),
+    *(("count", oracle) for oracle in _COUNT_FLAGS),
+])
+def test_help_exits_zero(capsys, command):
+    assert run_cli_exit(*command, "--help") == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: fixedhooks " + " ".join(command)) and err == ""
+
+
+# A verify run in which every config key changes the report.
+_SETTINGS = {"thms": "OddBySize,DistinctBySize", "m": "1..2", "k": "3", "h": "0",
+             "order": "8", "family": "odd", "variant": "stated", "format": "csv"}
+
+
+def _flags(settings):
+    return [arg for key, value in settings.items()
+            for arg in (f"--{'thm' if key == 'thms' else key}", value)]
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_config_line_gives_the_bytes_of_its_flag(tmp_path, capsys, key):
+    assert set(_SETTINGS) == set(CONFIG_KEYS)
+    others = {k: v for k, v in _SETTINGS.items() if k != key}
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"{key} = {_SETTINGS[key]}\n")
+    by_flag = run_cli(capsys, "verify", *_flags(_SETTINGS))
+    assert by_flag[1]
+    assert run_cli(capsys, "verify", "--config", str(cfg), *_flags(others)) == by_flag
+    assert run_cli(capsys, "verify", *_flags(others)) != by_flag
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("--thm", ""), None),
+    (("--family", ""), None),
+    ((), "thms =\n"),
+    ((), "family =\n"),
+    (("--config", ""), None),
+])
+def test_empty_theorem_family_or_config_is_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, "verify", "--m", "1", "--k", "2", "--h", "0",
+                             "--order", "5", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_thm_all_runs_every_theorem(tmp_path, capsys):
+    grid = ("verify", "--m", "1", "--k", "2", "--h", "0", "--order", "6")
+    every = run_cli(capsys, *grid)
+    assert every[0] == 0 and every[1].count("PASS") > 1
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("thms = all\n")
+    assert run_cli(capsys, *grid, "--thm", "all") == every
+    assert run_cli(capsys, *grid, "--config", str(cfg)) == every
+    assert run_cli(capsys, *grid, "--config", str(cfg), "--all") == every
 
 
 def test_count_json_format(capsys):
@@ -426,3 +553,9 @@ def test_series_rejects_hook_size_below_one(capsys, thm):
     assert code == 2
     assert out == ""
     assert "hook size k must be >= 1" in err
+
+
+def test_count_empty_family_is_usage_error(capsys):
+    # It used to count every partition and label the count "all".
+    assert run_cli_exit("count", "hooks", "--n", "5", "--k", "1", "--family", "") == 2
+    assert "invalid choice: ''" in capsys.readouterr().err

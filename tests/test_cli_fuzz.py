@@ -7,6 +7,7 @@ mismatch, 2 a usage error.  An uncaught exception exits 3 (or escapes
 
 import contextlib
 import io
+from itertools import chain
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -36,7 +37,10 @@ def argvs(draw):
     if command == "count":
         oracle = draw(st.sampled_from(list(_COUNT_FLAGS)))
         argv += [oracle, "--n", str(draw(st.integers(0, 12)))]
-        reads = _COUNT_FLAGS[oracle]
+        required, optional = _COUNT_FLAGS[oracle]
+        # A tuple in the row is a choice, such as --k or --sum-k.
+        reads = tuple(chain.from_iterable(
+            (name,) if isinstance(name, str) else name for name in required + optional))
     else:
         # verify without --thm runs every theorem's default grid.
         if command != "verify" or _chance(draw, 90):

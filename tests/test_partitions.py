@@ -125,6 +125,12 @@ def test_family_filters_agree_with_predicates():
             assert direct == filtered
 
 
+def test_family_step_and_distinct_agree_with_admits():
+    for family in Family:
+        assert family.step == (1 if family.admits((2,)) else 2)
+        assert family.distinct == (not family.admits((1, 1)))
+
+
 def test_partition_count_matches_pentagonal_recurrence():
     # p(n) comes from Euler's pentagonal recurrence; the bounded-part table
     # at max_part = n is the independent reference.
