@@ -3,8 +3,9 @@
 The argument parser states each input rule once: the flags each subcommand
 and each ``count`` oracle reads, which of them it requires, their types and
 their choices.  A ``verify --config`` file is read as the ``--flag=value``
-argv it stands for and parsed again ahead of the user's flags, so a flag
-overrides the file and every value passes its flag's own rules.
+argv it stands for, parsed alone, so that an error names the file, and
+parsed again ahead of the user's flags, so a flag overrides the file and
+every value passes its flag's own rules.
 
 Exit codes: 0 success (verify: every case passed or was skipped), 1 at least
 one identity mismatch and no error, 2 usage or configuration errors, 3 an
@@ -116,7 +117,9 @@ CONFIG_KEYS = ("thms", "m", "k", "h", "order", "family", "variant", "format")
 
 def read_config(path: str) -> list[str]:
     """The ``--flag=value`` argv of a verify --config file: ``key = value``
-    lines, one of CONFIG_KEYS each; '#' starts a comment."""
+    lines, one of CONFIG_KEYS each; '#' starts a comment.  The argv is
+    parsed here once, so that a value its flag rejects is reported with the
+    file's name."""
     argv = []
     try:
         with open(path) as fh:
@@ -133,6 +136,10 @@ def read_config(path: str) -> list[str]:
                 argv.append(f"--{'thm' if key == 'thms' else key}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
+    try:
+        make_parser(exit_on_error=False).parse_args(["verify", *argv])
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"{exc} in {path}") from None
     return argv
 
 
@@ -369,15 +376,19 @@ def _add_count_flag(sub, name, **extra):
     sub.add_argument("--" + name.replace("_", "-"), **_COUNT_ARGS[name], **extra)
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser; without ``exit_on_error`` a bad verify flag value
+    raises ``argparse.ArgumentError`` instead of exiting."""
     parser = argparse.ArgumentParser(
         prog="fixedhooks",
         description="Verify fixed-hook partition identities by exact q-series expansion "
         "against independent partition counts.",
+        exit_on_error=exit_on_error,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify", help="run identity checks over a parameter grid")
+    p = subs.add_parser("verify", help="run identity checks over a parameter grid",
+                        exit_on_error=exit_on_error)
     p.add_argument("--thm", help="comma-separated theorem tags, or all (the default)")
     p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
     # "both" adjudicates the two variants case by case, so only verify offers it.

@@ -1,37 +1,45 @@
 """Series builders for fixed-hook counting identities.
 
-Each public ``gf_*`` function returns a :class:`LaurentSeries` truncated at a
-caller-supplied order N whose coefficient at q^n is a fixed-hook count of the
-matching enumeration oracle in :mod:`fixedhooks.oracles`.
+Each public ``gf_*`` function returns the summand stream of a generating
+function, and :func:`sum_summands` turns a stream into a
+:class:`LaurentSeries` truncated at a caller-supplied order N whose
+coefficient at q^n is a fixed-hook count of the matching enumeration oracle
+in :mod:`fixedhooks.oracles`; :func:`build_series` does both for a catalog
+entry.  The builders are generators, so a builder checks its parameters
+when its stream is first read.
 
-Every builder is written as a stream of summands ``(e, factors)``: the
-summand is q^e times the product of a finite factor multiset, a tuple of
-Pochhammer runs (see :func:`fixedhooks.qseries.merge_factors` and its
-constructors), and :func:`_sum` adds them up.  Consecutive summands share
-most of their factors, so :func:`_sum` adds them by Horner's rule from the
-last one back: it multiplies the running sum by the binomials in which two
-neighbouring summands differ, read off their runs, one O(N) pass each, and
-adds each summand's q^e as one coefficient; no two series are ever
-multiplied.  Nested sums are flattened into double-indexed streams.  Every
-factor is a power series with constant term 1, so a summand has valuation
-e, and the window [min e, N) holds every needed coefficient.  Infinite sums
-stop once e reaches N, by the monotone growth of e noted inline per
-builder.  Factors common to every summand are passed to :func:`_sum` as a
-tail and applied to the sum once; an infinite product in the tail is passed
-as a plain ``(base_exp, step, sign, power)`` tuple, and :func:`_sum` cuts
-it at the window's width.
+A summand ``(e, factors)`` is q^e times the product of a finite factor
+multiset, a tuple of Pochhammer runs (see
+:func:`fixedhooks.qseries.merge_factors` and its constructors); the
+factors common to every summand of a builder, its tail, are merged into
+each one.  Consecutive summands share most of their factors, so
+:func:`sum_summands` adds them by Horner's rule from the last one back: it
+multiplies the running sum by the binomials in which two neighbouring
+summands differ, read off their runs, one O(N) pass each, and adds each
+summand's q^e as one coefficient; no two series are ever multiplied, and a
+run shared by the whole stream, such as the tail, is expanded once.  The
+streams of several builders can be chained and summed in one pass, as the
+aggregate checks of :mod:`fixedhooks.verify` do.  Nested sums are flattened
+into double-indexed streams.  Every factor is a power series with constant
+term 1, so a summand has valuation e, and the window [min e, N) holds every
+needed coefficient.  Infinite sums stop once e reaches N, by the monotone
+growth of e noted inline per builder.
 
-Three conventions do the index bookkeeping everywhere, as for the dense
+An infinite product is a run cut at the order, such as
+``inv_poch_factors(1, None, order)``.  The cut is exact when every summand
+exponent of the stream is at least 0, since the window is then no wider
+than the order.  The three builders with an infinite product (T11, T14 and
+OddDistinctTotal) have every exponent at least 1.
+
+Two conventions do the index bookkeeping everywhere, as for the dense
 kernels:
 
 * ``inv_poch_factors(..., count)`` is the zero product (None) for
   ``count < 0`` (reciprocal of a pole), which switches off summands whose row
-  count would be negative;
+  count would be negative; merged into every summand as a by-hook builder's
+  tail ``1/(q;q)_{k-h-1}`` is, it makes the series zero for h >= k;
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
-  giving 1), which enforces the printed summation limits;
-* a ``None`` tail of :func:`_sum` is that zero product too, so the sum is
-  the zero series before any summand is read: a by-hook builder's tail
-  ``1/(q;q)_{k-h-1}`` makes its series zero for h >= k.
+  giving 1), which enforces the printed summation limits.
 
 Three builders take a ``variant`` argument because the closed form they
 implement circulates in two index conventions that disagree for columns
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .partitions import Family, require_column, require_hook_size
 from .qseries import (
@@ -59,20 +67,19 @@ from .qseries import (
     poch_factors,
 )
 
+Summand = tuple[int, Factors | None]
+"""``(e, factors)``: q^e times the product of ``factors``; None is zero."""
+
 
 def _choose2(x: int) -> int:
     """x*(x-1)/2 as a polynomial in x (negative arguments allowed)."""
     return x * (x - 1) // 2
 
 
-def _sum(
-    order: int,
-    summands: Iterable[tuple[int, Factors | None]],
-    tail: Factors | None = (),
-    infinite: Iterable[tuple[int, int, int, int]] = (),
-) -> LaurentSeries:
-    """Sum of q^e * prod(factors) over the summands, times ``tail`` and the
-    infinite products ``infinite``, exact below ``order``.
+def sum_summands(order: int, summands: Iterable[Summand]) -> LaurentSeries:
+    """Sum of q^e * prod(factors) over the summands, exact below ``order``.
+    A summand at or past the order, or with the zero product (None) for its
+    factors, adds nothing and is skipped.
 
     The sum is taken by Horner's rule from the last summand back.  With P_i
     the product of summand i's factors, ``acc`` holds
@@ -80,15 +87,11 @@ def _sum(
     Stepping back to summand i - 1 multiplies it by P_i / P_(i-1), the
     binomials below its width by which the two summands' runs differ (see
     :func:`~fixedhooks.qseries.factor_change`), and adds q^(e_(i-1)), a
-    single coefficient.  The first summand's product and the tail are
-    applied last.  The tail acts on the window [min e, order), so each
-    ``(base_exp, step, sign, power)`` of ``infinite``, the product
-    ``(sign*q^base_exp; q^step)_inf ** power``, is cut here at that window's
-    width; summand factor multisets are finite.  A ``None`` tail, the zero
-    product, gives the zero series without reading ``summands``.
+    single coefficient.  The first summand's product is applied last, so a
+    run that every summand shares is expanded once.  Every run acts on the
+    window [min e, order), so an infinite run cut at the order is exact
+    when min e >= 0.
     """
-    if tail is None:
-        return LaurentSeries.zero(order)
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
         return LaurentSeries.zero(order)
@@ -101,10 +104,7 @@ def _sum(
             low = e
         acc[e - low] += 1
         after = factors
-    for base_exp, step, sign, power in infinite:
-        (run,) = poch_factors(base_exp, None, len(acc), step, sign)
-        tail += (run[:4] + (power,),)
-    apply_factors(acc, factor_change((), after + tail, len(acc)))
+    apply_factors(acc, factor_change((), after, len(acc)))
     return LaurentSeries(low, acc, order)
 
 
@@ -118,7 +118,9 @@ def _half(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gf_fixed_by_part_m1(k: int, h: int, order: int, form: str = "reindexed") -> LaurentSeries:
+def gf_fixed_by_part_m1(
+    k: int, h: int, order: int, form: str = "reindexed"
+) -> Iterator[Summand]:
     """First-column h-fixed hooks arising from parts of size k.
 
     ``form="reindexed"`` sums from s = 0; ``form="rows"`` keeps the summation
@@ -130,27 +132,23 @@ def gf_fixed_by_part_m1(k: int, h: int, order: int, form: str = "reindexed") -> 
         raise ValueError("part size k must be >= 1")
     if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
-
-    def summands():
-        if form == "reindexed":
-            s = 0
-            while (e := s * (k + 1) + k * (k - h)) < order:
-                yield e, merge_factors(inv_poch_factors(1, s + k - h - 1),
-                                       gauss_factors(s + k - 1, k - 1))
-                s += 1
-        else:
-            s = max(1, k - h)
-            while (e := (k + 1) * (s - 1) + h + 1) < order:
-                yield e, merge_factors(inv_poch_factors(1, s - 1),
-                                       gauss_factors(s + h - 1, k - 1))
-                s += 1
-
-    return _sum(order, summands())
+    if form == "reindexed":
+        s = 0
+        while (e := s * (k + 1) + k * (k - h)) < order:
+            yield e, merge_factors(inv_poch_factors(1, s + k - h - 1),
+                                   gauss_factors(s + k - 1, k - 1))
+            s += 1
+    else:
+        s = max(1, k - h)
+        while (e := (k + 1) * (s - 1) + h + 1) < order:
+            yield e, merge_factors(inv_poch_factors(1, s - 1),
+                                   gauss_factors(s + h - 1, k - 1))
+            s += 1
 
 
 def gf_mfixed_by_part(
     m: int, k: int, h: int, order: int, form: str = "reindexed"
-) -> LaurentSeries:
+) -> Iterator[Summand]:
     """h-fixed hooks in column m arising from parts of size k >= m.
 
     At m = 1 this coincides coefficientwise with :func:`gf_fixed_by_part_m1`.
@@ -159,30 +157,27 @@ def gf_mfixed_by_part(
     require_column(m, k)
     if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
-
-    def summands():
-        if form == "reindexed":
-            s = 0
-            while (e := s * (k + m) + k * (k - h - m + 1)) < order:
-                yield e, merge_factors(inv_poch_factors(1, s + k - h - m),
-                                       gauss_factors(s + k - m, k - m))
-                s += 1
-        else:
-            s = max(1, k - h - m + 1)
-            while (e := s * (k + m) + m * (h - k + m - 1)) < order:
-                yield e, merge_factors(inv_poch_factors(1, s - 1),
-                                       gauss_factors(s + h - 1, k - m))
-                s += 1
-
-    return _sum(order, summands(), inv_poch_factors(1, m - 1))
+    tail = inv_poch_factors(1, m - 1)
+    if form == "reindexed":
+        s = 0
+        while (e := s * (k + m) + k * (k - h - m + 1)) < order:
+            yield e, merge_factors(inv_poch_factors(1, s + k - h - m),
+                                   gauss_factors(s + k - m, k - m), tail)
+            s += 1
+    else:
+        s = max(1, k - h - m + 1)
+        while (e := s * (k + m) + m * (h - k + m - 1)) < order:
+            yield e, merge_factors(inv_poch_factors(1, s - 1),
+                                   gauss_factors(s + h - 1, k - m), tail)
+            s += 1
 
 
 def gf_odd_by_part(
     m: int, k: int, h: int, order: int, variant: str = "derived"
-) -> LaurentSeries:
+) -> Iterator[Summand]:
     """h-fixed hooks in column m from parts of size k, in all-odd partitions.
 
-    A part of an odd partition is odd, so the series is zero for even k (the
+    A part of an odd partition is odd, so the stream is empty for even k (the
     binomial parameters also stop being integers there).  The two variants
     differ in the lower index of the under-hook binomial: "stated" uses
     s + h - k, "derived" uses the row count s + h - k + m - 1 below the hook
@@ -193,33 +188,30 @@ def gf_odd_by_part(
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
     if k % 2 == 0:
-        return LaurentSeries.zero(order)
-
-    def summands():
-        s = max(1, k - h - m + 1)
-        while True:
-            if m % 2 == 1:
-                e = s * (k + m) + m * (h - k + m - 1)
-                top_shift = (k - m) // 2
-            elif variant == "derived":
-                e = s * (k + m + 1) + (m + 1) * (h - k + m - 1)
-                top_shift = (k - m - 1) // 2
-            else:
-                e = s * (k + m + 1) + m * (h - k + m) + h - k + 1
-                top_shift = (k - m - 1) // 2
-            if e >= order:
-                return
-            bottom = s + h - k + m - 1 if variant == "derived" else s + h - k
-            yield e, merge_factors(inv_poch_factors(2, s - 1, step=2),
-                                   gauss_factors(bottom + top_shift, bottom, 2))
-            s += 1
-
-    return _sum(order, summands(), inv_poch_factors(1, _half(m), step=2))
+        return
+    tail = inv_poch_factors(1, _half(m), step=2)
+    s = max(1, k - h - m + 1)
+    while True:
+        if m % 2 == 1:
+            e = s * (k + m) + m * (h - k + m - 1)
+            top_shift = (k - m) // 2
+        elif variant == "derived":
+            e = s * (k + m + 1) + (m + 1) * (h - k + m - 1)
+            top_shift = (k - m - 1) // 2
+        else:
+            e = s * (k + m + 1) + m * (h - k + m) + h - k + 1
+            top_shift = (k - m - 1) // 2
+        if e >= order:
+            return
+        bottom = s + h - k + m - 1 if variant == "derived" else s + h - k
+        yield e, merge_factors(inv_poch_factors(2, s - 1, step=2),
+                               gauss_factors(bottom + top_shift, bottom, 2), tail)
+        s += 1
 
 
 def gf_distinct_by_part(
     m: int, k: int, h: int, order: int, variant: str = "stated"
-) -> LaurentSeries:
+) -> Iterator[Summand]:
     """h-fixed hooks in column m from parts of size k, in distinct partitions.
 
     The sum is finite (s = 0 .. k-m).  "stated" keeps the displayed constant
@@ -231,20 +223,16 @@ def gf_distinct_by_part(
     require_column(m, k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
-    summands = (
-        (
-            s * (k + m)
-            + k * (k - h - m + 1)
-            + _choose2(s + k - m + 1 - h)
-            + _choose2(s),
+    tail = poch_factors(1, m - 1, sign=-1)
+    for s in range(0, k - m + 1):
+        yield (
+            s * (k + m) + k * (k - h - m + 1) + _choose2(s + k - m + 1 - h) + _choose2(s),
             merge_factors(
                 gauss_factors(k - m, s),
                 inv_poch_factors(1, k - h - 1 if variant == "stated" else s + k - m - h),
+                tail,
             ),
         )
-        for s in range(0, k - m + 1)
-    )
-    return _sum(order, summands, poch_factors(1, m - 1, sign=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +240,24 @@ def gf_distinct_by_part(
 # ---------------------------------------------------------------------------
 
 
-def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> LaurentSeries:
+def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> Iterator[Summand]:
     """First-column h-fixed hooks of size k.  Zero series when h >= k."""
     require_hook_size(k)
-    summands = ((k + l * (k - h - 1), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1))
-    return _sum(order, summands, inv_poch_factors(1, k - h - 1))
+    tail = inv_poch_factors(1, k - h - 1)
+    for l in range(1, k + 1):
+        yield k + l * (k - h - 1), merge_factors(gauss_factors(k - 1, l - 1), tail)
 
 
-def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
+def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks of size k in column m; specializes to the m = 1 builder."""
     require_column(m)
     require_hook_size(k)
-    summands = (
-        (by_hook_exponent(m, k, h, l), gauss_factors(k - 1, l - 1)) for l in range(1, k + 1)
-    )
-    return _sum(order, summands,
-                merge_factors(inv_poch_factors(1, k - h - 1), inv_poch_factors(1, m - 1)))
+    tail = merge_factors(inv_poch_factors(1, k - h - 1), inv_poch_factors(1, m - 1))
+    for l in range(1, k + 1):
+        yield by_hook_exponent(m, k, h, l), merge_factors(gauss_factors(k - 1, l - 1), tail)
 
 
-def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
+def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks of size k in column m, in all-odd partitions.
 
     The horizontal span l of the hook must share the parity of m so that the
@@ -278,23 +265,19 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """
     require_column(m)
     require_hook_size(k)
-
-    def summands():
-        for l in range(2 - m % 2, k + 1, 2):
-            e = by_hook_exponent(m, k, h, l)
-            if m % 2 == 1:
-                top = k - l + (l - 1) // 2
-            else:
-                e += k - l
-                top = k - l + (l - 2) // 2
-            yield e, gauss_factors(top, k - l, 2)
-
-    return _sum(order, summands(),
-                merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                              inv_poch_factors(1, _half(m), step=2)))
+    tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
+                         inv_poch_factors(1, _half(m), step=2))
+    for l in range(2 - m % 2, k + 1, 2):
+        e = by_hook_exponent(m, k, h, l)
+        if m % 2 == 1:
+            top = k - l + (l - 1) // 2
+        else:
+            e += k - l
+            top = k - l + (l - 2) // 2
+        yield e, merge_factors(gauss_factors(top, k - l, 2), tail)
 
 
-def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
+def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks of size k in column m, in distinct partitions.
 
     Spans below ceil((k+1)/2) would need more distinct parts under the hook
@@ -302,18 +285,15 @@ def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
     """
     require_column(m)
     require_hook_size(k)
-    summands = (
-        (
+    tail = merge_factors(inv_poch_factors(1, k - h - 1), poch_factors(1, m - 1, sign=-1))
+    for l in range((k + 2) // 2, k + 1):
+        yield (
             by_hook_exponent(m, k, h, l) + _choose2(k - h) + _choose2(k - l),
-            gauss_factors(l - 1, k - l),
+            merge_factors(gauss_factors(l - 1, k - l), tail),
         )
-        for l in range((k + 2) // 2, k + 1)
-    )
-    return _sum(order, summands,
-                merge_factors(inv_poch_factors(1, k - h - 1), poch_factors(1, m - 1, sign=-1)))
 
 
-def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries:
+def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks of size k in column m, in odd-and-distinct partitions.
 
     The under-hook binomial has top (l-1)/2 (m odd) or (l-2)/2 (m even):
@@ -322,24 +302,20 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> LaurentSeries
     require_column(m)
     require_hook_size(k)
     odd = m % 2
-    lmin = (2 * k + 2 - odd) // 3
-    summands = (
-        (
-            by_hook_exponent(m, k, h, l)
-            + 2 * _choose2(k - h)
-            + 2 * _choose2(k - l)
-            + (0 if odd else k - l),
-            gauss_factors((l - 2 + odd) // 2, k - l, 2),
-        )
-        for l in range(max(1, lmin), k + 1)
-        if l % 2 == odd
-    )
-    return _sum(order, summands,
-                merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                              poch_factors(1, _half(m), step=2, sign=-1)))
+    tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
+                         poch_factors(1, _half(m), step=2, sign=-1))
+    for l in range(max(1, (2 * k + 2 - odd) // 3), k + 1):
+        if l % 2 == odd:
+            yield (
+                by_hook_exponent(m, k, h, l)
+                + 2 * _choose2(k - h)
+                + 2 * _choose2(k - l)
+                + (0 if odd else k - l),
+                merge_factors(gauss_factors((l - 2 + odd) // 2, k - l, 2), tail),
+            )
 
 
-def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> LaurentSeries:
+def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Iterator[Summand]:
     """Hooks of length k in all odd-and-distinct partitions, all columns.
 
     Obtained by resumming :func:`gf_odd_distinct_by_hook` over every column
@@ -349,37 +325,35 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
     (k-l+1 >= 1 keeps it growing).  The "stated" variant keeps the
     circulated inner Pochhammer lengths; "derived" recollapses the
     telescoping product, which shifts the odd-span length to (l+1)/2 and the
-    even-span base to q^(2j+3).
+    even-span base to q^(2j+3).  Every exponent is at least k >= 1, so the
+    common factor (-q;q^2)_inf is cut at the order.
     """
     require_hook_size(k)
     if variant not in ("stated", "derived"):
         raise ValueError(f"unknown variant {variant!r}")
-
-    def summands():
-        # Odd spans first, then even ones: consecutive summands share factors.
-        for odd_span, lmin in ((True, (2 * k + 1) // 3), (False, max(1, (2 * k + 2) // 3))):
-            for l in range(lmin + (lmin % 2 != odd_span), k + 1, 2):
-                e0 = k + 2 * _choose2(k - l) + (0 if odd_span else k - l)
-                outer = gauss_factors((l - 2 + odd_span) // 2, k - l, 2)
-                j = 0
-                while True:
-                    if odd_span:
-                        e = 2 * j * (k - l + 1)
-                        count = (l + 1) // 2 if variant == "derived" else (l - 1) // 2
-                        base = 2 * j + 1
-                    elif variant == "derived":
-                        e = (2 * j + 1) * (k - l + 1)
-                        count, base = l // 2, 2 * j + 3
-                    else:
-                        e = 2 * j * (k - l + 1)
-                        count, base = l // 2, 2 * j + 1
-                    if e0 + e >= order:
-                        break
-                    yield e0 + e, merge_factors(
-                        outer, inv_poch_factors(base, count, step=2, sign=-1))
-                    j += 1
-
-    return _sum(order, summands(), infinite=[(1, 2, -1, 1)])
+    tail = poch_factors(1, None, order, step=2, sign=-1)
+    # Odd spans first, then even ones: consecutive summands share factors.
+    for odd_span, lmin in ((True, (2 * k + 1) // 3), (False, max(1, (2 * k + 2) // 3))):
+        for l in range(lmin + (lmin % 2 != odd_span), k + 1, 2):
+            e0 = k + 2 * _choose2(k - l) + (0 if odd_span else k - l)
+            outer = gauss_factors((l - 2 + odd_span) // 2, k - l, 2)
+            j = 0
+            while True:
+                if odd_span:
+                    e = 2 * j * (k - l + 1)
+                    count = (l + 1) // 2 if variant == "derived" else (l - 1) // 2
+                    base = 2 * j + 1
+                elif variant == "derived":
+                    e = (2 * j + 1) * (k - l + 1)
+                    count, base = l // 2, 2 * j + 3
+                else:
+                    e = 2 * j * (k - l + 1)
+                    count, base = l // 2, 2 * j + 1
+                if e0 + e >= order:
+                    break
+                yield e0 + e, merge_factors(
+                    outer, inv_poch_factors(base, count, step=2, sign=-1), tail)
+                j += 1
 
 
 # ---------------------------------------------------------------------------
@@ -387,41 +361,36 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Laure
 # ---------------------------------------------------------------------------
 
 
-def gf_t11_closed_form(m: int, order: int) -> LaurentSeries:
+def gf_t11_closed_form(m: int, order: int) -> Iterator[Summand]:
     """Partitions with a 0-fixed hook in column m, via the colored closed form.
 
     The l-sum is truncated once l(l+m-1) reaches N; the quadratic growth in
-    l makes the remainder invisible below N.
+    l makes the remainder invisible below N.  Every exponent is at least
+    m >= 1, so the common factor 1/(q;q)_inf is cut at the order.
     """
     require_column(m)
-
-    def summands():
-        l = 1
-        while (e := l * (l + m - 1)) < order:
-            yield e, poch_factors(l, 2 * m - 1)
-            l += 1
-
-    return _sum(order, summands(), inv_poch_factors(1, m - 1), [(1, 1, 1, -1)])
+    tail = merge_factors(inv_poch_factors(1, m - 1), inv_poch_factors(1, None, order))
+    l = 1
+    while (e := l * (l + m - 1)) < order:
+        yield e, merge_factors(poch_factors(l, 2 * m - 1), tail)
+        l += 1
 
 
-def gf_t12_closed_form(m: int, h: int, order: int) -> LaurentSeries:
+def gf_t12_closed_form(m: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks in column m arising from parts of size exactly m.
 
     The closed form is q^{m(h+1)} / ((q;q)_{m-1} (q^{2m};q)_inf), minus,
     for h < 0, the first -h terms of the expansion
     1/(q^{2m};q)_inf = sum_s q^{2ms}/(q;q)_s.  What remains is that
-    expansion from s = max(0, -h) on, which is the stream summed here: its
+    expansion from s = max(0, -h) on, which is the stream given here: its
     exponents m(h+1) + 2ms start at m(1 + |h|) >= 1 and grow with slope 2m.
     """
     require_column(m)
-
-    def summands():
-        s = max(0, -h)
-        while (e := m * (h + 1) + 2 * m * s) < order:
-            yield e, inv_poch_factors(1, s)
-            s += 1
-
-    return _sum(order, summands(), inv_poch_factors(1, m - 1))
+    tail = inv_poch_factors(1, m - 1)
+    s = max(0, -h)
+    while (e := m * (h + 1) + 2 * m * s) < order:
+        yield e, merge_factors(inv_poch_factors(1, s), tail)
+        s += 1
 
 
 def t13_weight_shift(m: int, k: int, h: int) -> int:
@@ -439,25 +408,24 @@ def by_hook_exponent(m: int, k: int, h: int, l: int) -> int:
     return (m - 1) * (2 * k - h - l) + k + l * (k - h - 1)
 
 
-def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> LaurentSeries:
+def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> Iterator[Summand]:
     """Hooks of size k in column m of all partitions.
 
     The closed form is q^{km}/(q^k;q)_inf times a sum over the leg l of
     q^{-(l-1)(m-1)} (q^m;q)_{l-1} / ((q;q)_{l-1} (q;q)_{k-l}).  The
     negative powers never outweigh q^{km}: the summand exponents are
-    km - (l-1)(m-1) >= k + m - 1 >= 1.
+    km - (l-1)(m-1) >= k + m - 1 >= 1, so 1/(q^k;q)_inf is cut at the
+    order.
     """
     require_column(m)
     require_hook_size(k)
-    summands = (
-        (
+    tail = inv_poch_factors(k, None, order)
+    for l in range(1, k + 1):
+        yield (
             k * m - (l - 1) * (m - 1),
             merge_factors(poch_factors(m, l - 1), inv_poch_factors(1, l - 1),
-                          inv_poch_factors(1, k - l)),
+                          inv_poch_factors(1, k - l), tail),
         )
-        for l in range(1, k + 1)
-    )
-    return _sum(order, summands, infinite=[(k, 1, 1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +456,12 @@ class TheoremId(str, Enum):
 class BuilderSpec:
     """How to drive one catalog entry: its parameters, the partition family
     its coefficients count, the builder (called with ``order`` and the
-    parameters by keyword), and the variants it supports."""
+    parameters by keyword, it returns the summand stream), and the variants
+    it supports."""
 
     params: tuple[str, ...]
     family: Family
-    build: Callable[..., LaurentSeries] | None
+    build: Callable[..., Iterator[Summand]] | None
     variants: tuple[str, ...] = ()
 
 
@@ -550,10 +519,11 @@ def build_series(
     h: int | None = None,
     variant: str | None = None,
 ) -> LaurentSeries:
-    """Dispatch to the builder behind ``theorem`` with exactly its parameters.
+    """The sum of the stream of the builder behind ``theorem``, called with
+    exactly its parameters.
 
-    Raises ValueError when a declared parameter is missing or an undeclared
-    one is given.
+    Raises ValueError when a declared parameter is missing, an undeclared
+    one is given or the builder rejects a value.
     """
     spec = CATALOG[theorem]
     if spec.build is None:
@@ -571,4 +541,4 @@ def build_series(
         if not spec.variants:
             raise ValueError(f"{theorem.value} has no variants")
         kwargs["variant"] = variant
-    return spec.build(order=order, **kwargs)
+    return sum_summands(order, spec.build(order=order, **kwargs))

@@ -114,9 +114,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """The transpose of the Young diagram.  An involution."""
-        if self._conj is None:
-            self._conj = conjugate_parts(self.parts)
-        return Partition(self._conj)
+        return Partition(self.conj_parts())
 
     def conj_parts(self) -> tuple[int, ...]:
         if self._conj is None:

@@ -20,10 +20,17 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable
 
-from .genfun import CATALOG, TheoremId, build_series, by_hook_exponent, t13_weight_shift
+from .genfun import (
+    CATALOG,
+    TheoremId,
+    build_series,
+    by_hook_exponent,
+    sum_summands,
+    t13_weight_shift,
+)
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import Family, require_hook_size
 from .qseries import LaurentSeries
@@ -167,20 +174,6 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
     return out
 
 
-def _add_up(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
-    """The sum of series that are all truncated at ``order``, added into one
-    coefficient list in place.  Each term stores exactly its coefficients
-    from its valuation up to the order, the tail of that list."""
-    lo, total = 0, [0] * order
-    for s in terms:
-        if s.min_exp < lo:
-            total[:0] = [0] * (lo - s.min_exp)
-            lo = s.min_exp
-        at = s.min_exp - lo
-        total[at:] = map(add, total[at:], s.coeffs)
-    return LaurentSeries(lo, total, order)
-
-
 def _sides(case: IdentityCase, variant: str | None):
     """The two sides (got, want) of one comparison of a case: got is a
     LaurentSeries or the counts of n = 0 .. order - 1, want those counts.
@@ -189,21 +182,22 @@ def _sides(case: IdentityCase, variant: str | None):
     """
     t, N, m, k, h = case.theorem, case.order, case.m, case.k, case.h
     table = THEOREMS[t].table
-    if case.check == "h-aggregation":
+    if case.check in ("h-aggregation", "column-total"):
         # Summing the by-hook builders over every reachable fixedness must
-        # reproduce the all-hooks closed form coefficientwise.  An empty
-        # window means no size-k hook reaches column m below N: both sides
-        # are zero there.
-        want = build_series(t, N, m=m, k=k).coefficients(0, N)
-        terms = (build_series(TheoremId.MFixedByHook, N, m=m, k=k, h=hh)
-                 for hh in fixedness_window(m, k, N))
-        return _add_up(terms, N), want
-    if case.check == "column-total":
-        # Summing over all columns and fixedness counts every size-k hook.
-        want = _count(case, "hooks_total", k)
-        terms = (build_series(t, N, m=mm, k=k, h=hh)
-                 for mm in column_window(k, N) for hh in fixedness_window(mm, k, N))
-        return _add_up(terms, N), want
+        # reproduce the all-hooks closed form in column m coefficientwise,
+        # and summing them over every column too counts every size-k hook.
+        # The terms' streams are chained and summed in one pass.  An empty
+        # window means no size-k hook reaches the column below N: both
+        # sides are zero there.
+        if case.check == "h-aggregation":
+            want = build_series(t, N, m=m, k=k).coefficients(0, N)
+            build, columns = CATALOG[TheoremId.MFixedByHook].build, (m,)
+        else:
+            want = _count(case, "hooks_total", k)
+            build, columns = CATALOG[t].build, column_window(k, N)
+        terms = (build(m=mm, k=k, h=hh, order=N)
+                 for mm in columns for hh in fixedness_window(mm, k, N))
+        return sum_summands(N, chain.from_iterable(terms)), want
     if case.check == "colored":
         return build_series(t, N, m=m), colored_t11_row(N - 1, m)
     if case.check == "restricted":

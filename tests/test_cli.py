@@ -112,10 +112,12 @@ def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, lin
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
     # An unknown key is a UsageError; a bad value fails its flag's own type
-    # or choices when the parser reads the file's flags.
+    # or choices when the parser reads the file's flags.  Either error names
+    # the file.
     assert run_cli_exit("verify", "--config", str(cfg)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
+    assert str(cfg) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

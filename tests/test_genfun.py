@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
 from fixedhooks.partitions import Family
+from fixedhooks.verify import GridSpec, build_grid
 from fixedhooks.oracles import (
     count_colored_thm11,
     count_fixed_hooks,
@@ -20,7 +23,6 @@ from fixedhooks.qseries import (
 from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
-    _sum,
     build_series,
     gf_distinct_by_hook,
     gf_distinct_by_part,
@@ -36,10 +38,18 @@ from fixedhooks.genfun import (
     gf_t12_closed_form,
     gf_t14_hooks_of_size_k,
     resolve_theorem,
+    sum_summands,
     t13_weight_shift,
 )
 
 N = 16
+
+
+def summed(build, *args, **kwargs):
+    """The series of a builder's summand stream, summed at the order the
+    builder is called with."""
+    order = inspect.signature(build).bind(*args, **kwargs).arguments["order"]
+    return sum_summands(order, build(*args, **kwargs))
 
 
 def assert_counts(series, oracle, order=N):
@@ -56,17 +66,17 @@ def assert_counts(series, oracle, order=N):
 def test_fixed_by_part_m1_against_oracle():
     for k in (1, 2, 3):
         for h in (-2, -1, 0, 1, k - 1):
-            series = gf_fixed_by_part_m1(k, h, N)
+            series = summed(gf_fixed_by_part_m1, k, h, N)
             assert_counts(series, lambda n: count_fixed_hooks(n, 1, h, k, by="part"))
 
 
 def test_fixed_by_part_m1_coefficient_example():
-    assert gf_fixed_by_part_m1(2, 0, 6).coefficient(5) == 1
+    assert summed(gf_fixed_by_part_m1, 2, 0, 6).coefficient(5) == 1
 
 
 def test_fixed_by_part_m1_beyond_claimed_fixedness_bound():
     # h > k-1 is reachable through long legs; (1,1) carries a 1-fixed hook
-    series = gf_fixed_by_part_m1(1, 1, 8)
+    series = summed(gf_fixed_by_part_m1, 1, 1, 8)
     assert series.coefficient(2) == 1
     assert_counts(series, lambda n: count_fixed_hooks(n, 1, 1, 1, by="part"), 8)
 
@@ -76,52 +86,55 @@ def test_both_display_forms_agree_by_part():
         for m in (1, 2, 3):
             for k in (m, m + 1, m + 3):
                 for h in (-2, 0, 1, k - 1):
-                    a = gf_mfixed_by_part(m, k, h, order, form="rows")
-                    b = gf_mfixed_by_part(m, k, h, order, form="reindexed")
+                    a = summed(gf_mfixed_by_part, m, k, h, order, form="rows")
+                    b = summed(gf_mfixed_by_part, m, k, h, order, form="reindexed")
                     assert a == b
         for k in (1, 2, 4):
             for h in (-1, 0, k - 1):
-                assert gf_fixed_by_part_m1(k, h, order, form="rows") == gf_fixed_by_part_m1(
-                    k, h, order, form="reindexed"
+                assert summed(gf_fixed_by_part_m1, k, h, order, form="rows") == summed(
+                    gf_fixed_by_part_m1, k, h, order, form="reindexed"
                 )
 
 
 def test_mfixed_by_part_matches_oracle_and_figure_case():
-    series = gf_mfixed_by_part(2, 4, 2, 15)
+    series = summed(gf_mfixed_by_part, 2, 4, 2, 15)
     assert_counts(series, lambda n: count_fixed_hooks(n, 2, 2, 4, by="part"), 15)
     assert series.coefficient(12) == 7  # includes (4,4,3,1)
     assert_counts(
-        gf_mfixed_by_part(3, 3, 0, 15), lambda n: count_fixed_hooks(n, 3, 0, 3, by="part"), 15
+        summed(gf_mfixed_by_part, 3, 3, 0, 15),
+        lambda n: count_fixed_hooks(n, 3, 0, 3, by="part"),
+        15,
     )
 
 
 def test_mfixed_by_part_m1_specialization():
     for k in (1, 2, 3, 5):
         for h in (-3, -1, 0, k - 1):
-            assert gf_mfixed_by_part(1, k, h, 50) == gf_fixed_by_part_m1(k, h, 50)
+            assert summed(gf_mfixed_by_part, 1, k, h, 50) == summed(gf_fixed_by_part_m1, k, h, 50)
 
 
 def test_mfixed_by_part_rejects_k_below_m():
     with pytest.raises(ValueError):
-        gf_mfixed_by_part(3, 2, 0, N)
+        summed(gf_mfixed_by_part, 3, 2, 0, N)
 
 
 def test_odd_by_part_even_k_is_zero():
-    assert gf_odd_by_part(1, 2, 0, N).is_zero()
-    assert gf_odd_by_part(2, 4, 1, N).is_zero()
+    assert summed(gf_odd_by_part, 1, 2, 0, N).is_zero()
+    assert summed(gf_odd_by_part, 2, 4, 1, N).is_zero()
 
 
 def test_odd_by_part_variants():
     for m, k, h in [(1, 3, 0), (2, 3, 0), (2, 5, 1), (3, 5, -1), (4, 7, 2)]:
         oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.ODD, by="part")
-        assert_counts(gf_odd_by_part(m, k, h, N, variant="derived"), oracle)
+        assert_counts(summed(gf_odd_by_part, m, k, h, N, variant="derived"), oracle)
         if m == 1:
             # the two index conventions coincide in the first column
-            assert gf_odd_by_part(m, k, h, N, "stated") == gf_odd_by_part(m, k, h, N, "derived")
+            assert summed(gf_odd_by_part, m, k, h, N, "stated") == \
+                summed(gf_odd_by_part, m, k, h, N, "derived")
 
 
 def test_odd_by_part_stated_diverges_past_first_column():
-    stated = gf_odd_by_part(2, 3, 0, N, variant="stated")
+    stated = summed(gf_odd_by_part, 2, 3, 0, N, variant="stated")
     oracle = [count_fixed_hooks(n, 2, 0, 3, Family.ODD, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
@@ -129,14 +142,14 @@ def test_odd_by_part_stated_diverges_past_first_column():
 def test_distinct_by_part_variants():
     for m, k, h in [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 2, -2), (3, 4, 0)]:
         oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT, by="part")
-        assert_counts(gf_distinct_by_part(m, k, h, N, variant="derived"), oracle)
-    single_term = gf_distinct_by_part(3, 3, 2, N, variant="stated")
-    assert single_term == gf_distinct_by_part(3, 3, 2, N, variant="stated")
+        assert_counts(summed(gf_distinct_by_part, m, k, h, N, variant="derived"), oracle)
+    single_term = summed(gf_distinct_by_part, 3, 3, 2, N, variant="stated")
+    assert single_term == summed(gf_distinct_by_part, 3, 3, 2, N, variant="stated")
     assert single_term.min_exp == -2  # its one summand sits at q^-2
 
 
 def test_distinct_by_part_stated_diverges():
-    stated = gf_distinct_by_part(1, 2, 0, N, variant="stated")
+    stated = summed(gf_distinct_by_part, 1, 2, 0, N, variant="stated")
     oracle = [count_fixed_hooks(n, 1, 0, 2, Family.DISTINCT, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
@@ -149,15 +162,16 @@ def test_distinct_by_part_stated_diverges():
 def test_fixed_by_hook_m1_against_oracle():
     for k in (1, 2, 3, 4):
         for h in (-2, 0, 1, k - 1):
-            assert_counts(gf_fixed_by_hook_m1(k, h, N), lambda n: count_fixed_hooks(n, 1, h, k))
+            assert_counts(summed(gf_fixed_by_hook_m1, k, h, N),
+                          lambda n: count_fixed_hooks(n, 1, h, k))
 
 
 def test_fixed_by_hook_m1_h_at_least_k_is_zero():
-    assert gf_fixed_by_hook_m1(2, 2, N).is_zero()
-    assert gf_fixed_by_hook_m1(1, 5, N).is_zero()
+    assert summed(gf_fixed_by_hook_m1, 2, 2, N).is_zero()
+    assert summed(gf_fixed_by_hook_m1, 1, 5, N).is_zero()
     for k in range(1, 6):
         for h in (k, k + 2):
-            assert gf_fixed_by_hook_m1(k, h, N) == LaurentSeries.zero(N)
+            assert summed(gf_fixed_by_hook_m1, k, h, N) == LaurentSeries.zero(N)
 
 
 @pytest.mark.parametrize(
@@ -165,51 +179,56 @@ def test_fixed_by_hook_m1_h_at_least_k_is_zero():
 )
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_by_hook_h_at_least_k_is_zero(build, m):
-    # The tail 1/(q;q)_{k-h-1} is the zero product there, so _sum returns
-    # zero before it reads a summand.
+    # The tail 1/(q;q)_{k-h-1} is the zero product there, so it makes every
+    # summand the zero product, which sum_summands skips.
     for k in range(1, 6):
         for h in (k, k + 2):
-            assert build(m, k, h, N) == LaurentSeries.zero(N)
+            assert all(factors is None for _, factors in build(m, k, h, N))
+            assert summed(build, m, k, h, N) == LaurentSeries.zero(N)
 
 
 def test_fixed_by_hook_m1_smallest_hook():
-    series = gf_fixed_by_hook_m1(1, 0, 10)
+    series = summed(gf_fixed_by_hook_m1, 1, 0, 10)
     assert_counts(series, lambda n: count_fixed_hooks(n, 1, 0, 1), 10)
 
 
 def test_mfixed_by_hook_specializes_and_matches():
     for k in (1, 3, 4):
         for h in (-2, 0, k - 1):
-            assert gf_mfixed_by_hook(1, k, h, 50) == gf_fixed_by_hook_m1(k, h, 50)
-    assert_counts(gf_mfixed_by_hook(2, 4, 2, 15), lambda n: count_fixed_hooks(n, 2, 2, 4), 15)
+            assert summed(gf_mfixed_by_hook, 1, k, h, 50) == summed(gf_fixed_by_hook_m1, k, h, 50)
+    assert_counts(summed(gf_mfixed_by_hook, 2, 4, 2, 15),
+                  lambda n: count_fixed_hooks(n, 2, 2, 4), 15)
 
 
 def test_family_hook_builders_match_oracles():
     cases = [(1, 1, 0), (1, 4, 0), (2, 2, 0), (2, 2, 1), (2, 3, -1), (3, 4, 1)]
     for m, k, h in cases:
-        assert_counts(gf_odd_by_hook(m, k, h, N), lambda n: count_fixed_hooks(n, m, h, k, Family.ODD))
         assert_counts(
-            gf_distinct_by_hook(m, k, h, N),
+            summed(gf_odd_by_hook, m, k, h, N),
+            lambda n: count_fixed_hooks(n, m, h, k, Family.ODD),
+        )
+        assert_counts(
+            summed(gf_distinct_by_hook, m, k, h, N),
             lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT),
         )
         assert_counts(
-            gf_odd_distinct_by_hook(m, k, h, N),
+            summed(gf_odd_distinct_by_hook, m, k, h, N),
             lambda n: count_fixed_hooks(n, m, h, k, Family.ODD_DISTINCT),
         )
 
 
 def test_odd_by_hook_parity_filtered_sum_can_be_empty():
     # k=1 with an even column leaves no admissible span
-    assert gf_odd_by_hook(2, 1, 0, N).is_zero()
+    assert summed(gf_odd_by_hook, 2, 1, 0, N).is_zero()
     assert count_fixed_hooks(6, 2, 0, 1, Family.ODD) == 0
 
 
 def test_odd_distinct_total_variants():
     for k in (1, 2, 3):
-        series = gf_odd_distinct_total(k, N, variant="derived")
+        series = summed(gf_odd_distinct_total, k, N, variant="derived")
         assert series.coefficient(0) == 0
         assert_counts(series, lambda n: count_hooks_of_size(n, k, None, Family.ODD_DISTINCT))
-    stated = gf_odd_distinct_total(1, N, variant="stated")
+    stated = summed(gf_odd_distinct_total, 1, N, variant="stated")
     oracle = [count_hooks_of_size(n, 1, None, Family.ODD_DISTINCT) for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
@@ -220,16 +239,16 @@ def test_odd_distinct_total_variants():
 
 
 def test_t11_closed_form():
-    assert gf_t11_closed_form(3, 12).coefficient(10) == 10
+    assert summed(gf_t11_closed_form, 3, 12).coefficient(10) == 10
     for m in (1, 2):
-        series = gf_t11_closed_form(m, N)
+        series = summed(gf_t11_closed_form, m, N)
         assert series.coefficient(0) == 0
         assert_counts(series, lambda n: count_colored_thm11(n, m))
 
 
 def test_t12_closed_form_both_oracles():
     for m, h in [(1, 0), (2, -1), (3, 1), (2, -3)]:
-        series = gf_t12_closed_form(m, h, N)
+        series = summed(gf_t12_closed_form, m, h, N)
         assert_counts(series, lambda n: count_fixed_hooks(n, m, h, m, by="part"))
         assert_counts(series, lambda n: count_restricted_thm12(n, m, h))
 
@@ -242,11 +261,11 @@ def test_t13_weight_shift_examples():
 def test_t14_matches_oracle_and_cancels_negative_powers():
     for m in (1, 2, 3):
         for k in (1, 2, 3):
-            series = gf_t14_hooks_of_size_k(m, k, N)
+            series = summed(gf_t14_hooks_of_size_k, m, k, N)
             assert series.min_exp >= 0
             assert_counts(series, lambda n: count_hooks_of_size(n, k, m))
     # q/(q;q)_inf: p(n-1) coefficients
-    series = gf_t14_hooks_of_size_k(1, 1, 10)
+    series = summed(gf_t14_hooks_of_size_k, 1, 1, 10)
     assert series.coefficients(0, 10) == [0, 1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert series.coefficient(3) == 2
 
@@ -273,7 +292,7 @@ def test_build_series_requires_declared_params():
     with pytest.raises(ValueError):
         build_series(TheoremId.MFixedByHook, 10, m=1, k=2, h=0, variant="stated")
     series = build_series(TheoremId.MFixedByHook, 12, m=2, k=3, h=1)
-    assert series == gf_mfixed_by_hook(2, 3, 1, 12)
+    assert series == summed(gf_mfixed_by_hook, 2, 3, 1, 12)
 
 
 def test_build_series_rejects_undeclared_params():
@@ -292,7 +311,7 @@ def test_catalog_families():
 
 
 def test_order_zero_series_is_empty():
-    series = gf_t11_closed_form(1, 0)
+    series = summed(gf_t11_closed_form, 1, 0)
     assert series.order == 0
     assert list(series.items()) == []
 
@@ -489,44 +508,53 @@ def test_builders_equal_dense_reference_at_order_60():
     N = 60
     for m, k, h in REF_CASES:
         for form in ("reindexed", "rows"):
-            assert gf_mfixed_by_part(m, k, h, N, form) == ref_mfixed_by_part(m, k, h, N, form)
+            assert summed(gf_mfixed_by_part, m, k, h, N, form) == \
+                ref_mfixed_by_part(m, k, h, N, form)
             if m == 1:
-                assert gf_fixed_by_part_m1(k, h, N, form) == ref_mfixed_by_part(1, k, h, N, form)
+                assert summed(gf_fixed_by_part_m1, k, h, N, form) == \
+                    ref_mfixed_by_part(1, k, h, N, form)
         for variant in ("stated", "derived"):
-            assert gf_odd_by_part(m, k, h, N, variant) == ref_odd_by_part(m, k, h, N, variant)
-            assert gf_distinct_by_part(m, k, h, N, variant) == \
+            assert summed(gf_odd_by_part, m, k, h, N, variant) == \
+                ref_odd_by_part(m, k, h, N, variant)
+            assert summed(gf_distinct_by_part, m, k, h, N, variant) == \
                 ref_distinct_by_part(m, k, h, N, variant)
-        assert gf_mfixed_by_hook(m, k, h, N) == ref_by_hook(Family.ALL, m, k, h, N)
+        assert summed(gf_mfixed_by_hook, m, k, h, N) == ref_by_hook(Family.ALL, m, k, h, N)
         if m == 1:
-            assert gf_fixed_by_hook_m1(k, h, N) == ref_by_hook(Family.ALL, 1, k, h, N)
-        assert gf_odd_by_hook(m, k, h, N) == ref_by_hook(Family.ODD, m, k, h, N)
-        assert gf_distinct_by_hook(m, k, h, N) == ref_by_hook(Family.DISTINCT, m, k, h, N)
-        assert gf_odd_distinct_by_hook(m, k, h, N) == \
+            assert summed(gf_fixed_by_hook_m1, k, h, N) == ref_by_hook(Family.ALL, 1, k, h, N)
+        assert summed(gf_odd_by_hook, m, k, h, N) == ref_by_hook(Family.ODD, m, k, h, N)
+        assert summed(gf_distinct_by_hook, m, k, h, N) == ref_by_hook(Family.DISTINCT, m, k, h, N)
+        assert summed(gf_odd_distinct_by_hook, m, k, h, N) == \
             ref_by_hook(Family.ODD_DISTINCT, m, k, h, N)
-        assert gf_t14_hooks_of_size_k(m, k, N) == ref_t14(m, k, N)
+        assert summed(gf_t14_hooks_of_size_k, m, k, N) == ref_t14(m, k, N)
     for m in range(1, 5):
-        assert gf_t11_closed_form(m, N) == ref_t11(m, N)
+        assert summed(gf_t11_closed_form, m, N) == ref_t11(m, N)
         for h in range(-4, 4):
-            assert gf_t12_closed_form(m, h, N) == ref_t12(m, h, N)
+            assert summed(gf_t12_closed_form, m, h, N) == ref_t12(m, h, N)
     for k in range(1, 9):
         for variant in ("stated", "derived"):
-            assert gf_odd_distinct_total(k, N, variant) == ref_odd_distinct_total(k, N, variant)
+            assert summed(gf_odd_distinct_total, k, N, variant) == \
+                ref_odd_distinct_total(k, N, variant)
 
 
-def test_infinite_tail_is_cut_at_the_window_width():
-    # A summand below q^0 widens the window past the order; the infinite
-    # product must still act on all of it.
-    for e in (-5, 0, 3):
-        got = _sum(20, [(e, ())], infinite=[(1, 1, 1, -1)])
-        assert got == inv_poch(1, None, 20 - e).shift(e)
+def test_infinite_run_cut_at_the_order_is_exact_from_q0():
+    # An infinite product cut at the order acts on the whole window of a
+    # summand at q^e for e >= 0; a summand below q^0 widens the window past
+    # the order, and the cut run misses its top.
+    run = inv_poch_factors(1, None, 20)
+    for e in (0, 1, 3):
+        assert sum_summands(20, [(e, run)]) == inv_poch(1, None, 20 - e).shift(e)
+    assert sum_summands(20, [(-5, run)]) != inv_poch(1, None, 25).shift(-5)
 
 
-def test_sum_with_a_zero_product_tail_reads_no_summand():
-    def summands():
-        raise AssertionError("a summand was read")
-        yield
-
-    assert _sum(N, summands(), None) == LaurentSeries.zero(N)
+def test_zero_product_summands_are_skipped():
+    # A None tail merged into every summand makes each the zero product:
+    # such a stream sums to zero, and amid other summands it adds nothing.
+    zero = [(e, merge_factors(gauss_factors(5, 2), None)) for e in (-2, 0, 3)]
+    assert all(factors is None for _, factors in zero)
+    assert sum_summands(N, zero) == LaurentSeries.zero(N)
+    live = [(1, gauss_factors(5, 2)), (4, inv_poch_factors(1, 3))]
+    assert sum_summands(N, live[:1] + zero + live[1:]) == sum_summands(N, live)
+    assert not sum_summands(N, live).is_zero()
 
 
 def test_sum_of_a_non_monotone_stream_equals_dense_reference():
@@ -552,26 +580,47 @@ def test_sum_of_a_non_monotone_stream_equals_dense_reference():
         (0, [lambda M: poch(2, 5, M, sign=-1), lambda M: gauss_binomial(9, 4, 1, M)]),
         (5, [lambda M: inv_poch(2, 3, M, step=3)]),
     ]
-    tail = inv_poch_factors(1, 2)
+    # A tail merged into every summand, with an infinite run cut at the
+    # width of the window [-3, N).
+    tail = merge_factors(inv_poch_factors(1, 2), inv_poch_factors(2, None, N + 3))
     want = ref_sum(N, dense, [lambda M: inv_poch(1, 2, M), lambda M: inv_poch(2, None, M)])
-    assert _sum(N, summands, tail, [(2, 1, 1, -1)]) == want
+    assert sum_summands(N, [(e, merge_factors(f, tail)) for e, f in summands]) == want
+
+
+@pytest.mark.parametrize("order", [30, 120])
+def test_streams_with_an_infinite_product_start_at_q1(order):
+    # Every summand exponent is at least 1 over the default grid, so the
+    # window [min e, order) is narrower than the order and the infinite
+    # products of these builders, cut at the order, are exact.
+    tags = (TheoremId.T11_ClosedForm, TheoremId.T14_HooksOfSizeK, TheoremId.OddDistinctTotal)
+    read = 0
+    for case in build_grid(GridSpec(theorems=tags, order=order)):
+        spec = CATALOG[case.theorem]
+        params = {name: getattr(case, name) for name in spec.params}
+        for variant in spec.variants or (None,):
+            extra = {"variant": variant} if variant else {}
+            exponents = [e for e, _ in spec.build(order=order, **params, **extra)]
+            assert exponents and min(exponents) >= 1, case.label()
+            read += 1
+    assert read > 40
 
 
 def test_t14_below_km_keeps_its_low_terms():
     # The lowest hook of size k in column m sits at weight k + m - 1 < km.
     for m, k, N in [(2, 5, 7), (3, 3, 9), (2, 2, 4)]:
-        assert_counts(gf_t14_hooks_of_size_k(m, k, N), lambda n: count_hooks_of_size(n, k, m), N)
-    assert gf_t14_hooks_of_size_k(2, 5, 7).coefficient(6) == 1
+        assert_counts(summed(gf_t14_hooks_of_size_k, m, k, N),
+                      lambda n: count_hooks_of_size(n, k, m), N)
+    assert summed(gf_t14_hooks_of_size_k, 2, 5, 7).coefficient(6) == 1
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gf_fixed_by_hook_m1(0, 0, 10),
-    lambda: gf_mfixed_by_hook(2, 0, 0, 10),
-    lambda: gf_odd_distinct_total(0, 10),
-    lambda: gf_t14_hooks_of_size_k(1, -1, 10),
-    lambda: gf_odd_by_hook(1, 0, -2, 10),
-    lambda: gf_distinct_by_hook(1, -2, -3, 10),
-    lambda: gf_odd_distinct_by_hook(2, 0, -1, 10),
+    lambda: summed(gf_fixed_by_hook_m1, 0, 0, 10),
+    lambda: summed(gf_mfixed_by_hook, 2, 0, 0, 10),
+    lambda: summed(gf_odd_distinct_total, 0, 10),
+    lambda: summed(gf_t14_hooks_of_size_k, 1, -1, 10),
+    lambda: summed(gf_odd_by_hook, 1, 0, -2, 10),
+    lambda: summed(gf_distinct_by_hook, 1, -2, -3, 10),
+    lambda: summed(gf_odd_distinct_by_hook, 2, 0, -1, 10),
 ])
 def test_builders_reject_hook_size_below_one(call):
     with pytest.raises(ValueError, match="hook size k must be >= 1"):

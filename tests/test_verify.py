@@ -5,7 +5,7 @@ import pytest
 
 import fixedhooks.verify as verify
 from fixedhooks.cli import main
-from fixedhooks.genfun import CATALOG, TheoremId
+from fixedhooks.genfun import CATALOG, TheoremId, build_series
 from fixedhooks.partitions import Family
 from fixedhooks.qseries import LaurentSeries
 from fixedhooks.verify import (
@@ -202,6 +202,39 @@ def test_build_grid_key_lists_are_pinned(spec, count, digest):
     keys = [c.key() + (c.order,) for c in build_grid(spec)]
     assert len(keys) == count
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def _add_up(terms, order):
+    """The sum of series that are all truncated at ``order``, added into one
+    coefficient list.  Each term stores exactly its coefficients from its
+    valuation up to the order."""
+    lo, total = 0, [0] * order
+    for s in terms:
+        if s.min_exp < lo:
+            total[:0] = [0] * (lo - s.min_exp)
+            lo = s.min_exp
+        for i, c in enumerate(s.coeffs):
+            total[s.min_exp - lo + i] += c
+    return LaurentSeries(lo, total, order)
+
+
+@pytest.mark.parametrize("order", [30, 60])
+def test_aggregate_checks_equal_the_sum_of_their_terms_series(order):
+    # An aggregate check chains its terms' summand streams and sums them in
+    # one pass; that must equal building every term's series and adding them.
+    aggregates = [case for case in build_grid(GridSpec(order=order))
+                  if case.check in ("h-aggregation", "column-total")]
+    assert len(aggregates) == 26
+    for case in aggregates:
+        k = case.k
+        if case.check == "h-aggregation":
+            terms = [build_series(TheoremId.MFixedByHook, order, m=case.m, k=k, h=h)
+                     for h in fixedness_window(case.m, k, order)]
+        else:
+            terms = [build_series(case.theorem, order, m=m, k=k, h=h)
+                     for m in column_window(k, order) for h in fixedness_window(m, k, order)]
+        got, _ = verify._sides(case, None)
+        assert got == _add_up(terms, order), case.label()
 
 
 def test_every_theorem_has_one_row():
