@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .genfun import CATALOG, build_series, resolve_theorem
 from .oracles import (
@@ -75,6 +74,22 @@ def _nonnegative(name: str):
 
 order_arg = _nonnegative("order")  # a truncation order
 weight_arg = _nonnegative("n")  # a partition weight
+
+
+def _comma_list(parse, everything: str | None = None):
+    """An argparse type for a comma-separated list of values ``parse``
+    reads; the empty text is the empty list, and ``everything`` is None,
+    no filter at all."""
+
+    def convert(text: str):
+        if text == everything:
+            return None
+        try:
+            return tuple(map(parse, text.split(","))) if text else ()
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def render_colored(first: Partition, second: Partition) -> str:
@@ -144,22 +159,16 @@ def read_config(path: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    theorems = None
-    if args.thm not in (None, "all"):
-        if args.all:
-            raise UsageError(f"--all runs every theorem; it cannot be combined with {args.thm!r}")
-        theorems = tuple(resolve_theorem(t) for t in args.thm.split(","))
-    families = None
-    if args.family is not None:
-        families = tuple(Family(f) for f in args.family.split(","))
-
+    if args.all and args.thm is not None:
+        raise UsageError("--all runs every theorem; it cannot be combined with "
+                         f"{','.join(t.value for t in args.thm)!r}")
     spec = GridSpec(
-        theorems=theorems,
+        theorems=args.thm,
         order=args.order,
         m_values=args.m,
         k_values=args.k,
         h_values=args.h,
-        families=families,
+        families=args.family,
         variant=None if args.variant == "both" else args.variant,
     )
     cases = build_grid(spec)
@@ -389,11 +398,13 @@ def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run identity checks over a parameter grid",
                         exit_on_error=exit_on_error)
-    p.add_argument("--thm", help="comma-separated theorem tags, or all (the default)")
+    p.add_argument("--thm", type=_comma_list(resolve_theorem, "all"),
+                   help="comma-separated theorem tags, or all (the default)")
     p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
     # "both" adjudicates the two variants case by case, so only verify offers it.
     _add_series_flags(p, parse_range, DEFAULT_ORDER, ("stated", "derived", "both"))
-    p.add_argument("--family", help="comma-separated partition families: "
+    p.add_argument("--family", type=_comma_list(Family),
+                   help="comma-separated partition families: "
                    + ",".join(f.value for f in Family))
     p.add_argument("--config", help="key = value file of grid settings; flags override it")
     p.set_defaults(fn=cmd_verify)
@@ -443,6 +454,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # only here, so that no other run loads it
+
         traceback.print_exc()
         return 3
 

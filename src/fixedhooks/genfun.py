@@ -51,9 +51,8 @@ above-hook factors from the diagram geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import Family, require_column, require_hook_size
 from .qseries import (
@@ -452,8 +451,7 @@ class TheoremId(str, Enum):
     OddDistinctTotal = "OddDistinctTotal"
 
 
-@dataclass(frozen=True)
-class BuilderSpec:
+class BuilderSpec(NamedTuple):
     """How to drive one catalog entry: its parameters, the partition family
     its coefficients count, the builder (called with ``order`` and the
     parameters by keyword, it returns the summand stream), and the variants

@@ -32,10 +32,9 @@ from __future__ import annotations
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .partitions import (
     Family,
@@ -410,8 +409,7 @@ class CountTable(Mapping):
         return sum(1 for _ in self)
 
 
-@dataclass(frozen=True)
-class HookTally:
+class HookTally(NamedTuple):
     """Hook statistics over the partitions of every n <= max_n in a family.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and

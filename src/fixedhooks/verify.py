@@ -14,14 +14,12 @@ row with the series' coefficient list.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .genfun import (
     CATALOG,
@@ -42,8 +40,7 @@ DEFAULT_ORDER = 30
 _COLUMN_TOTAL_MAX_K = 4
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
     """What the verifier knows of one theorem: ``checks``, the comparisons
     its cases make ("oracle" is the plain series-vs-count check); ``table``,
     the :class:`~fixedhooks.oracles.HookTally` table its tally check reads;
@@ -88,8 +85,7 @@ THEOREMS: dict[TheoremId, TheoremRow] = {
 VARIANT_TAGS = tuple(t for t in TheoremId if CATALOG[t].variants)
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One verification job: a theorem, its parameters, and a truncation order."""
 
     theorem: TheoremId
@@ -128,16 +124,22 @@ class IdentityCase:
         return " ".join(bits)
 
 
-@dataclass
 class VerifyReport:
-    """Outcome of one case; ``first_mismatch`` is (n, got, want)."""
+    """Outcome of one case: ``status`` is pass, fail, skipped or error,
+    ``first_mismatch`` is (n, got, want), and ``variants`` maps each variant
+    tried to whether it matched, a new dict for each report."""
 
-    case: IdentityCase
-    status: str  # pass | fail | skipped | error
-    first_mismatch: tuple[int, int, int] | None = None
-    detail: str = ""
-    elapsed: float = 0.0
-    variants: dict[str, bool] = field(default_factory=dict)  # variant tried -> matched
+    __slots__ = ("case", "status", "first_mismatch", "detail", "elapsed", "variants")
+
+    def __init__(self, case: IdentityCase, status: str,
+                 first_mismatch: tuple[int, int, int] | None = None, detail: str = "",
+                 elapsed: float = 0.0, variants: dict[str, bool] | None = None):
+        self.case = case
+        self.status = status
+        self.first_mismatch = first_mismatch
+        self.detail = detail
+        self.elapsed = elapsed
+        self.variants = {} if variants is None else variants
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +282,7 @@ def run_case(case: IdentityCase) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GridSpec:
+class GridSpec(NamedTuple):
     """Parameter ranges for grid assembly; None means the per-theorem default."""
 
     theorems: tuple[TheoremId, ...] | None = None
@@ -414,6 +415,8 @@ _REPORT_FIELDS = (
 
 
 def render_csv(reports: list[VerifyReport]) -> str:
+    import csv  # only here, so that no other run loads it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_REPORT_FIELDS, lineterminator="\n")
     writer.writeheader()

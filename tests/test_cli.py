@@ -55,9 +55,10 @@ def test_verify_single_case_exit_zero(capsys):
 
 
 def test_verify_unknown_theorem_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--thm", "T99")
-    assert code == 2
-    assert "unknown theorem" in err
+    # --thm's own type rejects the tag while the parser reads argv.
+    assert run_cli_exit("verify", "--thm", "T99") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --thm: unknown theorem tag 'T99'" in err
 
 
 def test_verify_pinned_failing_variant_gives_exit_one(capsys):
@@ -107,7 +108,8 @@ def test_verify_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["ordr = 10", "jobs = 2", "order = -1", "order = ten",
-                                  "variant = bogus", "variant = auto"])
+                                  "variant = bogus", "variant = auto", "thms = T99",
+                                  "family = bogus"])
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
@@ -302,16 +304,29 @@ def test_count_rejects_hook_size_below_one(capsys, argv):
     assert "hook size k must be >= 1" in err
 
 
-def test_python_dash_m_runs_cli():
+def _fresh_python(*args):
+    """Run this interpreter in a new process that imports this checkout."""
     src = str(Path(fixedhooks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixedhooks", "count", "hooks", "--n", "4", "--k", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_python_dash_m_runs_cli():
+    proc = _fresh_python("-m", "fixedhooks", "count", "hooks", "--n", "4", "--k", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "count: 7"
+
+
+def test_verify_set_up_loads_no_dataclasses_inspect_traceback_or_csv():
+    # Set-up of a verify run: the package imported and argv parsed.
+    proc = _fresh_python("-c", "import sys, fixedhooks.cli\n"
+                         "fixedhooks.cli.make_parser().parse_args(['verify', '--all'])\n"
+                         "print(*sorted({'dataclasses', 'inspect', 'traceback', 'csv'}"
+                         " & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_count_unknown_oracle(capsys):

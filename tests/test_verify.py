@@ -6,11 +6,13 @@ import pytest
 import fixedhooks.verify as verify
 from fixedhooks.cli import main
 from fixedhooks.genfun import CATALOG, TheoremId, build_series
+from fixedhooks.oracles import hook_tally
 from fixedhooks.partitions import Family
 from fixedhooks.qseries import LaurentSeries
 from fixedhooks.verify import (
     GridSpec,
     IdentityCase,
+    VerifyReport,
     build_grid,
     column_window,
     fixedness_window,
@@ -243,6 +245,21 @@ def test_every_theorem_has_one_row():
         TheoremId.OddBySize, TheoremId.DistinctBySize, TheoremId.OddDistinctTotal,
         TheoremId.T13_Shifted,
     }
+
+
+def test_records_are_immutable_values_and_each_report_owns_its_variants():
+    case = IdentityCase(TheoremId.T11_ClosedForm, 10, m=2)
+    for record, name in ((case, "order"), (hook_tally(3), "max_n"),
+                         (CATALOG[TheoremId.T11_ClosedForm], "family")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    same = IdentityCase(theorem=TheoremId.T11_ClosedForm, order=10, m=2, check="oracle")
+    assert same == case and hash(same) == hash(case) and same is not case
+    assert case._replace(m=3) != case
+    first, second = VerifyReport(case, "pass"), VerifyReport(case, "pass")
+    first.variants["derived"] = True
+    assert second.variants == {}
+    assert run_case(case).elapsed > 0
 
 
 @pytest.mark.parametrize("theorem", [TheoremId.OddByHook, TheoremId.DistinctByHook])
