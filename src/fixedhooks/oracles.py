@@ -13,8 +13,9 @@ The companion objects of Theorems 11, 12 and 13 are counted as rows of
 block products: each object splits into blocks of part sizes chosen
 independently (sizes avoided in a gap, a run of sizes all present, free
 second-color parts), and each oracle builds the count of every n up to a
-bound at once, as one coin change over the sizes its blocks admit or a
-product with the census's exactly-j-parts table.  The point counts read
+bound at once, as coin changes over the sizes its blocks admit (for T13's
+derived objects, times rows of distinct parts and summed over their number
+of big parts by Horner's rule).  The point counts read
 their row at n; the verifier reads one row per case.  The
 enumerate-and-filter definitions of those objects live in the tests as
 references.  The generating-function builders in
@@ -34,11 +35,13 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, islice, product
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from operator import add
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .partitions import (
     Family,
     Partition,
+    _row,
     enumerate_parts,
     enumerate_partitions,
     partition_count,
@@ -57,19 +60,9 @@ from .partitions import (
 # first color alone.  Every companion object splits into blocks of part sizes
 # chosen independently, so each oracle builds one row, the count of every
 # n <= max_n, as a product of block rows: a coin change over the sizes a
-# block admits (:func:`_row`, a size listed twice coming in two colors), or
-# the census's exactly-j-parts table (:func:`_exact_parts`).
-
-
-def _row(max_n: int, sizes: Iterable[int], ways: list[int] | None = None) -> list[int]:
-    """Partitions of each x <= max_n into parts from ``sizes``, or, with
-    ``ways`` given, that series times theirs, computed in ``ways`` in place."""
-    if ways is None:
-        ways = [1] + [0] * max_n
-    for size in sizes:
-        for x in range(size, max_n + 1):
-            ways[x] += ways[x - size]
-    return ways
+# block admits (:func:`~fixedhooks.partitions._row`, a size listed twice
+# coming in two colors), or, for T13's derived objects, a row of exactly
+# k - m distinct parts.
 
 
 def _shift(row: list[int], by: int, size: int) -> list[int]:
@@ -146,7 +139,8 @@ def colored_t13_row(
     those partitions times the second color.  ``derived``: for each u, the
     u big parts less k+m each are a partition into parts <= u (by
     conjugation), so the objects are q^{u(k+m)} times k-m distinct parts
-    <= u + h times the parts <= u and the second color.
+    <= u + h times the parts <= u and the second color, summed over u by
+    Horner's rule from the largest u down.
     """
     require_column(m, k)
     if variant == "stated":
@@ -156,29 +150,34 @@ def colored_t13_row(
         return _shift(_row(top, sizes), low, max_n + 1)
     if variant != "derived":
         raise ValueError(f"unknown variant {variant!r}")
-    lift = (k - m - h) * (k + m)  # objects of n' weigh n' + lift
+    big = k + m  # the least big part
+    u0 = max(0, k - m - h)
+    lift = (k - m - h) * big  # objects of n' weigh n' + lift
     top = max_n + lift
-    u = max(0, k - m - h)
-    rest = top - u * (k + m)  # the most the distinct and free parts can weigh
-    total = [0] * (top + 1)
-    # Slot d of distinct[j]: partitions of d into exactly j distinct parts
-    # <= cap.  Parts above rem never fit, and the cap u + h only grows with
-    # u, so one stream of the census's table serves every u.  By conjugation
-    # no slot exceeds the partitions of rest into parts <= k - m.
-    width = _slot_width(partition_count(rest, k - m))
-    tables = _exact_parts(rest, 1, True, width, max_parts=k - m)
-    distinct, cap = next(tables), 0
-    while (low := u * (k + m)) <= top:
-        rem = top - low
+    # rows[j][x]: x as exactly j distinct parts <= cap, cut at the most the
+    # distinct and free parts can weigh beside the big parts, which falls as
+    # u grows while the cap u + h rises.  distinct[u - u0] is then D_u, the
+    # row of exactly k - m distinct parts <= u + h.
+    rows = [[int(j == 0)] + [0] * (top - u0 * big) for j in range(k - m + 1)]
+    cap, distinct = 0, []
+    for u in range(u0, top // big + 1):
+        rem = top - u * big
+        for row in rows:
+            del row[rem + 1 :]
         while cap < min(u + h, rem):
-            distinct, cap = next(tables), cap + 1
-        if k - m < len(distinct):
-            free = chain(range(1, u + 1), range(1, m))
-            ways = _unpack(distinct[k - m], width, rest + 1)[: rem + 1]
-            for w, count in enumerate(_row(rem, free, ways), start=low):
-                total[w] += count
-        u += 1
-    return _shift(total, -lift, max_n + 1)
+            cap += 1
+            for j in range(min(cap, k - m), 0, -1):
+                rows[j][cap:] = map(add, rows[j][cap:], rows[j - 1])
+        distinct.append(rows[-1][:])
+    # Horner's rule from the largest u down: t <- D_u + q^big t / (1 - q^(u+1)),
+    # so that t / (q;q)_u0 is the sum over u of q^((u - u0) big) D_u / (q;q)_u.
+    t: list[int] = []
+    for u in range(top // big, u0 - 1, -1):
+        row = distinct.pop()
+        row[big:] = map(add, row[big:], _row(len(t) - 1, (u + 1,), t))
+        t = row
+    free = chain(range(1, u0 + 1), range(1, m))
+    return _shift(_row(len(t) - 1, free, t), u0 * big - lift, max_n + 1)
 
 
 def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = "stated") -> int:
@@ -271,22 +270,18 @@ def _unpack(packed: int, width: int, slots: int) -> list[int]:
     return row if sys.byteorder == "little" else row[::-1]
 
 
-def _exact_parts(
-    max_n: int, step: int, distinct: bool, width: int, max_parts: int | None = None
-) -> Iterator[list[int]]:
+def _exact_parts(max_n: int, step: int, distinct: bool, width: int) -> Iterator[list[int]]:
     """Yield ``rows``, with slot x of the packed row ``rows[j]`` (bits
     x * width onwards) the number of ways to write x <= max_n as exactly j
     parts from the sizes admitted so far: first none, then one more of 1,
     1 + step, ... <= max_n at each yield.  Parts repeat unless ``distinct``.
-    Rows stop at j = ``max_parts`` when it is given.  The table is updated
-    in place between yields.
+    The table is updated in place between yields.
     """
     mask = (1 << max(0, max_n + 1) * width) - 1
-    last = max_n if max_parts is None else min(max_parts, max_n)
-    rows = [1] if distinct else [1] + [0] * last
+    rows = [1] if distinct else [1] + [0] * max_n
     yield rows
     for size in range(1, max_n + 1, step):
-        if distinct and len(rows) <= last:
+        if distinct and len(rows) <= max_n:
             rows.append(0)
         # A repeated size may already sit in rows[j - 1]; a distinct one may not.
         js = range(len(rows) - 1, 0, -1) if distinct else range(1, len(rows))

@@ -183,12 +183,19 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
+def _row(max_n: int, sizes: Iterable[int], ways: list[int] | None = None) -> list[int]:
+    """Partitions of each x <= max_n into parts from ``sizes``, or, with
+    ``ways`` given, that series times theirs, computed in ``ways`` in place."""
+    if ways is None:
+        ways = [1] + [0] * max_n
+    for size in sizes:
+        for x in range(size, max_n + 1):
+            ways[x] += ways[x - size]
+    return ways
+
+
 # _UNBOUNDED[x] is p(x), the number of partitions of x.
 _UNBOUNDED: list[int] = [1]
-
-# _BOUNDED[c][x] is the number of partitions of x into parts <= c.  Rows
-# are extended bottom-up, so row lengths never increase with c.
-_BOUNDED: list[list[int]] = [[1]]
 
 
 def partition_count(n: int, max_part: int | None = None) -> int:
@@ -197,38 +204,20 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     Exact integers, without recursion.  Without a bound, Euler's pentagonal
     recurrence p(x) = sum_{j >= 1} (-1)^(j+1) (p(x - g_j) + p(x - g_j - j)),
     g_j = j(3j-1)/2, extends one list of p(x): O(n) memory in all.  With a
-    bound, p(x, <= c) = p(x, <= c-1) + p(x-c, <= c) fills a table of rows
-    that later calls extend, at O(1) work per new table entry.
+    bound, one coin change over the sizes 1 .. min(max_part, n) counts every
+    x <= n, O(n) memory and at most n^2 additions, kept for no later call.
     """
     if n < 0:
         return 0
-    if max_part is None:
-        p = _UNBOUNDED
-        for x in range(len(p), n + 1):
-            total, j, g = 0, 1, 1
-            while g <= x:
-                pair = p[x - g] + (p[x - g - j] if g + j <= x else 0)
-                total += pair if j % 2 else -pair
-                j += 1
-                g += 3 * j - 2
-            p.append(total)
-        return p[n]
-    if n == 0:
-        return 1
-    cap = min(max_part, n)
-    if cap <= 0:
-        return 0
-    while len(_BOUNDED) <= cap:
-        _BOUNDED.append([1])
-    first = cap
-    while first > 0 and len(_BOUNDED[first - 1]) <= n:
-        first -= 1
-    for c in range(first, cap + 1):
-        row = _BOUNDED[c]
-        if c == 0:
-            row.extend([0] * (n + 1 - len(row)))
-            continue
-        below = _BOUNDED[c - 1]
-        for x in range(len(row), n + 1):
-            row.append(below[x] + (row[x - c] if x >= c else 0))
-    return _BOUNDED[cap][n]
+    if max_part is not None:
+        return _row(n, range(1, min(max_part, n) + 1))[n]
+    p = _UNBOUNDED
+    for x in range(len(p), n + 1):
+        total, j, g = 0, 1, 1
+        while g <= x:
+            pair = p[x - g] + (p[x - g - j] if g + j <= x else 0)
+            total += pair if j % 2 else -pair
+            j += 1
+            g += 3 * j - 2
+        p.append(total)
+    return p[n]

@@ -189,7 +189,8 @@ def test_colored_t13_variants_agree_at_h_zero():
 
 def test_colored_t13_derived_at_a_large_fixedness():
     # The distinct parts under the hook are capped at u + h, here above 1000;
-    # the count reads one stream of the census's table, not a recursion per cap.
+    # one distinct-parts table admits each size once for every u, not a
+    # recursion per cap.
     assert count_colored_thm13(3000, 1, 2, 1000, variant="derived") == 1
     assert count_colored_thm13(3010, 1, 2, 1000, variant="derived") == 35
 

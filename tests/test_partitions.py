@@ -4,6 +4,7 @@ import pytest
 from fixedhooks.partitions import (
     Family,
     Partition,
+    _row,
     conjugate_parts,
     enumerate_partitions,
     enumerate_parts,
@@ -132,10 +133,13 @@ def test_family_step_and_distinct_agree_with_admits():
 
 
 def test_partition_count_matches_pentagonal_recurrence():
-    # p(n) comes from Euler's pentagonal recurrence; the bounded-part table
-    # at max_part = n is the independent reference.
+    # p(n) comes from Euler's pentagonal recurrence; the bounded count at
+    # max_part = n, one coin change over the sizes 1 .. n, is the
+    # independent reference, built once for every n <= 600.
+    bounded = _row(600, range(1, 601))
+    assert partition_count(600, 600) == bounded[600]
     for n in range(601):
-        assert partition_count(n) == partition_count(n, n)
+        assert partition_count(n) == bounded[n]
     for n in range(26):
         assert len(list(enumerate_parts(n))) == partition_count(n)
     assert partition_count(100) == 190569292
