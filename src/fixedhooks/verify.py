@@ -158,7 +158,7 @@ def _count(case: IdentityCase, table: str, *key) -> list[int]:
 def column_window(k: int, order: int) -> range:
     """Columns m whose by-hook series can reach below the order: the cheapest
     term costs at least (m-1) + k."""
-    return range(1, max(1, order - k + 1) + 1)
+    return range(1, order - k + 1)
 
 
 def fixedness_window(m: int, k: int, order: int) -> list[int]:
@@ -169,7 +169,7 @@ def fixedness_window(m: int, k: int, order: int) -> list[int]:
     h = k - 1
     while True:
         emin = min(by_hook_exponent(m, k, h, l) for l in range(1, k + 1))
-        if emin > order:
+        if emin >= order:
             break
         out.append(h)
         h -= 1

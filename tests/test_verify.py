@@ -126,7 +126,31 @@ def test_windows_shrink_with_order():
     assert fixedness_window(1, 2, 30)[0] == 1
     assert len(fixedness_window(1, 2, 30)) > len(fixedness_window(1, 2, 10))
     assert list(column_window(4, 10))[0] == 1
-    assert list(column_window(4, 10))[-1] == 7
+    assert list(column_window(4, 10))[-1] == 6
+
+
+@pytest.mark.parametrize("order", [30, 60])
+def test_every_default_window_ends_on_its_last_nonzero_term(order):
+    # The last h of an h-aggregation window, and the last column of a
+    # column-total window, has a term with a coefficient below the order;
+    # the next h or column has none.
+    def reaches(theorem, m, k, hs):
+        series = (build_series(theorem, order, m=m, k=k, h=h) for h in hs)
+        return any(any(s.coefficients(min(0, s.min_exp), order)) for s in series)
+
+    aggregates = [case for case in build_grid(GridSpec(order=order))
+                  if case.check in ("h-aggregation", "column-total")]
+    assert len(aggregates) == 26
+    for case in aggregates:
+        k = case.k
+        if case.check == "h-aggregation":
+            last = fixedness_window(case.m, k, order)[-1]
+            assert reaches(TheoremId.MFixedByHook, case.m, k, (last,)), case.label()
+            assert not reaches(TheoremId.MFixedByHook, case.m, k, (last - 1,)), case.label()
+        else:
+            last = column_window(k, order)[-1]
+            assert reaches(case.theorem, last, k, fixedness_window(last, k, order)), case.label()
+            assert not reaches(case.theorem, last + 1, k, range(-order, k)), case.label()
 
 
 def test_renderers_are_deterministic_and_well_formed():
