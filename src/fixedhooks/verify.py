@@ -302,10 +302,18 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     of every theorem that takes it.  Every case runs at ``spec.order``.
     Parameter combinations violating a builder precondition (k < m for the
     by-part theorems) become skipped cases only when explicitly requested.
+    Raises ValueError when the spec gives values of m, k or h and no
+    theorem left after the family filter takes that parameter.
     """
     tags = spec.theorems if spec.theorems is not None else tuple(TheoremId)
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
+    for name in ("m", "k", "h"):
+        if getattr(spec, f"{name}_values") is not None and tags and not any(
+            name in CATALOG[t].params for t in tags
+        ):
+            raise ValueError(f"no selected theorem takes {name} "
+                             f"(selected: {','.join(t.value for t in tags)})")
     cases: list[IdentityCase] = []
     for t in tags:
         row, params = THEOREMS[t], CATALOG[t].params
