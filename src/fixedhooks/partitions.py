@@ -205,7 +205,7 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     recurrence p(x) = sum_{j >= 1} (-1)^(j+1) (p(x - g_j) + p(x - g_j - j)),
     g_j = j(3j-1)/2, extends one list of p(x): O(n) memory in all.  With a
     bound, one coin change over the sizes 1 .. min(max_part, n) counts every
-    x <= n, O(n) memory and at most n^2 additions, kept for no later call.
+    x <= n in O(n) memory and at most n^2 additions; nothing is kept.
     """
     if n < 0:
         return 0

@@ -308,12 +308,11 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     tags = spec.theorems if spec.theorems is not None else tuple(TheoremId)
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
+    taken = {name for t in tags for name in CATALOG[t].params}
     for name in ("m", "k", "h"):
-        if getattr(spec, f"{name}_values") is not None and tags and not any(
-            name in CATALOG[t].params for t in tags
-        ):
-            raise ValueError(f"no selected theorem takes {name} "
-                             f"(selected: {','.join(t.value for t in tags)})")
+        if tags and getattr(spec, f"{name}_values") is not None and name not in taken:
+            selected = ",".join(t.value for t in tags)
+            raise ValueError(f"no selected theorem takes {name} (selected: {selected})")
     cases: list[IdentityCase] = []
     for t in tags:
         row, params = THEOREMS[t], CATALOG[t].params

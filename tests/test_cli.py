@@ -164,13 +164,6 @@ def test_verify_rejects_a_parameter_no_selected_theorem_takes(capsys, argv):
     assert out == "" and err.startswith("error: no selected theorem takes ")
 
 
-def test_verify_parameter_applies_to_the_theorems_that_take_it(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--thm", "T11,T12", "--m", "1", "--h", "0",
-                           "--order", "6")
-    assert code == 0
-    assert "T11_ClosedForm m=1 N=6" in out and "T12_ClosedForm m=1 h=0 N=6" in out
-
-
 def test_verify_without_config_runs_at_order_30(capsys):
     code, out, _ = run_cli(capsys, "verify", "--thm", "T14", "--m", "1", "--k", "2")
     assert code == 0
