@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .genfun import CATALOG, build_series, resolve_theorem
+from .genfun import CATALOG, build_series, builder_args, resolve_theorem
 from .oracles import (
     colored_t11_witnesses,
     count_colored_thm11,
@@ -133,8 +133,9 @@ CONFIG_KEYS = ("thms", "m", "k", "h", "order", "family", "variant", "format")
 def read_config(path: str) -> list[str]:
     """The ``--flag=value`` argv of a verify --config file: ``key = value``
     lines, one of CONFIG_KEYS each; '#' starts a comment.  The argv is
-    parsed here once, so that a value its flag rejects is reported with the
-    file's name."""
+    parsed and its grid built here once, so that a value its flag rejects
+    or a grid rule the file's own lines break is reported with the file's
+    name."""
     argv = []
     try:
         with open(path) as fh:
@@ -152,29 +153,30 @@ def read_config(path: str) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     try:
-        make_parser(exit_on_error=False).parse_args(["verify", *argv])
-    except argparse.ArgumentError as exc:
+        verify_grid(make_parser(exit_on_error=False).parse_args(["verify", *argv]))
+    except (argparse.ArgumentError, UsageError, ValueError) as exc:
         raise UsageError(f"{exc} in {path}") from None
     return argv
+
+
+def verify_grid(args) -> list:
+    """The cases of verify's parsed flags (see :func:`verify.build_grid`,
+    which raises ValueError on a parameter no selected theorem takes);
+    raises UsageError when the grid is empty."""
+    variant = None if args.variant == "both" else args.variant
+    cases = build_grid(GridSpec(theorems=args.thm, order=args.order, m_values=args.m,
+                                k_values=args.k, h_values=args.h, families=args.family,
+                                variant=variant))
+    if not cases:
+        raise UsageError("grid is empty: no theorem matches the given filters")
+    return cases
 
 
 def cmd_verify(args) -> int:
     if args.all and args.thm is not None:
         raise UsageError("--all runs every theorem; it cannot be combined with "
                          f"{','.join(t.value for t in args.thm)!r}")
-    spec = GridSpec(
-        theorems=args.thm,
-        order=args.order,
-        m_values=args.m,
-        k_values=args.k,
-        h_values=args.h,
-        families=args.family,
-        variant=None if args.variant == "both" else args.variant,
-    )
-    cases = build_grid(spec)
-    if not cases:
-        raise UsageError("grid is empty: no theorem matches the given filters")
-    reports = run_cases(cases)
+    reports = run_cases(verify_grid(args))
     notes = variant_notes(reports)
     if args.format == "text":
         _write(render_text(reports, notes), args.out)
@@ -296,25 +298,13 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     theorem = resolve_theorem(args.thm)
-    params = CATALOG[theorem].params
-    if CATALOG[theorem].build is None:
-        raise UsageError(f"{theorem.value} has no series to tabulate")
-
-    ranges: dict[str, tuple[int, ...]] = {}
-    for name in ("m", "k", "h"):
-        values = getattr(args, name)
-        if values is None:
-            continue
-        if name not in params:
-            raise UsageError(f"{theorem.value} does not take --{name}")
-        ranges[name] = values
-    for name in params:
-        if name not in ranges:
-            raise UsageError(f"{theorem.value} requires --{name}")
+    # Checked once for the whole table, so an empty range is checked too.
+    ranges = builder_args(theorem, args.variant, m=args.m, k=args.k, h=args.h)
+    ranges.pop("variant", None)
     varying = [name for name, vals in ranges.items() if len(vals) != 1]
     if len(varying) > 1:
         raise UsageError("table can vary at most one of --m/--k/--h")
-    axis = varying[0] if varying else params[-1]
+    axis = varying[0] if varying else CATALOG[theorem].params[-1]
 
     columns = []
     for value in ranges[axis]:
@@ -368,9 +358,9 @@ def _add_output(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_series_flags(sub, param_type, default_order, variants=("stated", "derived")):
+def _add_series_flags(sub, param_type, variants=("stated", "derived")):
     """The flags verify, series and table share; --m/--k/--h of ``param_type``."""
-    sub.add_argument("-N", "--order", type=order_arg, default=default_order,
+    sub.add_argument("-N", "--order", type=order_arg, default=DEFAULT_ORDER,
                      help="truncation order: coefficients are reported for exponents below N")
     for name, what in _PARAMS.items():
         if param_type is parse_range:
@@ -402,7 +392,7 @@ def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                    help="comma-separated theorem tags, or all (the default)")
     p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
     # "both" adjudicates the two variants case by case, so only verify offers it.
-    _add_series_flags(p, parse_range, DEFAULT_ORDER, ("stated", "derived", "both"))
+    _add_series_flags(p, parse_range, ("stated", "derived", "both"))
     p.add_argument("--family", type=_comma_list(Family),
                    help="comma-separated partition families: "
                    + ",".join(f.value for f in Family))
@@ -411,7 +401,7 @@ def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 
     p = subs.add_parser("series", help="print coefficients of one builder")
     p.add_argument("--thm", required=True, help="theorem tag")
-    _add_series_flags(p, int, 30)
+    _add_series_flags(p, int)
     p.set_defaults(fn=cmd_series)
 
     p = subs.add_parser("count", help="evaluate a counting oracle")
@@ -435,7 +425,7 @@ def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="coefficient table over one varying parameter")
     p.add_argument("--thm", required=True, help="theorem tag")
-    _add_series_flags(p, parse_range, 30)
+    _add_series_flags(p, parse_range)
     p.set_defaults(fn=cmd_table)
 
     return parser

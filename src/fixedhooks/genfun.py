@@ -1,23 +1,22 @@
 """Series builders for fixed-hook counting identities.
 
 Each public ``gf_*`` function returns the summand stream of a generating
-function, and :func:`sum_summands` turns a stream into a
-:class:`LaurentSeries` truncated at a caller-supplied order N whose
-coefficient at q^n is a fixed-hook count of the matching enumeration oracle
-in :mod:`fixedhooks.oracles`; :func:`build_series` does both for a catalog
-entry.  The builders are generators, so a builder checks its parameters
-when its stream is first read.
+function.  Summed by :func:`~fixedhooks.qseries.sum_summands` (imported
+here) and truncated at a caller-supplied order N, the stream's series has
+at q^n a fixed-hook count of the matching enumeration oracle in
+:mod:`fixedhooks.oracles`.  :data:`CATALOG` names each theorem's builder,
+:func:`builder_args` states the parameters and variants a theorem takes,
+and :func:`build_series` sums a catalog entry's stream.  The builders are
+generators, so a builder checks its parameters when its stream is first
+read.
 
 A summand ``(e, factors)`` is q^e times the product of a finite factor
 multiset, a tuple of Pochhammer runs (see
 :func:`fixedhooks.qseries.merge_factors` and its constructors); the
 factors common to every summand of a builder, its tail, are merged into
-each one.  Consecutive summands share most of their factors, so
-:func:`sum_summands` adds them by Horner's rule from the last one back: it
-multiplies the running sum by the binomials in which two neighbouring
-summands differ, read off their runs, one O(N) pass each, and adds each
-summand's q^e as one coefficient; no two series are ever multiplied, and a
-run shared by the whole stream, such as the tail, is expanded once.  The
+each one.  Consecutive summands share most of their factors, and
+``sum_summands`` applies only the binomials in which neighbours differ, so
+a run shared by the whole stream, such as the tail, is expanded once.  The
 streams of several builders can be chained and summed in one pass, as the
 aggregate checks of :mod:`fixedhooks.verify` do.  Nested sums are flattened
 into double-indexed streams.  Every factor is a power series with constant
@@ -52,59 +51,23 @@ above-hook factors from the diagram geometry.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .partitions import Family, require_column, require_hook_size
 from .qseries import (
-    Factors,
     LaurentSeries,
-    apply_factors,
-    factor_change,
+    Summand,
     gauss_factors,
     inv_poch_factors,
     merge_factors,
     poch_factors,
+    sum_summands,
 )
-
-Summand = tuple[int, Factors | None]
-"""``(e, factors)``: q^e times the product of ``factors``; None is zero."""
 
 
 def _choose2(x: int) -> int:
     """x*(x-1)/2 as a polynomial in x (negative arguments allowed)."""
     return x * (x - 1) // 2
-
-
-def sum_summands(order: int, summands: Iterable[Summand]) -> LaurentSeries:
-    """Sum of q^e * prod(factors) over the summands, exact below ``order``.
-    A summand at or past the order, or with the zero product (None) for its
-    factors, adds nothing and is skipped.
-
-    The sum is taken by Horner's rule from the last summand back.  With P_i
-    the product of summand i's factors, ``acc`` holds
-    sum_{j >= i} q^(e_j) P_j / P_i on the window [min_{j >= i} e_j, order).
-    Stepping back to summand i - 1 multiplies it by P_i / P_(i-1), the
-    binomials below its width by which the two summands' runs differ (see
-    :func:`~fixedhooks.qseries.factor_change`), and adds q^(e_(i-1)), a
-    single coefficient.  The first summand's product is applied last, so a
-    run that every summand shares is expanded once.  Every run acts on the
-    window [min e, order), so an infinite run cut at the order is exact
-    when min e >= 0.
-    """
-    terms = [t for t in summands if t[0] < order and t[1] is not None]
-    if not terms:
-        return LaurentSeries.zero(order)
-    (low, after), rest = terms[-1], terms[:-1]
-    acc = [1] + [0] * (order - low - 1)
-    for e, factors in reversed(rest):
-        apply_factors(acc, factor_change(factors, after, len(acc)))
-        if e < low:
-            acc[:0] = [0] * (low - e)
-            low = e
-        acc[e - low] += 1
-        after = factors
-    apply_factors(acc, factor_change((), after, len(acc)))
-    return LaurentSeries(low, acc, order)
 
 
 def _half(m: int) -> int:
@@ -509,6 +472,33 @@ def resolve_theorem(name: str) -> TheoremId:
     raise ValueError(f"unknown theorem tag {name!r}")
 
 
+def builder_args(theorem: TheoremId, variant: str | None = None, **given) -> dict:
+    """The keyword arguments of ``theorem``'s builder: each parameter it
+    takes, from ``given`` (m, k and h, None where not given), and the
+    variant when one is given.
+
+    Raises ValueError when the theorem has no builder, a parameter it takes
+    is missing, one it does not take is given, or a variant is given to a
+    theorem without variants.
+    """
+    spec = CATALOG[theorem]
+    if spec.build is None:
+        raise ValueError(f"{theorem.value} is an identity check, not a series builder")
+    for name, value in given.items():
+        if value is not None and name not in spec.params:
+            raise ValueError(f"{theorem.value} does not take --{name}")
+    kwargs = {}
+    for name in spec.params:
+        if given.get(name) is None:
+            raise ValueError(f"{theorem.value} requires --{name}")
+        kwargs[name] = given[name]
+    if variant is not None:
+        if not spec.variants:
+            raise ValueError(f"{theorem.value} has no variants")
+        kwargs["variant"] = variant
+    return kwargs
+
+
 def build_series(
     theorem: TheoremId,
     order: int,
@@ -518,25 +508,9 @@ def build_series(
     variant: str | None = None,
 ) -> LaurentSeries:
     """The sum of the stream of the builder behind ``theorem``, called with
-    exactly its parameters.
-
-    Raises ValueError when a declared parameter is missing, an undeclared
-    one is given or the builder rejects a value.
+    exactly its parameters (see :func:`builder_args`, which raises
+    ValueError on a bad set of them); a value the builder rejects raises
+    ValueError too.
     """
-    spec = CATALOG[theorem]
-    if spec.build is None:
-        raise ValueError(f"{theorem.value} is an identity check, not a series builder")
-    supplied = {"m": m, "k": k, "h": h}
-    for name, value in supplied.items():
-        if value is not None and name not in spec.params:
-            raise ValueError(f"{theorem.value} does not take --{name}")
-    kwargs = {}
-    for name in spec.params:
-        if supplied[name] is None:
-            raise ValueError(f"{theorem.value} requires --{name}")
-        kwargs[name] = supplied[name]
-    if variant is not None:
-        if not spec.variants:
-            raise ValueError(f"{theorem.value} has no variants")
-        kwargs["variant"] = variant
-    return sum_summands(order, spec.build(order=order, **kwargs))
+    kwargs = builder_args(theorem, variant, m=m, k=k, h=h)
+    return sum_summands(order, CATALOG[theorem].build(order=order, **kwargs))

@@ -175,11 +175,9 @@ def enumerate_parts(
     yield from _gen_parts(n, cap - (cap + 1) % step, step, gap)
 
 
-def enumerate_partitions(
-    n: int, family: Family = Family.ALL, max_part: int | None = None
-) -> Iterator[Partition]:
+def enumerate_partitions(n: int, family: Family = Family.ALL) -> Iterator[Partition]:
     """Like :func:`enumerate_parts` but wrapping each tuple in a Partition."""
-    for parts in enumerate_parts(n, family, max_part):
+    for parts in enumerate_parts(n, family):
         yield Partition(parts)
 
 
@@ -194,30 +192,13 @@ def _row(max_n: int, sizes: Iterable[int], ways: list[int] | None = None) -> lis
     return ways
 
 
-# _UNBOUNDED[x] is p(x), the number of partitions of x.
-_UNBOUNDED: list[int] = [1]
-
-
 def partition_count(n: int, max_part: int | None = None) -> int:
     """Number of partitions of n (into parts <= max_part when given).
 
-    Exact integers, without recursion.  Without a bound, Euler's pentagonal
-    recurrence p(x) = sum_{j >= 1} (-1)^(j+1) (p(x - g_j) + p(x - g_j - j)),
-    g_j = j(3j-1)/2, extends one list of p(x): O(n) memory in all.  With a
-    bound, one coin change over the sizes 1 .. min(max_part, n) counts every
-    x <= n in O(n) memory and at most n^2 additions; nothing is kept.
+    Exact integers, without recursion: one coin change over the sizes
+    1 .. min(max_part, n) counts every x <= n in O(n) memory and at most
+    n^2 additions; nothing is kept.
     """
     if n < 0:
         return 0
-    if max_part is not None:
-        return _row(n, range(1, min(max_part, n) + 1))[n]
-    p = _UNBOUNDED
-    for x in range(len(p), n + 1):
-        total, j, g = 0, 1, 1
-        while g <= x:
-            pair = p[x - g] + (p[x - g - j] if g + j <= x else 0)
-            total += pair if j % 2 else -pair
-            j += 1
-            g += 3 * j - 2
-        p.append(total)
-    return p[n]
+    return _row(n, range(1, min(n if max_part is None else max_part, n) + 1))[n]

@@ -20,19 +20,25 @@ of them in two forms:
   (:data:`Binomials`) that lead from one product to the other, in time
   proportional to the runs and the binomials that changed, and
   :func:`apply_factors` multiplies a coefficient list by them in place, one
-  O(width) pass per binomial.  The series builders in
-  :mod:`fixedhooks.genfun` use only this form;
+  O(width) pass per binomial;
 * dense form: :func:`poch`, :func:`inv_poch` and :func:`gauss_binomial`
   return cached :class:`LaurentSeries`.  They serve the public API and the
-  tests, and are filled by the same in-place passes.
+  tests.
 
-:func:`poch_factors` checks the sign, step and count of every Pochhammer
-symbol and :func:`gauss_factors` the step of every Gaussian binomial, and
-the dense form checks its parameters through them, so both forms reject the
-same bad parameters.  The three product-form constructors are memoised by
-``functools.lru_cache`` with a bounded size (4096 entries each), since the
-builders ask for the same few hundred runs for every m and h of a grid; a
-call that raises caches nothing.  The dense kernels keep unbounded caches.
+:func:`sum_summands` turns a stream of :data:`Summand` ``(e, factors)``
+into the series of sum q^e * prod(factors), by Horner's rule over the
+binomials in which neighbouring summands differ; no two series are ever
+multiplied.  The series builders of :mod:`fixedhooks.genfun` are such
+streams, and each dense kernel is the sum of one summand, its multiset at
+q^0, so both forms are computed by the same passes.  The constructors check
+the sign, step and count of every Pochhammer symbol and the step of every
+Gaussian binomial, so both forms reject the same bad parameters; a negative
+count of a reciprocal, or a Gaussian binomial with b < 0 or b > a, is the
+zero product (None), which sums to the zero series.  The three
+product-form constructors are memoised by ``functools.lru_cache`` with a
+bounded size (4096 entries each), since the builders ask for the same few
+hundred runs for every m and h of a grid; a call that raises caches
+nothing.  The dense kernels keep unbounded caches.
 """
 
 from __future__ import annotations
@@ -221,6 +227,9 @@ Binomials = dict[tuple[int, int], int]
 """Single binomials: ``{(sign, a): p}`` stands for the product of
 ``(1 - sign*q^a)**p`` over its keys, p != 0."""
 
+Summand = tuple[int, Factors | None]
+"""``(e, factors)``: q^e times the product of ``factors``; None is zero."""
+
 
 def merge_factors(*parts: Factors | None) -> Factors | None:
     """The product of several multisets (None, the zero product, absorbs)."""
@@ -376,22 +385,51 @@ def apply_factors(coeffs: list[int], binomials: Binomials) -> None:
                         coeffs[x] += sign * c
 
 
-def _unit_times(factors: Factors, order: int) -> tuple[int, ...]:
-    coeffs = [0] * max(order, 0)
-    if coeffs:
-        coeffs[0] = 1
-    apply_factors(coeffs, factor_change((), factors, order))
-    return tuple(coeffs)
+def sum_summands(order: int, summands: Iterable[Summand]) -> LaurentSeries:
+    """Sum of q^e * prod(factors) over the summands, exact below ``order``.
+    A summand at or past the order, or with the zero product (None) for its
+    factors, adds nothing and is skipped.
+
+    The sum is taken by Horner's rule from the last summand back.  With P_i
+    the product of summand i's factors, ``acc`` holds
+    sum_{j >= i} q^(e_j) P_j / P_i on the window [min_{j >= i} e_j, order).
+    Stepping back to summand i - 1 multiplies it by P_i / P_(i-1), the
+    binomials below its width by which the two summands' runs differ (see
+    :func:`factor_change`), and adds q^(e_(i-1)), a single coefficient.  The
+    first summand's product is applied last, so a run that every summand
+    shares is expanded once.  Every run acts on the window [min e, order),
+    so an infinite run cut at the order is exact when min e >= 0.
+    """
+    terms = [t for t in summands if t[0] < order and t[1] is not None]
+    if not terms:
+        return LaurentSeries.zero(order)
+    (low, after), rest = terms[-1], terms[:-1]
+    acc = [1] + [0] * (order - low - 1)
+    for e, factors in reversed(rest):
+        apply_factors(acc, factor_change(factors, after, len(acc)))
+        if e < low:
+            acc[:0] = [0] * (low - e)
+            low = e
+        acc[e - low] += 1
+        after = factors
+    apply_factors(acc, factor_change((), after, len(acc)))
+    return LaurentSeries(low, acc, order)
+
+
+# The dense kernels: each product summed as one summand at q^0, cached whole.
+@lru_cache(maxsize=None)
+def _poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> LaurentSeries:
+    return sum_summands(order, [(0, poch_factors(base, count, order, step, sign))])
 
 
 @lru_cache(maxsize=None)
-def _poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> tuple[int, ...]:
-    return _unit_times(poch_factors(base, count, order, step, sign), order)
+def _inv_poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> LaurentSeries:
+    return sum_summands(order, [(0, inv_poch_factors(base, count, order, step, sign))])
 
 
 @lru_cache(maxsize=None)
-def _inv_poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> tuple[int, ...]:
-    return _unit_times(inv_poch_factors(base, count, order, step, sign), order)
+def _gauss_coeffs(a: int, b: int, step: int, order: int) -> LaurentSeries:
+    return sum_summands(order, [(0, gauss_factors(a, b, step))])
 
 
 def poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: int = 1) -> LaurentSeries:
@@ -401,8 +439,7 @@ def poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: int 
     The infinite product (count None) requires ``base_exp >= 1`` so that
     successive factors touch ever-higher exponents.
     """
-    coeffs = _poch_coeffs(sign, base_exp, step, count, order)
-    return LaurentSeries(0, coeffs, order) if order > 0 else LaurentSeries.zero(order)
+    return _poch_coeffs(sign, base_exp, step, count, order)
 
 
 def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: int = 1) -> LaurentSeries:
@@ -412,15 +449,7 @@ def inv_poch(base_exp: int, count: int | None, order: int, step: int = 1, sign: 
     reciprocal of a pole), which is what makes sums over shifting row counts
     terminate cleanly.  Sign and step are checked first.
     """
-    if inv_poch_factors(base_exp, count, order, step, sign) is None:
-        return LaurentSeries.zero(order)
-    coeffs = _inv_poch_coeffs(sign, base_exp, step, count, order)
-    return LaurentSeries(0, coeffs, order) if order > 0 else LaurentSeries.zero(order)
-
-
-@lru_cache(maxsize=None)
-def _gauss_coeffs(a: int, b: int, step: int, order: int) -> tuple[int, ...]:
-    return _unit_times(gauss_factors(a, b, step), order)
+    return _inv_poch_coeffs(sign, base_exp, step, count, order)
 
 
 def gauss_binomial(a: int, b: int, step: int = 1, order: int = 64) -> LaurentSeries:
@@ -432,6 +461,4 @@ def gauss_binomial(a: int, b: int, step: int = 1, order: int = 64) -> LaurentSer
     ``step*b*(a-b)``).  For b < 0 or b > a it is the zero series, and b == 0
     gives 1 whatever ``a`` is.
     """
-    if gauss_factors(a, b, step) is None or order <= 0:
-        return LaurentSeries.zero(order)
-    return LaurentSeries(0, _gauss_coeffs(a, b, step, order), order)
+    return _gauss_coeffs(a, b, step, order)

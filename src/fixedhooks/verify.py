@@ -26,12 +26,11 @@ from .genfun import (
     TheoremId,
     build_series,
     by_hook_exponent,
-    sum_summands,
     t13_weight_shift,
 )
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import Family, require_hook_size
-from .qseries import LaurentSeries
+from .qseries import LaurentSeries, sum_summands
 
 DEFAULT_ORDER = 30
 

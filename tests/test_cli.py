@@ -109,13 +109,14 @@ def test_verify_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["ordr = 10", "jobs = 2", "order = -1", "order = ten",
                                   "variant = bogus", "variant = auto", "thms = T99",
-                                  "family = bogus"])
+                                  "family = bogus", "k = 3", "family = odd"])
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
     # An unknown key is a UsageError; a bad value fails its flag's own type
-    # or choices when the parser reads the file's flags.  Either error names
-    # the file.
+    # or choices when the parser reads the file's flags, and a grid rule the
+    # file's lines break (T11 takes no k; it counts no odd family) fails when
+    # their grid is built.  Each error names the file.
     assert run_cli_exit("verify", "--config", str(cfg)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
@@ -514,6 +515,20 @@ def test_table_empty_range_gives_header_only(capsys):
                            "--order", "8", "--format", "csv")
     assert code == 0
     assert out.strip() == "n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--thm", "T14", "--m", "1", "--k", "3..2", "--variant", "stated"),
+     "T14_HooksOfSizeK has no variants"),
+    (("--thm", "T12", "--m", "2", "--h", "3..2", "--k", "1"),
+     "T12_ClosedForm does not take --k"),
+])
+def test_table_checks_its_flags_on_an_empty_range(capsys, argv, message):
+    # No series is built for an empty range, so the flags are checked once
+    # for the whole table.
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_table_two_varying_parameters_rejected(capsys):

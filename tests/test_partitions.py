@@ -4,7 +4,6 @@ import pytest
 from fixedhooks.partitions import (
     Family,
     Partition,
-    _row,
     conjugate_parts,
     enumerate_partitions,
     enumerate_parts,
@@ -132,17 +131,14 @@ def test_family_step_and_distinct_agree_with_admits():
         assert family.distinct == (not family.admits((1, 1)))
 
 
-def test_partition_count_matches_pentagonal_recurrence():
-    # p(n) comes from Euler's pentagonal recurrence; the bounded count at
-    # max_part = n, one coin change over the sizes 1 .. n, is the
-    # independent reference, built once for every n <= 600.
-    bounded = _row(600, range(1, 601))
-    assert partition_count(600, 600) == bounded[600]
-    for n in range(601):
-        assert partition_count(n) == bounded[n]
+def test_partition_count_matches_enumeration_and_published_values():
+    # p(n) is one coin change; listing the partitions is the independent
+    # reference for small n, and OEIS A000041 for large n.
     for n in range(26):
         assert len(list(enumerate_parts(n))) == partition_count(n)
     assert partition_count(100) == 190569292
+    assert partition_count(200) == 3972999029388
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_partition_count_large_n_has_no_deep_recursion():
