@@ -8,9 +8,10 @@ parsed again ahead of the user's flags, so a flag overrides the file and
 every value passes its flag's own rules.
 
 Exit codes: 0 success (verify: every case passed or was skipped), 1 at least
-one identity mismatch and no error, 2 usage or configuration errors, 3 an
-internal error: a verify case that ended in ``error``, or any other uncaught
-exception, whose traceback goes to stderr.  So 1 only ever means a mismatch.
+one identity mismatch and no error, 2 usage or configuration errors (each a
+ValueError), 3 an internal error: a verify case that ended in ``error``, or
+any other uncaught exception, whose traceback goes to stderr.  So 1 only
+ever means a mismatch.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .verify import (
     run_cases,
     variant_notes,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -117,7 +114,7 @@ def _write(text: str, out: str | None):
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from None
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,36 +142,36 @@ def read_config(path: str) -> list[str]:
                     continue
                 key, eq, value = (part.strip() for part in line.partition("="))
                 if not eq:
-                    raise UsageError(f"bad config line {raw.rstrip()!r} in {path}")
+                    raise ValueError(f"bad config line {raw.rstrip()!r} in {path}")
                 if key not in CONFIG_KEYS:
-                    raise UsageError(f"unknown config key {key!r} in {path}; "
+                    raise ValueError(f"unknown config key {key!r} in {path}; "
                                      f"choose from {', '.join(CONFIG_KEYS)}")
                 argv.append(f"--{'thm' if key == 'thms' else key}={value}")
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     try:
         verify_grid(make_parser(exit_on_error=False).parse_args(["verify", *argv]))
-    except (argparse.ArgumentError, UsageError, ValueError) as exc:
-        raise UsageError(f"{exc} in {path}") from None
+    except (argparse.ArgumentError, ValueError) as exc:
+        raise ValueError(f"{exc} in {path}") from None
     return argv
 
 
 def verify_grid(args) -> list:
     """The cases of verify's parsed flags (see :func:`verify.build_grid`,
     which raises ValueError on a parameter no selected theorem takes);
-    raises UsageError when the grid is empty."""
+    raises ValueError when the grid is empty."""
     variant = None if args.variant == "both" else args.variant
     cases = build_grid(GridSpec(theorems=args.thm, order=args.order, m_values=args.m,
                                 k_values=args.k, h_values=args.h, families=args.family,
                                 variant=variant))
     if not cases:
-        raise UsageError("grid is empty: no theorem matches the given filters")
+        raise ValueError("grid is empty: no theorem matches the given filters")
     return cases
 
 
 def cmd_verify(args) -> int:
     if args.all and args.thm is not None:
-        raise UsageError("--all runs every theorem; it cannot be combined with "
+        raise ValueError("--all runs every theorem; it cannot be combined with "
                          f"{','.join(t.value for t in args.thm)!r}")
     reports = run_cases(verify_grid(args))
     notes = variant_notes(reports)
@@ -303,7 +300,7 @@ def cmd_table(args) -> int:
     ranges.pop("variant", None)
     varying = [name for name, vals in ranges.items() if len(vals) != 1]
     if len(varying) > 1:
-        raise UsageError("table can vary at most one of --m/--k/--h")
+        raise ValueError("table can vary at most one of --m/--k/--h")
     axis = varying[0] if varying else CATALOG[theorem].params[-1]
 
     columns = []
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
             # The file's flags go first, so the user's own flags override them.
             args = parser.parse_args(argv[:1] + read_config(args.config) + argv[1:])
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

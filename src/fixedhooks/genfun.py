@@ -4,9 +4,10 @@ Each public ``gf_*`` function returns the summand stream of a generating
 function.  Summed by :func:`~fixedhooks.qseries.sum_summands` (imported
 here) and truncated at a caller-supplied order N, the stream's series has
 at q^n a fixed-hook count of the matching enumeration oracle in
-:mod:`fixedhooks.oracles`.  :data:`CATALOG` names each theorem's builder,
-:func:`builder_args` states the parameters and variants a theorem takes,
-and :func:`build_series` sums a catalog entry's stream.  The builders are
+:mod:`fixedhooks.oracles`.  :data:`CATALOG` holds one row per theorem:
+its builder and what the verifier checks of it.  :func:`builder_args`
+states the parameters and variants a theorem takes, and
+:func:`build_series` sums a catalog entry's stream.  The builders are
 generators, so a builder checks its parameters when its stream is first
 read.
 
@@ -414,43 +415,66 @@ class TheoremId(str, Enum):
     OddDistinctTotal = "OddDistinctTotal"
 
 
+def _from_column(m: int) -> range:
+    # A by-part theorem needs part size k >= m.
+    return range(max(1, m), 9)
+
+
 class BuilderSpec(NamedTuple):
-    """How to drive one catalog entry: its parameters, the partition family
-    its coefficients count, the builder (called with ``order`` and the
-    parameters by keyword, it returns the summand stream), and the variants
-    it supports."""
+    """One theorem's catalog row: its parameters, the partition family its
+    coefficients count, the builder (called with ``order`` and the
+    parameters by keyword, it returns the summand stream), the
+    :class:`~fixedhooks.oracles.HookTally` table its counts come from, the
+    comparisons its cases make ("oracle" is the plain series-vs-count
+    check), the variants it supports, and its default grid of columns
+    ``m``, sizes ``k(m)`` and fixedness values ``h(k)``.  A parameter the
+    theorem does not take is unused."""
 
     params: tuple[str, ...]
     family: Family
     build: Callable[..., Iterator[Summand]] | None
+    table: str
+    checks: tuple[str, ...] = ("oracle",)
     variants: tuple[str, ...] = ()
+    m: range = range(1, 5)
+    k: Callable[[int | None], range] = lambda m: range(1, 9)
+    h: Callable[[int | None], range] = lambda k: range(-3, k)
 
+
+_BOTH = ("stated", "derived")
 
 CATALOG: dict[TheoremId, BuilderSpec] = {
-    TheoremId.T11_ClosedForm: BuilderSpec(("m",), Family.ALL, gf_t11_closed_form),
-    TheoremId.T12_ClosedForm: BuilderSpec(("m", "h"), Family.ALL, gf_t12_closed_form),
+    TheoremId.T11_ClosedForm: BuilderSpec(
+        ("m",), Family.ALL, gf_t11_closed_form, "by_hook", ("colored", "hook-sum")),
+    TheoremId.T12_ClosedForm: BuilderSpec(
+        ("m", "h"), Family.ALL, gf_t12_closed_form, "by_part", ("by-part", "restricted"),
+        h=lambda k: range(-3, 4)),
     TheoremId.T13_Shifted: BuilderSpec(
-        ("m", "k", "h"), Family.ALL, None, variants=("stated", "derived")
-    ),
-    TheoremId.T14_HooksOfSizeK: BuilderSpec(("m", "k"), Family.ALL, gf_t14_hooks_of_size_k),
-    TheoremId.FixedByPart_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_part_m1),
-    TheoremId.MFixedByPart: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_part),
+        ("m", "k", "h"), Family.ALL, None, "by_part", variants=_BOTH,
+        m=range(1, 4), k=lambda m: range(m, 7), h=lambda k: range(-2, 3)),
+    TheoremId.T14_HooksOfSizeK: BuilderSpec(
+        ("m", "k"), Family.ALL, gf_t14_hooks_of_size_k, "hooks_col", ("oracle", "h-aggregation"),
+        m=range(1, 4), k=lambda m: range(1, 7)),
+    TheoremId.FixedByPart_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_part_m1, "by_part"),
+    TheoremId.MFixedByPart: BuilderSpec(
+        ("m", "k", "h"), Family.ALL, gf_mfixed_by_part, "by_part", k=_from_column),
     TheoremId.OddBySize: BuilderSpec(
-        ("m", "k", "h"), Family.ODD, gf_odd_by_part, variants=("stated", "derived")
-    ),
+        ("m", "k", "h"), Family.ODD, gf_odd_by_part, "by_part", variants=_BOTH, k=_from_column),
     TheoremId.DistinctBySize: BuilderSpec(
-        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, variants=("stated", "derived")
-    ),
-    TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1),
-    TheoremId.MFixedByHook: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_hook),
-    TheoremId.OddByHook: BuilderSpec(("m", "k", "h"), Family.ODD, gf_odd_by_hook),
-    TheoremId.DistinctByHook: BuilderSpec(("m", "k", "h"), Family.DISTINCT, gf_distinct_by_hook),
+        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, "by_part", variants=_BOTH,
+        k=_from_column),
+    TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1, "by_hook"),
+    TheoremId.MFixedByHook: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_hook, "by_hook"),
+    TheoremId.OddByHook: BuilderSpec(
+        ("m", "k", "h"), Family.ODD, gf_odd_by_hook, "by_hook", ("oracle", "column-total")),
+    TheoremId.DistinctByHook: BuilderSpec(
+        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_hook, "by_hook",
+        ("oracle", "column-total")),
     TheoremId.OddDistinctByHook: BuilderSpec(
-        ("m", "k", "h"), Family.ODD_DISTINCT, gf_odd_distinct_by_hook
-    ),
+        ("m", "k", "h"), Family.ODD_DISTINCT, gf_odd_distinct_by_hook, "by_hook"),
     TheoremId.OddDistinctTotal: BuilderSpec(
-        ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, variants=("stated", "derived")
-    ),
+        ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, "hooks_total", variants=_BOTH,
+        k=lambda m: range(1, 7)),
 }
 
 
@@ -477,10 +501,11 @@ def builder_args(theorem: TheoremId, variant: str | None = None, **given) -> dic
     takes, from ``given`` (m, k and h, None where not given), and the
     variant when one is given.
 
-    Raises ValueError when the theorem has no builder, a parameter it takes
-    is missing, one it does not take is given, or a variant is given to a
-    theorem without variants.
+    Raises ValueError when the tag is not a :class:`TheoremId` value, the
+    theorem has no builder, a parameter it takes is missing, one it does not
+    take is given, or a variant is given to a theorem without variants.
     """
+    theorem = TheoremId(theorem)
     spec = CATALOG[theorem]
     if spec.build is None:
         raise ValueError(f"{theorem.value} is an identity check, not a series builder")

@@ -7,6 +7,7 @@ the package lives in :mod:`fixedhooks.qseries` and :mod:`fixedhooks.genfun`.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -76,9 +77,10 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 class Partition:
     """A partition of a non-negative integer.
 
-    Zero parts are stripped on construction, so ``parts`` holds positive
-    integers only and the empty tuple is the unique partition of 0.
-    Instances are treated as immutable; the conjugate is cached.
+    Each part must be an integer (``operator.index``); zero parts are
+    stripped on construction, so ``parts`` holds positive integers only and
+    the empty tuple is the unique partition of 0.  Instances are treated as
+    immutable; the conjugate is cached.
 
     >>> Partition((4, 4, 3, 1)).conjugate().parts
     (4, 3, 3, 2)
@@ -87,7 +89,7 @@ class Partition:
     __slots__ = ("parts", "n", "_conj")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts if p != 0)
+        ps = tuple(p for p in map(operator.index, parts) if p != 0)
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {ps}")

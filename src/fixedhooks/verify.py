@@ -3,13 +3,14 @@
 A grid of :class:`IdentityCase` checks runs in one process, case by case
 in sorted case-key order, so reports are byte-for-byte reproducible for a
 fixed grid; each case produces one :class:`VerifyReport`.  What the verifier
-knows of a theorem sits in its row of :data:`THEOREMS`; every case then runs
-through :func:`_sides`, :func:`_first_mismatch` and :func:`_verdict`.  The
-hook oracles read a cached :func:`~fixedhooks.oracles.hook_tally`, which
-counts by cell decomposition without listing partitions and computes each
-row of counts the first time a case reads it; the T11, T12 and T13
-companion oracles give each case one row of counts up to its order.  :func:`_first_mismatch` compares that
-row with the series' coefficient list.
+knows of a theorem sits in its row of :data:`~fixedhooks.genfun.CATALOG`;
+every case then runs through :func:`_sides`, :func:`_first_mismatch` and
+:func:`_verdict`.  The hook oracles read a cached
+:func:`~fixedhooks.oracles.hook_tally`, which counts by cell decomposition
+without listing partitions and computes each row of counts the first time a
+case reads it; the T11, T12 and T13 companion oracles give each case one
+row of counts up to its order.  :func:`_first_mismatch` compares that row
+with the series' coefficient list.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import time
 from collections import Counter
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .genfun import (
     CATALOG,
@@ -37,49 +38,6 @@ DEFAULT_ORDER = 30
 # A [column-total] case sums a by-hook theorem over every column and
 # fixedness; the grid adds one for each size k up to this.
 _COLUMN_TOTAL_MAX_K = 4
-
-
-class TheoremRow(NamedTuple):
-    """What the verifier knows of one theorem: ``checks``, the comparisons
-    its cases make ("oracle" is the plain series-vs-count check); ``table``,
-    the :class:`~fixedhooks.oracles.HookTally` table its tally check reads;
-    and its default grid of columns ``m``, sizes ``k(m)`` and fixedness
-    values ``h(k)``.  A parameter the theorem does not take is unused."""
-
-    checks: tuple[str, ...]
-    table: str
-    m: range = range(1, 5)
-    k: Callable[[int | None], range] = lambda m: range(1, 9)
-    h: Callable[[int | None], range] = lambda k: range(-3, k)
-
-
-def _from_column(m: int) -> range:
-    # A by-part theorem needs part size k >= m.
-    return range(max(1, m), 9)
-
-
-THEOREMS: dict[TheoremId, TheoremRow] = {
-    TheoremId.T11_ClosedForm: TheoremRow(("colored", "hook-sum"), "by_hook"),
-    TheoremId.T12_ClosedForm: TheoremRow(
-        ("by-part", "restricted"), "by_part", h=lambda k: range(-3, 4)
-    ),
-    TheoremId.T13_Shifted: TheoremRow(
-        ("oracle",), "by_part", range(1, 4), lambda m: range(m, 7), lambda k: range(-2, 3)
-    ),
-    TheoremId.T14_HooksOfSizeK: TheoremRow(
-        ("oracle", "h-aggregation"), "hooks_col", range(1, 4), lambda m: range(1, 7)
-    ),
-    TheoremId.FixedByPart_m1: TheoremRow(("oracle",), "by_part"),
-    TheoremId.MFixedByPart: TheoremRow(("oracle",), "by_part", k=_from_column),
-    TheoremId.OddBySize: TheoremRow(("oracle",), "by_part", k=_from_column),
-    TheoremId.DistinctBySize: TheoremRow(("oracle",), "by_part", k=_from_column),
-    TheoremId.FixedByHook_m1: TheoremRow(("oracle",), "by_hook"),
-    TheoremId.MFixedByHook: TheoremRow(("oracle",), "by_hook"),
-    TheoremId.OddByHook: TheoremRow(("oracle", "column-total"), "by_hook"),
-    TheoremId.DistinctByHook: TheoremRow(("oracle", "column-total"), "by_hook"),
-    TheoremId.OddDistinctByHook: TheoremRow(("oracle",), "by_hook"),
-    TheoremId.OddDistinctTotal: TheoremRow(("oracle",), "hooks_total", k=lambda m: range(1, 7)),
-}
 
 VARIANT_TAGS = tuple(t for t in TheoremId if CATALOG[t].variants)
 
@@ -182,7 +140,7 @@ def _sides(case: IdentityCase, variant: str | None):
     Raises ValueError when a builder or an oracle rejects a parameter.
     """
     t, N, m, k, h = case.theorem, case.order, case.m, case.k, case.h
-    table = THEOREMS[t].table
+    table = CATALOG[t].table
     if case.check in ("h-aggregation", "column-total"):
         # Summing the by-hook builders over every reachable fixedness must
         # reproduce the all-hooks closed form in column m coefficientwise,
@@ -297,14 +255,15 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     """Expand a grid specification into sorted cases.
 
     Each theorem's default columns, sizes and fixedness values come from its
-    row of :data:`THEOREMS`; a parameter the spec gives replaces the default
-    of every theorem that takes it.  Every case runs at ``spec.order``.
-    Parameter combinations violating a builder precondition (k < m for the
-    by-part theorems) become skipped cases only when explicitly requested.
-    Raises ValueError when the spec gives values of m, k or h and no
-    theorem left after the family filter takes that parameter.
+    row of :data:`~fixedhooks.genfun.CATALOG`; a parameter the spec gives
+    replaces the default of every theorem that takes it.  Every case runs at
+    ``spec.order``.  Parameter combinations violating a builder precondition
+    (k < m for the by-part theorems) become skipped cases only when
+    explicitly requested.  Raises ValueError when a tag is not a
+    :class:`TheoremId` value, or when the spec gives values of m, k or h and
+    no theorem left after the family filter takes that parameter.
     """
-    tags = spec.theorems if spec.theorems is not None else tuple(TheoremId)
+    tags = tuple(TheoremId) if spec.theorems is None else tuple(map(TheoremId, spec.theorems))
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
     taken = {name for t in tags for name in CATALOG[t].params}
@@ -314,11 +273,11 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
             raise ValueError(f"no selected theorem takes {name} (selected: {selected})")
     cases: list[IdentityCase] = []
     for t in tags:
-        row, params = THEOREMS[t], CATALOG[t].params
+        row = CATALOG[t]
         variant = spec.variant if t in VARIANT_TAGS else None
 
         def values(name, default, *args):
-            if name not in params:
+            if name not in row.params:
                 return (None,)
             given = getattr(spec, f"{name}_values")
             return default(*args) if given is None else given
@@ -368,28 +327,21 @@ def variant_notes(reports: list[VerifyReport]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+_REPORT_FIELDS = (
+    "theorem", "m", "k", "h", "family", "check", "variant", "order",
+    "status", "n", "coefficient", "oracle", "detail",
+)
+
+
 def report_row(rep: VerifyReport) -> dict:
     # elapsed stays on the report object only: rendered reports must be
     # byte-for-byte reproducible for a fixed grid.
     case = rep.case
-    n = coeff = oracle = None
-    if rep.first_mismatch:
-        n, coeff, oracle = rep.first_mismatch
-    return {
-        "theorem": case.theorem.value,
-        "m": case.m,
-        "k": case.k,
-        "h": case.h,
-        "family": case.family.value,
-        "check": case.check,
-        "variant": case.variant,
-        "order": case.order,
-        "status": rep.status,
-        "n": n,
-        "coefficient": coeff,
-        "oracle": oracle,
-        "detail": rep.detail,
-    }
+    n, coeff, oracle = rep.first_mismatch or (None, None, None)
+    return dict(zip(_REPORT_FIELDS, (
+        case.theorem.value, case.m, case.k, case.h, case.family.value, case.check,
+        case.variant, case.order, rep.status, n, coeff, oracle, rep.detail,
+    )))
 
 
 def render_text(reports: list[VerifyReport], notes: list[str]) -> str:
@@ -414,21 +366,13 @@ def render_text(reports: list[VerifyReport], notes: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REPORT_FIELDS = (
-    "theorem", "m", "k", "h", "family", "check", "variant", "order",
-    "status", "n", "coefficient", "oracle", "detail",
-)
-
-
 def render_csv(reports: list[VerifyReport]) -> str:
     import csv  # only here, so that no other run loads it
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_REPORT_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for rep in reports:
-        row = report_row(rep)
-        writer.writerow({f: ("" if row[f] is None else row[f]) for f in _REPORT_FIELDS})
+    writer.writerows(map(report_row, reports))  # None is written as ""
     return buf.getvalue()
 
 

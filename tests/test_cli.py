@@ -113,10 +113,10 @@ def test_verify_config_file(tmp_path, capsys):
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
-    # An unknown key is a UsageError; a bad value fails its flag's own type
-    # or choices when the parser reads the file's flags, and a grid rule the
-    # file's lines break (T11 takes no k; it counts no odd family) fails when
-    # their grid is built.  Each error names the file.
+    # An unknown key is rejected as the file is read; a bad value fails its
+    # flag's own type or choices when the parser reads the file's flags, and
+    # a grid rule the file's lines break (T11 takes no k; it counts no odd
+    # family) fails when their grid is built.  Each error names the file.
     assert run_cli_exit("verify", "--config", str(cfg)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err

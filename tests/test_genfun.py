@@ -304,6 +304,22 @@ def test_build_series_rejects_undeclared_params():
         build_series(TheoremId.T14_HooksOfSizeK, 5, m=1, k=2, h=0)
 
 
+def test_a_tag_string_is_its_theorem_and_any_other_tag_is_a_value_error():
+    # A TheoremId is a str, so its exact value works wherever the member does.
+    by_member = build_series(TheoremId.T11_ClosedForm, 5, m=1)
+    assert build_series("T11_ClosedForm", 5, m=1) == by_member
+    with pytest.raises(ValueError, match="T11_ClosedForm requires --m"):
+        build_series("T11_ClosedForm", 5)
+    for tag in ("bogus", "t11"):
+        with pytest.raises(ValueError):
+            build_series(tag, 5, m=1)
+    by_tag = build_grid(GridSpec(theorems=("T11_ClosedForm",)))
+    assert by_tag == build_grid(GridSpec(theorems=(TheoremId.T11_ClosedForm,)))
+    assert all(case.theorem is TheoremId.T11_ClosedForm for case in by_tag)
+    with pytest.raises(ValueError):
+        build_grid(GridSpec(theorems=("bogus",)))
+
+
 def test_catalog_families():
     assert CATALOG[TheoremId.OddBySize].family is Family.ODD
     assert CATALOG[TheoremId.OddDistinctTotal].family is Family.ODD_DISTINCT

@@ -30,6 +30,12 @@ def test_construction_rejects_bad_input():
         Partition((3, -1))
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1), ("3", "1"), (3, 0.0), (2.0,)])
+def test_construction_rejects_non_integer_parts(parts):
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
 def test_conjugate_of_figure_example():
     assert Partition((4, 4, 3, 1)).conjugate().parts == (4, 3, 3, 2)
 

@@ -6,7 +6,7 @@ import pytest
 import fixedhooks.verify as verify
 from fixedhooks.cli import main
 from fixedhooks.genfun import CATALOG, TheoremId, build_series
-from fixedhooks.oracles import hook_tally
+from fixedhooks.oracles import CountTable, hook_tally
 from fixedhooks.partitions import Family
 from fixedhooks.qseries import LaurentSeries
 from fixedhooks.verify import (
@@ -167,13 +167,13 @@ def test_renderers_are_deterministic_and_well_formed():
 
     csv_text = render_csv(reports)
     header = csv_text.splitlines()[0]
-    assert header.startswith("theorem,m,k,h,family,check,variant,order,status")
     assert len(csv_text.splitlines()) == len(reports) + 1
 
     for line in render_jsonl(reports).splitlines():
         row = json.loads(line)
         assert row["status"] == "pass"
-        assert set(row) >= {"theorem", "m", "k", "h", "n", "coefficient", "oracle", "status"}
+        assert tuple(row) == verify._REPORT_FIELDS
+    assert header == ",".join(verify._REPORT_FIELDS)
 
 
 def test_variant_notes_ignore_skipped_cases():
@@ -264,7 +264,10 @@ def test_aggregate_checks_equal_the_sum_of_their_terms_series(order):
 
 
 def test_every_theorem_has_one_row():
-    assert set(verify.THEOREMS) == set(TheoremId)
+    assert set(CATALOG) == set(TheoremId)
+    for t, row in CATALOG.items():
+        assert isinstance(getattr(hook_tally(1, row.family), row.table), CountTable), t
+        assert row.checks, t
     assert set(verify.VARIANT_TAGS) == {
         TheoremId.OddBySize, TheoremId.DistinctBySize, TheoremId.OddDistinctTotal,
         TheoremId.T13_Shifted,
