@@ -71,11 +71,6 @@ def _choose2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def _half(m: int) -> int:
-    """Length of the odd-part Pochhammer left of column m."""
-    return (m - 1) // 2 if m % 2 else m // 2
-
-
 # ---------------------------------------------------------------------------
 # Fixed hooks counted by the part size they arise from
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def gf_odd_by_part(
         raise ValueError(f"unknown variant {variant!r}")
     if k % 2 == 0:
         return
-    tail = inv_poch_factors(1, _half(m), step=2)
+    tail = inv_poch_factors(1, m // 2, step=2)
     s = max(1, k - h - m + 1)
     while True:
         if m % 2 == 1:
@@ -229,7 +224,7 @@ def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     require_column(m)
     require_hook_size(k)
     tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                         inv_poch_factors(1, _half(m), step=2))
+                         inv_poch_factors(1, m // 2, step=2))
     for l in range(2 - m % 2, k + 1, 2):
         e = by_hook_exponent(m, k, h, l)
         if m % 2 == 1:
@@ -266,7 +261,7 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summ
     require_hook_size(k)
     odd = m % 2
     tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                         poch_factors(1, _half(m), step=2, sign=-1))
+                         poch_factors(1, m // 2, step=2, sign=-1))
     for l in range(max(1, (2 * k + 2 - odd) // 3), k + 1):
         if l % 2 == odd:
             yield (

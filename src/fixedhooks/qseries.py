@@ -44,7 +44,7 @@ nothing.  The dense kernels keep unbounded caches.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -358,10 +358,8 @@ def apply_factors(coeffs: list[int], binomials: Binomials) -> None:
 
     Multiplying by ``1 - s*q^a`` is ``c[x] -= s*c[x-a]`` on the old values,
     one slice pass; dividing by it is the ascending recurrence
-    ``c[x] += s*c[x-a]`` on the new values.  For s = 1 that recurrence is a
-    running sum over each residue class mod a, taken slice by slice when the
-    classes are longer than a.  Binomials with a >= width leave the window
-    alone.
+    ``c[x] += s*c[x-a]`` on the new values.  Binomials with a >= width leave
+    the window alone.
     """
     width = len(coeffs)
     for (sign, a), power in binomials.items():
@@ -373,10 +371,6 @@ def apply_factors(coeffs: list[int], binomials: Binomials) -> None:
             op = sub if sign == 1 else add
             for _ in range(power):
                 coeffs[a:] = map(op, coeffs[a:], coeffs[:width - a])
-        elif sign == 1 and a * a < width:
-            for _ in range(-power):
-                for r in range(a):
-                    coeffs[r::a] = accumulate(coeffs[r::a])
         else:
             for _ in range(-power):
                 for x in range(a, width):

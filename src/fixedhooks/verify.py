@@ -112,12 +112,6 @@ def _count(case: IdentityCase, table: str, *key) -> list[int]:
     return getattr(tally, table).row(key)[: case.order]
 
 
-def column_window(k: int, order: int) -> range:
-    """Columns m whose by-hook series can reach below the order: the cheapest
-    term costs at least (m-1) + k."""
-    return range(1, order - k + 1)
-
-
 def fixedness_window(m: int, k: int, order: int) -> list[int]:
     """Fixedness values h (descending from k-1) whose by-hook series can
     reach below the order; the summand exponent grows linearly in -h."""
@@ -147,13 +141,14 @@ def _sides(case: IdentityCase, variant: str | None):
         # and summing them over every column too counts every size-k hook.
         # The terms' streams are chained and summed in one pass.  An empty
         # window means no size-k hook reaches the column below N: both
-        # sides are zero there.
+        # sides are zero there, and such a column adds no term to a total.
         if case.check == "h-aggregation":
             want = build_series(t, N, m=m, k=k).coefficients(0, N)
             build, columns = CATALOG[TheoremId.MFixedByHook].build, (m,)
         else:
+            require_hook_size(k)  # also where no column reaches below N
             want = _count(case, "hooks_total", k)
-            build, columns = CATALOG[t].build, column_window(k, N)
+            build, columns = CATALOG[t].build, range(1, N)
         terms = (build(m=mm, k=k, h=hh, order=N)
                  for mm in columns for hh in fixedness_window(mm, k, N))
         return sum_summands(N, chain.from_iterable(terms)), want
@@ -259,10 +254,13 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     replaces the default of every theorem that takes it.  Every case runs at
     ``spec.order``.  Parameter combinations violating a builder precondition
     (k < m for the by-part theorems) become skipped cases only when
-    explicitly requested.  Raises ValueError when a tag is not a
-    :class:`TheoremId` value, or when the spec gives values of m, k or h and
-    no theorem left after the family filter takes that parameter.
+    explicitly requested.  Raises ValueError when the order is negative,
+    when a tag is not a :class:`TheoremId` value, or when the spec gives
+    values of m, k or h and no theorem left after the family filter takes
+    that parameter.
     """
+    if spec.order < 0:
+        raise ValueError(f"order must be >= 0, got {spec.order}")
     tags = tuple(TheoremId) if spec.theorems is None else tuple(map(TheoremId, spec.theorems))
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)

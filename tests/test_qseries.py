@@ -461,13 +461,15 @@ def binomial_power(sign, a, power, width):
 @pytest.mark.parametrize("a, width", [
     (5, 24), (5, 25), (5, 26),  # a*a = width + 1, width, width - 1
     (7, 48), (7, 49), (7, 50),
+    (1, 64), (2, 64),  # the longest residue classes
     (9, 9), (12, 9),  # a >= width leaves the window alone
 ])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("power", [-2, -1, 1, 2])
 def test_apply_factors_at_the_kernel_boundaries_equals_dense_product(a, width, sign, power):
-    # every kernel (slice map, residue-class running sums, per-x loop) on
-    # both sides of its a*a < width cut, against the dense product
+    # both kernels (the slice map for a product, the ascending recurrence
+    # for a quotient) where a residue class mod a is about a long, where
+    # the classes are longest, and past the window, against the dense product
     coeffs = [(7 * x * x - 3 * x + 2) % 11 - 5 for x in range(width)]
     want = dense_product(coeffs, binomial_power(sign, a, power, width))
     assert in_place(coeffs, {(sign, a): power}) == want

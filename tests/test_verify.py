@@ -14,7 +14,6 @@ from fixedhooks.verify import (
     IdentityCase,
     VerifyReport,
     build_grid,
-    column_window,
     fixedness_window,
     render_csv,
     render_jsonl,
@@ -122,11 +121,23 @@ def test_t13_case_adjudicates_variants():
     assert "stated=match" in report0.detail
 
 
+def _last_column(k, order):
+    """The last column m whose fixedness window is not empty."""
+    return max(m for m in range(1, order) if fixedness_window(m, k, order))
+
+
 def test_windows_shrink_with_order():
     assert fixedness_window(1, 2, 30)[0] == 1
     assert len(fixedness_window(1, 2, 30)) > len(fixedness_window(1, 2, 10))
-    assert list(column_window(4, 10))[0] == 1
-    assert list(column_window(4, 10))[-1] == 6
+    assert [m for m in range(1, 10) if fixedness_window(m, 4, 10)] == [1, 2, 3, 4, 5, 6]
+
+
+def test_build_grid_rejects_a_negative_order():
+    # A negative order once built 44 cases that all ended in error
+    # ("StopIteration: "), since the oracle rows were sliced from the end.
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -3$"):
+        build_grid(GridSpec(theorems=("T11_ClosedForm", "T14_HooksOfSizeK"), order=-3))
+    assert build_grid(GridSpec(theorems=("T11_ClosedForm",), order=0))
 
 
 @pytest.mark.parametrize("order", [30, 60])
@@ -148,7 +159,7 @@ def test_every_default_window_ends_on_its_last_nonzero_term(order):
             assert reaches(TheoremId.MFixedByHook, case.m, k, (last,)), case.label()
             assert not reaches(TheoremId.MFixedByHook, case.m, k, (last - 1,)), case.label()
         else:
-            last = column_window(k, order)[-1]
+            last = _last_column(k, order)
             assert reaches(case.theorem, last, k, fixedness_window(last, k, order)), case.label()
             assert not reaches(case.theorem, last + 1, k, range(-order, k)), case.label()
 
@@ -258,7 +269,8 @@ def test_aggregate_checks_equal_the_sum_of_their_terms_series(order):
                      for h in fixedness_window(case.m, k, order)]
         else:
             terms = [build_series(case.theorem, order, m=m, k=k, h=h)
-                     for m in column_window(k, order) for h in fixedness_window(m, k, order)]
+                     for m in range(1, _last_column(k, order) + 1)
+                     for h in fixedness_window(m, k, order)]
         got, _ = verify._sides(case, None)
         assert got == _add_up(terms, order), case.label()
 
@@ -291,8 +303,9 @@ def test_records_are_immutable_values_and_each_report_owns_its_variants():
 
 @pytest.mark.parametrize("theorem", [TheoremId.OddByHook, TheoremId.DistinctByHook])
 def test_column_total_rejects_hook_size_below_one(theorem):
-    for k in (0, -2):
-        report = run_case(IdentityCase(theorem, 8, k=k, check="column-total"))
+    # also at orders 0 and 1, where no column reaches below the order
+    for k, order in ((0, 8), (-2, 8), (0, 1), (0, 0), (-1, 0)):
+        report = run_case(IdentityCase(theorem, order, k=k, check="column-total"))
         assert report.status == "skipped"
         assert report.detail == "hook size k must be >= 1"
 
