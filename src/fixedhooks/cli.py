@@ -261,22 +261,16 @@ def cmd_count(args) -> int:
     else:  # colored-t13
         value = count_colored_thm13(args.n, args.m, args.k, args.h or 0, variant=args.variant)
 
+    payload = {
+        "oracle": args.oracle, "n": args.n, "m": args.m, "k": args.k,
+        "h": args.h, "family": fam.value, "count": value,
+    }
     if args.format == "json":
-        payload = {
-            "oracle": args.oracle, "n": args.n, "m": args.m, "k": args.k,
-            "h": args.h, "family": fam.value, "count": value,
-        }
         if witnesses is not None:
             payload["witnesses"] = witnesses
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["oracle,n,m,k,h,family,count"]
-        lines.append(
-            ",".join(
-                "" if v is None else str(v)
-                for v in (args.oracle, args.n, args.m, args.k, args.h, fam.value, value)
-            )
-        )
+        lines = [",".join(payload), ",".join("" if v is None else str(v) for v in payload.values())]
         if witnesses is not None:
             lines.extend(witnesses)
         text = "\n".join(lines) + "\n"

@@ -86,8 +86,7 @@ def gf_fixed_by_part_m1(
     coefficientwise.  Summand minimum exponents grow linearly in s (slope
     k+1), which bounds the truncation.
     """
-    if k < 1:
-        raise ValueError("part size k must be >= 1")
+    require_column(1, k)
     if form not in ("reindexed", "rows"):
         raise ValueError(f"unknown form {form!r}")
     if form == "reindexed":

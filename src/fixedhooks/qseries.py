@@ -60,10 +60,8 @@ class LaurentSeries:
 
     __slots__ = ("min_exp", "coeffs", "order")
 
-    def __init__(self, min_exp: int, coeffs: Iterable[int] = (), order: int | None = None):
+    def __init__(self, min_exp: int, coeffs: Iterable[int], order: int):
         cs = list(coeffs)
-        if order is None:
-            order = min_exp + len(cs)
         if min_exp + len(cs) > order:
             raise ValueError("more coefficients than the truncation order admits")
         cs.extend([0] * (order - min_exp - len(cs)))
@@ -95,11 +93,7 @@ class LaurentSeries:
 
     def coefficient(self, e: int) -> int:
         """Coefficient of q**e; raises for exponents at or past the order."""
-        if e >= self.order:
-            raise ValueError(f"exponent {e} is beyond the truncation order {self.order}")
-        if e < self.min_exp:
-            return 0
-        return self.coeffs[e - self.min_exp]
+        return self.coefficients(e, e + 1)[0]
 
     def coefficients(self, start: int, stop: int) -> list[int]:
         """Coefficients of q**start .. q**(stop-1); ``stop`` must be <= order."""

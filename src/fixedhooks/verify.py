@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import time
 from collections import Counter
 from itertools import chain
@@ -152,13 +153,6 @@ def _sides(case: IdentityCase, variant: str | None):
         terms = (build(m=mm, k=k, h=hh, order=N)
                  for mm in columns for hh in fixedness_window(mm, k, N))
         return sum_summands(N, chain.from_iterable(terms)), want
-    if case.check == "colored":
-        return build_series(t, N, m=m), colored_t11_row(N - 1, m)
-    if case.check == "restricted":
-        return build_series(t, N, m=m, h=h), restricted_t12_row(N - 1, m, h)
-    if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
-        sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
-        return build_series(t, N, m=m), [sum(size[n] for size in sizes) for n in range(N)]
 
     if t is TheoremId.T13_Shifted:
         shift = t13_weight_shift(m, k, h)
@@ -166,6 +160,13 @@ def _sides(case: IdentityCase, variant: str | None):
         got = [row[n + shift] if n + shift >= 0 else 0 for n in range(N)]
     else:
         got = build_series(t, N, m=m, k=k, h=h, variant=variant)
+    if case.check == "colored":
+        return got, colored_t11_row(N - 1, m)
+    if case.check == "restricted":
+        return got, restricted_t12_row(N - 1, m, h)
+    if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
+        sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
+        return got, [sum(size[n] for size in sizes) for n in range(N)]
     mm = 1 if m is None else m  # the m = 1 theorems
     kk = mm if k is None else k  # T12 counts hooks from parts of size m
     key = {"hooks_col": (mm, kk), "hooks_total": (kk,)}.get(table, (mm, kk, h))
@@ -257,10 +258,12 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     explicitly requested.  Raises ValueError when the order is negative,
     when a tag is not a :class:`TheoremId` value, or when the spec gives
     values of m, k or h and no theorem left after the family filter takes
-    that parameter.
+    that parameter; raises TypeError when the order or a given m, k or h
+    value is not an integer (``operator.index``).
     """
-    if spec.order < 0:
-        raise ValueError(f"order must be >= 0, got {spec.order}")
+    order = operator.index(spec.order)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     tags = tuple(TheoremId) if spec.theorems is None else tuple(map(TheoremId, spec.theorems))
     if spec.families is not None:
         tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
@@ -278,15 +281,15 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
             if name not in row.params:
                 return (None,)
             given = getattr(spec, f"{name}_values")
-            return default(*args) if given is None else given
+            return default(*args) if given is None else map(operator.index, given)
 
         for m in values("m", lambda: row.m):
             for k in values("k", row.k, m):
                 if "column-total" in row.checks and k <= _COLUMN_TOTAL_MAX_K:
-                    cases.append(IdentityCase(t, spec.order, k=k, check="column-total"))
+                    cases.append(IdentityCase(t, order, k=k, check="column-total"))
                 for h in values("h", row.h, k):
                     cases.extend(
-                        IdentityCase(t, spec.order, m, k, h, check, variant)
+                        IdentityCase(t, order, m, k, h, check, variant)
                         for check in row.checks
                         if check != "column-total"
                     )

@@ -114,8 +114,9 @@ def test_mfixed_by_part_m1_specialization():
 
 
 def test_mfixed_by_part_rejects_k_below_m():
-    with pytest.raises(ValueError):
-        summed(gf_mfixed_by_part, 3, 2, 0, N)
+    for builder, args in ((gf_mfixed_by_part, (3, 2, 0)), (gf_fixed_by_part_m1, (0, 0))):
+        with pytest.raises(ValueError, match="no cell in column"):
+            summed(builder, *args, N)
 
 
 def test_odd_by_part_even_k_is_zero():

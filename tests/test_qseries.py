@@ -82,20 +82,25 @@ def test_scalar_mul():
 
 
 def test_coefficient_access_beyond_order():
-    f = poly([(0, 1)], 5)
+    f = poly([(2, 1)], 5)
     assert f.coefficient(4) == 0
-    with pytest.raises(ValueError):
+    assert f.coefficient(1) == 0  # below the valuation
+    assert f.coefficient(-3) == 0
+    with pytest.raises(ValueError, match="exponent 5 is beyond the truncation order 5"):
         f.coefficient(5)
 
 
 @settings(max_examples=200)
 @given(series_strategy(), st.integers(-14, 30), st.integers(-14, 30))
 def test_coefficients_is_a_zero_padded_slice(f, start, stop):
+    stored = dict(zip(range(f.min_exp, f.order), f.coeffs))
     if start < stop and stop > f.order:
         with pytest.raises(ValueError, match="beyond the truncation order"):
             f.coefficients(start, stop)
     else:
-        assert f.coefficients(start, stop) == [f.coefficient(e) for e in range(start, stop)]
+        assert f.coefficients(start, stop) == [stored.get(e, 0) for e in range(start, stop)]
+    known = range(start, min(stop, f.order))
+    assert [f.coefficient(e) for e in known] == [stored.get(e, 0) for e in known]
 
 
 @settings(max_examples=200)

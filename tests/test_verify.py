@@ -140,6 +140,21 @@ def test_build_grid_rejects_a_negative_order():
     assert build_grid(GridSpec(theorems=("T11_ClosedForm",), order=0))
 
 
+@pytest.mark.parametrize("spec", [
+    GridSpec(theorems=("T11_ClosedForm",), order=2.5),
+    GridSpec(theorems=("T11_ClosedForm",), order=30.0),
+    GridSpec(theorems=("MFixedByHook",), m_values=(1.0,)),
+    GridSpec(theorems=("MFixedByHook",), k_values=(2.0,), h_values=(0,)),
+    GridSpec(theorems=("MFixedByHook",), h_values=("0",)),
+])
+def test_build_grid_rejects_non_integer_values(spec):
+    # A non-integer order or parameter once built cases that all ended in
+    # error, such as "TypeError: 'float' object cannot be interpreted as an
+    # integer"; the grid now raises that TypeError itself.
+    with pytest.raises(TypeError):
+        build_grid(spec)
+
+
 @pytest.mark.parametrize("order", [30, 60])
 def test_every_default_window_ends_on_its_last_nonzero_term(order):
     # The last h of an h-aggregation window, and the last column of a
