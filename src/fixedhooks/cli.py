@@ -30,7 +30,7 @@ from .oracles import (
     count_restricted_thm12,
     fixed_hook_witnesses,
 )
-from .partitions import Family, Partition
+from .partitions import DEFAULT_VARIANT, VARIANTS, Family, Partition
 from .verify import (
     DEFAULT_ORDER,
     GridSpec,
@@ -339,7 +339,7 @@ _COUNT_ARGS = {
     "family": {"choices": [f.value for f in Family], "help": "partition family"},
     "sum_k": {"action": "store_true", "help": "sum the count over all sizes k"},
     "list": {"action": "store_true", "help": "print the witnessing objects"},
-    "variant": {"choices": ("stated", "derived"), "default": "stated",
+    "variant": {"choices": VARIANTS, "default": DEFAULT_VARIANT,
                 "help": "the closed-form variant to count"},
 }
 
@@ -349,7 +349,7 @@ def _add_output(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_series_flags(sub, param_type, variants=("stated", "derived")):
+def _add_series_flags(sub, param_type, variants=VARIANTS):
     """The flags verify, series and table share; --m/--k/--h of ``param_type``."""
     sub.add_argument("-N", "--order", type=order_arg, default=DEFAULT_ORDER,
                      help="truncation order: coefficients are reported for exponents below N")
@@ -383,7 +383,7 @@ def make_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                    help="comma-separated theorem tags, or all (the default)")
     p.add_argument("--all", action="store_true", help="run the full default grid (not with --thm)")
     # "both" adjudicates the two variants case by case, so only verify offers it.
-    _add_series_flags(p, parse_range, ("stated", "derived", "both"))
+    _add_series_flags(p, parse_range, (*VARIANTS, "both"))
     p.add_argument("--family", type=_comma_list(Family),
                    help="comma-separated partition families: "
                    + ",".join(f.value for f in Family))

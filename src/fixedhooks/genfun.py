@@ -41,12 +41,11 @@ kernels:
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
   giving 1), which enforces the printed summation limits.
 
-Three builders take a ``variant`` argument because the closed form they
+Three builders take a ``variant``, one of
+:data:`~fixedhooks.partitions.VARIANTS`, because the closed form they
 implement circulates in two index conventions that disagree for columns
 past the first; the verifier compares both against the counting oracle
-and records which one matches.  The naming is uniform: ``"stated"`` is the
-closed form exactly as displayed, ``"derived"`` re-derives the under- and
-above-hook factors from the diagram geometry.
+and records which one matches.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .partitions import Family, require_column, require_hook_size
+from .partitions import (DEFAULT_VARIANT, VARIANTS, Family, require_column, require_hook_size,
+                         require_variant)
 from .qseries import (
     LaurentSeries,
     Summand,
@@ -130,7 +130,7 @@ def gf_mfixed_by_part(
 
 
 def gf_odd_by_part(
-    m: int, k: int, h: int, order: int, variant: str = "derived"
+    m: int, k: int, h: int, order: int, variant: str = DEFAULT_VARIANT
 ) -> Iterator[Summand]:
     """h-fixed hooks in column m from parts of size k, in all-odd partitions.
 
@@ -142,8 +142,7 @@ def gf_odd_by_part(
     They coincide at m = 1.  Summand exponents grow with slope k+m or k+m+1.
     """
     require_column(m, k)
-    if variant not in ("stated", "derived"):
-        raise ValueError(f"unknown variant {variant!r}")
+    require_variant(variant)
     if k % 2 == 0:
         return
     tail = inv_poch_factors(1, m // 2, step=2)
@@ -167,7 +166,7 @@ def gf_odd_by_part(
 
 
 def gf_distinct_by_part(
-    m: int, k: int, h: int, order: int, variant: str = "stated"
+    m: int, k: int, h: int, order: int, variant: str = DEFAULT_VARIANT
 ) -> Iterator[Summand]:
     """h-fixed hooks in column m from parts of size k, in distinct partitions.
 
@@ -178,8 +177,7 @@ def gf_distinct_by_part(
     negative exponent.
     """
     require_column(m, k)
-    if variant not in ("stated", "derived"):
-        raise ValueError(f"unknown variant {variant!r}")
+    require_variant(variant)
     tail = poch_factors(1, m - 1, sign=-1)
     for s in range(0, k - m + 1):
         yield (
@@ -272,7 +270,7 @@ def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summ
             )
 
 
-def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Iterator[Summand]:
+def gf_odd_distinct_total(k: int, order: int, variant: str = DEFAULT_VARIANT) -> Iterator[Summand]:
     """Hooks of length k in all odd-and-distinct partitions, all columns.
 
     Obtained by resumming :func:`gf_odd_distinct_by_hook` over every column
@@ -286,8 +284,7 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = "derived") -> Itera
     common factor (-q;q^2)_inf is cut at the order.
     """
     require_hook_size(k)
-    if variant not in ("stated", "derived"):
-        raise ValueError(f"unknown variant {variant!r}")
+    require_variant(variant)
     tail = poch_factors(1, None, order, step=2, sign=-1)
     # Odd spans first, then even ones: consecutive summands share factors.
     for odd_span, lmin in ((True, (2 * k + 1) // 3), (False, max(1, (2 * k + 2) // 3))):
@@ -435,8 +432,6 @@ class BuilderSpec(NamedTuple):
     h: Callable[[int | None], range] = lambda k: range(-3, k)
 
 
-_BOTH = ("stated", "derived")
-
 CATALOG: dict[TheoremId, BuilderSpec] = {
     TheoremId.T11_ClosedForm: BuilderSpec(
         ("m",), Family.ALL, gf_t11_closed_form, "by_hook", ("colored", "hook-sum")),
@@ -444,7 +439,7 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
         ("m", "h"), Family.ALL, gf_t12_closed_form, "by_part", ("by-part", "restricted"),
         h=lambda k: range(-3, 4)),
     TheoremId.T13_Shifted: BuilderSpec(
-        ("m", "k", "h"), Family.ALL, None, "by_part", variants=_BOTH,
+        ("m", "k", "h"), Family.ALL, None, "by_part", variants=VARIANTS,
         m=range(1, 4), k=lambda m: range(m, 7), h=lambda k: range(-2, 3)),
     TheoremId.T14_HooksOfSizeK: BuilderSpec(
         ("m", "k"), Family.ALL, gf_t14_hooks_of_size_k, "hooks_col", ("oracle", "h-aggregation"),
@@ -453,9 +448,9 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
     TheoremId.MFixedByPart: BuilderSpec(
         ("m", "k", "h"), Family.ALL, gf_mfixed_by_part, "by_part", k=_from_column),
     TheoremId.OddBySize: BuilderSpec(
-        ("m", "k", "h"), Family.ODD, gf_odd_by_part, "by_part", variants=_BOTH, k=_from_column),
+        ("m", "k", "h"), Family.ODD, gf_odd_by_part, "by_part", variants=VARIANTS, k=_from_column),
     TheoremId.DistinctBySize: BuilderSpec(
-        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, "by_part", variants=_BOTH,
+        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, "by_part", variants=VARIANTS,
         k=_from_column),
     TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1, "by_hook"),
     TheoremId.MFixedByHook: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_hook, "by_hook"),
@@ -467,7 +462,7 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
     TheoremId.OddDistinctByHook: BuilderSpec(
         ("m", "k", "h"), Family.ODD_DISTINCT, gf_odd_distinct_by_hook, "by_hook"),
     TheoremId.OddDistinctTotal: BuilderSpec(
-        ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, "hooks_total", variants=_BOTH,
+        ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, "hooks_total", variants=VARIANTS,
         k=lambda m: range(1, 7)),
 }
 

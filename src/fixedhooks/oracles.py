@@ -39,6 +39,7 @@ from operator import add
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .partitions import (
+    DEFAULT_VARIANT,
     Family,
     Partition,
     _row,
@@ -47,6 +48,7 @@ from .partitions import (
     partition_count,
     require_column,
     require_hook_size,
+    require_variant,
 )
 
 
@@ -130,7 +132,7 @@ def colored_t11_witnesses(n: int, m: int) -> list[tuple[Partition, Partition, in
 
 
 def colored_t13_row(
-    max_n: int, m: int, k: int, h: int = 0, variant: str = "stated"
+    max_n: int, m: int, k: int, h: int = 0, variant: str = DEFAULT_VARIANT
 ) -> list[int]:
     """:func:`count_colored_thm13` of every n' <= max_n.
 
@@ -143,13 +145,12 @@ def colored_t13_row(
     Horner's rule from the largest u down.
     """
     require_column(m, k)
+    require_variant(variant)
     if variant == "stated":
         low = (k - m) * (k - m + 1) // 2
         top = max_n - low
         sizes = chain(range(1, k - m + 1), range(k + m, top + 1), range(1, m))
         return _shift(_row(top, sizes), low, max_n + 1)
-    if variant != "derived":
-        raise ValueError(f"unknown variant {variant!r}")
     big = k + m  # the least big part
     u0 = max(0, k - m - h)
     lift = (k - m - h) * big  # objects of n' weigh n' + lift
@@ -180,7 +181,8 @@ def colored_t13_row(
     return _shift(_row(len(t) - 1, free, t), u0 * big - lift, max_n + 1)
 
 
-def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = "stated") -> int:
+def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0,
+                        variant: str = DEFAULT_VARIANT) -> int:
     """Colored companions of the h-fixed hooks from parts of size k in column m.
 
     ``variant="stated"`` counts two-colored partitions of ``nprime`` whose
@@ -188,10 +190,10 @@ def count_colored_thm13(nprime: int, m: int, k: int, h: int = 0, variant: str = 
     1 .. k-m at least once; ``h`` does not restrict these objects.  That
     description only tracks the fixed-hook count at h = 0.
 
-    ``variant="derived"`` counts the h-aware configurations the summands
-    actually decompose into: exactly u first-color parts of size >= k+m
-    (u ranging over max(0, k-m-h), ...), together with k-m distinct extra
-    parts of sizes in [1, u+h], plus free second-color parts <= m-1, at
+    ``variant="derived"``, the default, counts the h-aware configurations
+    the summands actually decompose into: exactly u first-color parts of
+    size >= k+m (u ranging over max(0, k-m-h), ...), k-m distinct extra
+    parts of sizes in [1, u+h] and free second-color parts <= m-1, at
     weight ``nprime + (k-m-h)(k+m)``.  At h = 0 both variants agree.
 
     Returns 0 for negative ``nprime``.
@@ -464,9 +466,7 @@ def count_fixed_hooks(
     return sum(row(m, size, h) >> n * census.width for size in sizes)
 
 
-def count_hooks_of_size(
-    n: int, k: int, m: int | None = None, family: Family = Family.ALL
-) -> int:
+def count_hooks_of_size(n: int, k: int, m: int | None = None, family: Family = Family.ALL) -> int:
     """Cells with hook length k in all partitions of n in the family.
 
     With ``m`` given, only cells in column m are counted; with ``m`` absent,
@@ -481,12 +481,7 @@ def count_hooks_of_size(
 
 
 def fixed_hook_witnesses(
-    n: int,
-    m: int,
-    h: int,
-    k: int | None = None,
-    family: Family = Family.ALL,
-    by: str = "hook",
+    n: int, m: int, h: int, k: int | None = None, family: Family = Family.ALL, by: str = "hook"
 ) -> list[Partition]:
     """Partitions of n owning an h-fixed hook in column m, in enumeration order.
 

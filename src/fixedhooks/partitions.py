@@ -54,6 +54,19 @@ def require_column(m: int, k: int | None = None) -> None:
         raise ValueError(f"part size k={k} has no cell in column m={m}")
 
 
+# The readings of a closed form given in two index conventions: "stated" as
+# displayed, "derived" with the under- and above-hook factors re-derived from
+# the diagram, the one that matches the census everywhere.
+VARIANTS = ("stated", "derived")
+DEFAULT_VARIANT = "derived"
+
+
+def require_variant(variant: str) -> None:
+    """Reject a variant that is not one of :data:`VARIANTS`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def require_hook_size(k: int) -> None:
     """Reject a hook size k < 1: every hook has length at least 1."""
     if k < 1:

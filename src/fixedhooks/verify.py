@@ -31,7 +31,7 @@ from .genfun import (
     t13_weight_shift,
 )
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
-from .partitions import Family, require_hook_size
+from .partitions import DEFAULT_VARIANT, Family, require_hook_size, require_variant
 from .qseries import LaurentSeries, sum_summands
 
 DEFAULT_ORDER = 30
@@ -115,13 +115,13 @@ def _count(case: IdentityCase, table: str, *key) -> list[int]:
 
 def fixedness_window(m: int, k: int, order: int) -> list[int]:
     """Fixedness values h (descending from k-1) whose by-hook series can
-    reach below the order; the summand exponent grows linearly in -h."""
+    reach below the order; the summand exponent grows linearly in -h, and,
+    linear in the span l too, is least at l = 1 or l = k."""
     require_hook_size(k)
     out = []
     h = k - 1
     while True:
-        emin = min(by_hook_exponent(m, k, h, l) for l in range(1, k + 1))
-        if emin >= order:
+        if min(by_hook_exponent(m, k, h, 1), by_hook_exponent(m, k, h, k)) >= order:
             break
         out.append(h)
         h -= 1
@@ -195,7 +195,7 @@ def _verdict(case: IdentityCase, mismatches: dict) -> VerifyReport:
     """The report for a case from each tried variant's first mismatch.
 
     A case without variants passes or fails on its one comparison; one with
-    variants passes when any matches, else fails on the derived variant's
+    variants passes when any matches, else fails on the default variant's
     mismatch.
     """
     if list(mismatches) == [None]:
@@ -209,7 +209,7 @@ def _verdict(case: IdentityCase, mismatches: dict) -> VerifyReport:
     detail = "; ".join(f"{v}={'match' if ok else 'mismatch'}" for v, ok in sorted(outcomes.items()))
     if any(outcomes.values()):
         return VerifyReport(case, "pass", detail=detail, variants=outcomes)
-    prefer = "derived" if "derived" in mismatches else next(iter(mismatches))
+    prefer = DEFAULT_VARIANT if DEFAULT_VARIANT in mismatches else next(iter(mismatches))
     return VerifyReport(case, "fail", mismatches[prefer], detail=detail, variants=outcomes)
 
 
@@ -256,17 +256,21 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     ``spec.order``.  Parameter combinations violating a builder precondition
     (k < m for the by-part theorems) become skipped cases only when
     explicitly requested.  Raises ValueError when the order is negative,
-    when a tag is not a :class:`TheoremId` value, or when the spec gives
-    values of m, k or h and no theorem left after the family filter takes
-    that parameter; raises TypeError when the order or a given m, k or h
-    value is not an integer (``operator.index``).
+    when a tag is not a :class:`TheoremId` value, a family not a
+    :class:`Family` value or the variant not one of ``VARIANTS``, or when
+    the spec gives values of m, k or h and no theorem left after the family
+    filter takes that parameter; raises TypeError when the order or a given
+    m, k or h value is not an integer (``operator.index``).
     """
     order = operator.index(spec.order)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if spec.variant is not None:
+        require_variant(spec.variant)
     tags = tuple(TheoremId) if spec.theorems is None else tuple(map(TheoremId, spec.theorems))
     if spec.families is not None:
-        tags = tuple(t for t in tags if CATALOG[t].family in spec.families)
+        families = set(map(Family, spec.families))
+        tags = tuple(t for t in tags if CATALOG[t].family in families)
     taken = {name for t in tags for name in CATALOG[t].params}
     for name in ("m", "k", "h"):
         if tags and getattr(spec, f"{name}_values") is not None and name not in taken:
@@ -303,24 +307,17 @@ def run_cases(cases: list[IdentityCase]) -> list[VerifyReport]:
 
 
 def variant_notes(reports: list[VerifyReport]) -> list[str]:
-    """Per-theorem resolution of which closed-form variant matched the oracle."""
-    stats: dict[TheoremId, dict[str, list[int]]] = {}
+    """Per-theorem resolution of which closed-form variant matched the oracle,
+    over the reports that tried variants (no skipped or error report did)."""
+    tried, matched = Counter(), Counter()
     for rep in reports:
-        if rep.case.theorem not in VARIANT_TAGS or rep.status in ("skipped", "error"):
-            continue
-        per = stats.setdefault(rep.case.theorem, {})
         for name, ok in rep.variants.items():
-            tally = per.setdefault(name, [0, 0])
-            tally[0] += ok
-            tally[1] += 1
-    notes = []
-    for t in sorted(stats, key=lambda t: t.value):
-        bits = ", ".join(
-            f"{name}: {ok}/{total} cases match"
-            for name, (ok, total) in sorted(stats[t].items())
-        )
-        notes.append(f"variant resolution for {t.value}: {bits}")
-    return notes
+            tried[rep.case.theorem.value, name] += 1
+            matched[rep.case.theorem.value, name] += ok
+    bits: dict[str, list[str]] = {}
+    for t, name in sorted(tried):
+        bits.setdefault(t, []).append(f"{name}: {matched[t, name]}/{tried[t, name]} cases match")
+    return [f"variant resolution for {t}: {', '.join(b)}" for t, b in bits.items()]
 
 
 # ---------------------------------------------------------------------------

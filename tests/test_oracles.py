@@ -567,7 +567,7 @@ def ref_colored_thm13_derived(nprime, m, k, h):
 def _assert_companions_match(n, m, h, k):
     assert count_restricted_thm12(n, m, h) == ref_restricted_thm12(n, m, h)
     assert count_colored_thm11(n, m) == ref_colored_thm11(n, m)
-    assert count_colored_thm13(n, m, k, h) == ref_colored_thm13_stated(n, m, k)
+    assert count_colored_thm13(n, m, k, h, "stated") == ref_colored_thm13_stated(n, m, k)
 
 
 def test_companion_dps_match_enumeration():
@@ -598,8 +598,8 @@ def test_colored_t13_derived_matches_enumeration():
     (lambda N: oracles.colored_t11_row(N, 3), lambda n: count_colored_thm11(n, 3)),
     (lambda N: oracles.restricted_t12_row(N, 2, -2),
      lambda n: count_restricted_thm12(n, 2, -2)),
-    (lambda N: oracles.colored_t13_row(N, 2, 4, 1),
-     lambda n: count_colored_thm13(n, 2, 4, 1)),
+    (lambda N: oracles.colored_t13_row(N, 2, 4, 1, "stated"),
+     lambda n: count_colored_thm13(n, 2, 4, 1, "stated")),
     (lambda N: oracles.colored_t13_row(N, 2, 4, -1, "derived"),
      lambda n: count_colored_thm13(n, 2, 4, -1, "derived")),
     (lambda N: oracles.colored_t13_row(N, 1, 3, 4, "derived"),

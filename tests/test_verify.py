@@ -5,10 +5,24 @@ import pytest
 
 import fixedhooks.verify as verify
 from fixedhooks.cli import main
-from fixedhooks.genfun import CATALOG, TheoremId, build_series
-from fixedhooks.oracles import CountTable, hook_tally
+from fixedhooks.genfun import (
+    CATALOG,
+    TheoremId,
+    build_series,
+    by_hook_exponent,
+    gf_distinct_by_part,
+    gf_odd_by_part,
+    gf_odd_distinct_total,
+)
+from fixedhooks.oracles import (
+    CountTable,
+    colored_t13_row,
+    count_colored_thm13,
+    count_fixed_hooks,
+    hook_tally,
+)
 from fixedhooks.partitions import Family
-from fixedhooks.qseries import LaurentSeries
+from fixedhooks.qseries import LaurentSeries, sum_summands
 from fixedhooks.verify import (
     GridSpec,
     IdentityCase,
@@ -153,6 +167,63 @@ def test_build_grid_rejects_non_integer_values(spec):
     # integer"; the grid now raises that TypeError itself.
     with pytest.raises(TypeError):
         build_grid(spec)
+
+
+def test_build_grid_rejects_an_unknown_family():
+    # An unknown family once filtered every theorem out: the grid was empty.
+    with pytest.raises(ValueError, match=r"^'bogus' is not a valid Family$"):
+        build_grid(GridSpec(families=("bogus",)))
+    by_value = build_grid(GridSpec(families=("odd-distinct",)))
+    assert by_value == build_grid(GridSpec(families=(Family.ODD_DISTINCT,)))
+    assert len(by_value) == 246
+
+
+# Each entry that reads a closed-form variant, given its keyword: the three
+# builders' streams summed, the T13 companion row and count at h = 1, and
+# (for the rejection only) a grid.
+VARIANT_ENTRIES = {
+    "gf_odd_by_part": lambda **v: sum_summands(20, gf_odd_by_part(2, 3, 0, 20, **v)),
+    "gf_distinct_by_part": lambda **v: sum_summands(20, gf_distinct_by_part(2, 3, 0, 20, **v)),
+    "gf_odd_distinct_total": lambda **v: sum_summands(20, gf_odd_distinct_total(1, 20, **v)),
+    "colored_t13_row": lambda **v: colored_t13_row(20, 2, 4, 1, **v),
+    "count_colored_thm13": lambda **v: count_colored_thm13(20, 2, 4, 1, **v),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", [*VARIANT_ENTRIES.values(), lambda **v: build_grid(GridSpec(**v))],
+    ids=[*VARIANT_ENTRIES, "build_grid"],
+)
+def test_every_variant_entry_rejects_an_unknown_variant(entry):
+    with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+        entry(variant="bogus")
+
+
+@pytest.mark.parametrize("entry", VARIANT_ENTRIES.values(), ids=VARIANT_ENTRIES)
+def test_an_omitted_variant_is_the_derived_one(entry):
+    # Each entry's two readings differ here, so the default is told apart.
+    assert entry() == entry(variant="derived") != entry(variant="stated")
+
+
+def test_unpinned_distinct_by_size_matches_the_census():
+    # Without a variant this series once read the stated form: 3, 4, 5.
+    series = build_series(TheoremId.DistinctBySize, 30, m=2, k=3, h=0)
+    census = [count_fixed_hooks(n, 2, 0, 3, Family.DISTINCT, by="part") for n in (9, 10, 11)]
+    assert series.coefficients(9, 12) == census == [2, 2, 2]
+
+
+def test_fixedness_window_reads_the_end_spans():
+    # by_hook_exponent is linear in the span l, so its least value over
+    # l = 1 .. k is at l = 1 or l = k, the two spans the window reads.
+    for m in range(1, 5):
+        for k in range(1, 9):
+            for h in range(-40, k):
+                spans = [by_hook_exponent(m, k, h, l) for l in range(1, k + 1)]
+                assert min(spans) == min(spans[0], spans[-1]), (m, k, h)
+            for order in (0, 1, 10, 30):
+                full = [h for h in range(k - 1, -41, -1)
+                        if min(by_hook_exponent(m, k, h, l) for l in range(1, k + 1)) < order]
+                assert fixedness_window(m, k, order) == full, (m, k, order)
 
 
 @pytest.mark.parametrize("order", [30, 60])
