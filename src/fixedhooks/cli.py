@@ -186,38 +186,55 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# series
+# series and table
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_rows(theorem, params: dict, series, order: int) -> list[dict]:
-    """One row per coefficient of ``series`` built with ``params``, from
-    q^min(0, valuation) up to the order."""
-    return [
-        {
-            "theorem": theorem.value,
-            "m": params.get("m"),
-            "k": params.get("k"),
-            "h": params.get("h"),
-            "n": n,
-            "coefficient": series.coefficient(n),
-        }
-        for n in range(min(0, series.min_exp), order)
-    ]
+def _render(theorem, columns: list, order: int, fmt: str, header: list[str] | None) -> str:
+    """The coefficients of ``columns``, (params, series) pairs, in ``fmt``:
+    json one row per coefficient of each column in turn, from
+    q^min(0, valuation) up to the order; text and csv the ``header`` line
+    when one is given, then one line per n, from q^min(0, every column's
+    valuation) up to the order, its fields joined by tabs or commas."""
+    if fmt == "json":
+        rows = [{"theorem": theorem.value, **{name: params.get(name) for name in "mkh"},
+                 "n": n, "coefficient": series.coefficient(n)}
+                for params, series in columns for n in range(min(0, series.min_exp), order)]
+        return json.dumps(rows, indent=2) + "\n"
+    sep = "\t" if fmt == "text" else ","
+    lines = [] if header is None else [header]
+    if columns:
+        for n in range(min(0, *(series.min_exp for _, series in columns)), order):
+            lines.append([n, *(series.coefficient(n) for _, series in columns)])
+    return "".join(sep.join(map(str, line)) + "\n" for line in lines)
 
 
 def cmd_series(args) -> int:
     theorem = resolve_theorem(args.thm)
     params = {"m": args.m, "k": args.k, "h": args.h}
     series = build_series(theorem, args.order, variant=args.variant, **params)
-    rows = _coefficient_rows(theorem, params, series, args.order)
-    if args.format == "text":
-        text = "".join(f"{r['n']}\t{r['coefficient']}\n" for r in rows)
-    elif args.format == "csv":
-        text = "n,coefficient\n" + "".join(f"{r['n']},{r['coefficient']}\n" for r in rows)
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    _write(text, args.out)
+    header = None if args.format == "text" else ["n", "coefficient"]
+    _write(_render(theorem, [(params, series)], args.order, args.format, header), args.out)
+    return 0
+
+
+def cmd_table(args) -> int:
+    theorem = resolve_theorem(args.thm)
+    # Checked once for the whole table, so an empty range is checked too.
+    ranges = builder_args(theorem, args.variant, m=args.m, k=args.k, h=args.h)
+    ranges.pop("variant", None)
+    varying = [name for name, vals in ranges.items() if len(vals) != 1]
+    if len(varying) > 1:
+        raise ValueError("table can vary at most one of --m/--k/--h")
+    axis = varying[0] if varying else CATALOG[theorem].params[-1]
+
+    columns = []
+    for value in ranges[axis]:
+        kwargs = {name: vals[0] for name, vals in ranges.items() if name != axis}
+        kwargs[axis] = value
+        columns.append((kwargs, build_series(theorem, args.order, variant=args.variant, **kwargs)))
+    header = ["n", *(f"{axis}={kwargs[axis]}" for kwargs, _ in columns)]
+    _write(_render(theorem, columns, args.order, args.format, header), args.out)
     return 0
 
 
@@ -277,50 +294,6 @@ def cmd_count(args) -> int:
     else:
         lines = witnesses[:] if witnesses is not None else []
         lines.append(f"count: {value}")
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
-
-def cmd_table(args) -> int:
-    theorem = resolve_theorem(args.thm)
-    # Checked once for the whole table, so an empty range is checked too.
-    ranges = builder_args(theorem, args.variant, m=args.m, k=args.k, h=args.h)
-    ranges.pop("variant", None)
-    varying = [name for name, vals in ranges.items() if len(vals) != 1]
-    if len(varying) > 1:
-        raise ValueError("table can vary at most one of --m/--k/--h")
-    axis = varying[0] if varying else CATALOG[theorem].params[-1]
-
-    columns = []
-    for value in ranges[axis]:
-        kwargs = {name: vals[0] for name, vals in ranges.items() if name != axis}
-        kwargs[axis] = value
-        series = build_series(theorem, args.order, variant=args.variant, **kwargs)
-        columns.append((value, kwargs, series))
-
-    if args.format == "json":
-        rows = [
-            row
-            for _, kwargs, series in columns
-            for row in _coefficient_rows(theorem, kwargs, series, args.order)
-        ]
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        header = ["n"] + [f"{axis}={value}" for value, _, _ in columns]
-        lines = [",".join(header)]
-        if columns:
-            lo = min(0, *(s.min_exp for _, _, s in columns))
-            for n in range(lo, args.order):
-                row = [str(n)] + [str(s.coefficient(n)) for _, _, s in columns]
-                lines.append(",".join(row))
-        if args.format == "text":
-            lines = [line.replace(",", "\t") for line in lines]
         text = "\n".join(lines) + "\n"
     _write(text, args.out)
     return 0

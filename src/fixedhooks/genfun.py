@@ -5,11 +5,11 @@ function.  Summed by :func:`~fixedhooks.qseries.sum_summands` (imported
 here) and truncated at a caller-supplied order N, the stream's series has
 at q^n a fixed-hook count of the matching enumeration oracle in
 :mod:`fixedhooks.oracles`.  :data:`CATALOG` holds one row per theorem:
-its builder and what the verifier checks of it.  :func:`builder_args`
-states the parameters and variants a theorem takes, and
-:func:`build_series` sums a catalog entry's stream.  The builders are
-generators, so a builder checks its parameters when its stream is first
-read.
+its builder and what the verifier checks of it.  :func:`takes` states
+the parameters and variants a theorem takes, :func:`builder_args` checks
+a builder's arguments against it, and :func:`build_series` sums a catalog
+entry's stream.  The builders are generators, so a builder checks its
+parameters when its stream is first read.
 
 A summand ``(e, factors)`` is q^e times the product of a finite factor
 multiset, a tuple of Pochhammer runs (see
@@ -66,6 +66,16 @@ from .qseries import (
 )
 
 
+# The two displayed forms of the by-part closed form; the first is the default.
+FORMS = ("reindexed", "rows")
+
+
+def require_form(form: str) -> None:
+    """Reject a by-part form that is not one of :data:`FORMS`."""
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
+
+
 def _choose2(x: int) -> int:
     """x*(x-1)/2 as a polynomial in x (negative arguments allowed)."""
     return x * (x - 1) // 2
@@ -87,8 +97,7 @@ def gf_fixed_by_part_m1(
     k+1), which bounds the truncation.
     """
     require_column(1, k)
-    if form not in ("reindexed", "rows"):
-        raise ValueError(f"unknown form {form!r}")
+    require_form(form)
     if form == "reindexed":
         s = 0
         while (e := s * (k + 1) + k * (k - h)) < order:
@@ -112,8 +121,7 @@ def gf_mfixed_by_part(
     Summand exponents grow with slope k+m.
     """
     require_column(m, k)
-    if form not in ("reindexed", "rows"):
-        raise ValueError(f"unknown form {form!r}")
+    require_form(form)
     tail = inv_poch_factors(1, m - 1)
     if form == "reindexed":
         s = 0
@@ -485,21 +493,29 @@ def resolve_theorem(name: str) -> TheoremId:
     raise ValueError(f"unknown theorem tag {name!r}")
 
 
+def takes(theorem: TheoremId) -> tuple[str, ...]:
+    """The names ``theorem`` takes: its parameters, and "variant" when it
+    has variants."""
+    spec = CATALOG[theorem]
+    return spec.params + ("variant",) if spec.variants else spec.params
+
+
 def builder_args(theorem: TheoremId, variant: str | None = None, **given) -> dict:
     """The keyword arguments of ``theorem``'s builder: each parameter it
     takes, from ``given`` (m, k and h, None where not given), and the
     variant when one is given.
 
     Raises ValueError when the tag is not a :class:`TheoremId` value, the
-    theorem has no builder, a parameter it takes is missing, one it does not
-    take is given, or a variant is given to a theorem without variants.
+    theorem has no builder, a parameter it takes is missing, or a name it
+    does not take (see :func:`takes`) is given, the variant included.
     """
     theorem = TheoremId(theorem)
     spec = CATALOG[theorem]
     if spec.build is None:
         raise ValueError(f"{theorem.value} is an identity check, not a series builder")
+    names = takes(theorem)
     for name, value in given.items():
-        if value is not None and name not in spec.params:
+        if value is not None and name not in names:
             raise ValueError(f"{theorem.value} does not take --{name}")
     kwargs = {}
     for name in spec.params:
@@ -507,7 +523,7 @@ def builder_args(theorem: TheoremId, variant: str | None = None, **given) -> dic
             raise ValueError(f"{theorem.value} requires --{name}")
         kwargs[name] = given[name]
     if variant is not None:
-        if not spec.variants:
+        if "variant" not in names:
             raise ValueError(f"{theorem.value} has no variants")
         kwargs["variant"] = variant
     return kwargs

@@ -29,6 +29,7 @@ from .genfun import (
     build_series,
     by_hook_exponent,
     t13_weight_shift,
+    takes,
 )
 from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import DEFAULT_VARIANT, Family, require_hook_size, require_variant
@@ -40,7 +41,7 @@ DEFAULT_ORDER = 30
 # fixedness; the grid adds one for each size k up to this.
 _COLUMN_TOTAL_MAX_K = 4
 
-VARIANT_TAGS = tuple(t for t in TheoremId if CATALOG[t].variants)
+VARIANT_TAGS = tuple(t for t in TheoremId if "variant" in takes(t))
 
 
 class IdentityCase(NamedTuple):
@@ -132,9 +133,12 @@ def _sides(case: IdentityCase, variant: str | None):
     """The two sides (got, want) of one comparison of a case: got is a
     LaurentSeries or the counts of n = 0 .. order - 1, want those counts.
 
-    Raises ValueError when a builder or an oracle rejects a parameter.
+    Raises ValueError when the case's check is not one its catalog row
+    lists, or a builder or an oracle rejects a parameter.
     """
     t, N, m, k, h = case.theorem, case.order, case.m, case.k, case.h
+    if case.check not in CATALOG[t].checks:
+        raise ValueError(f"{t.value} has no {case.check} check")
     table = CATALOG[t].table
     if case.check in ("h-aggregation", "column-total"):
         # Summing the by-hook builders over every reachable fixedness must
@@ -214,9 +218,9 @@ def _verdict(case: IdentityCase, mismatches: dict) -> VerifyReport:
 
 
 def run_case(case: IdentityCase) -> VerifyReport:
-    """Run one case.  A parameter some builder or oracle rejects makes it
-    ``skipped``; any other exception makes it ``error``, with the exception
-    as its detail."""
+    """Run one case.  A check its catalog row does not list, or a parameter
+    some builder or oracle rejects, makes it ``skipped``; any other
+    exception makes it ``error``, with the exception as its detail."""
     started = time.perf_counter()
     variants = (case.variant,) if case.variant else CATALOG[case.theorem].variants or (None,)
     try:
@@ -258,9 +262,10 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     explicitly requested.  Raises ValueError when the order is negative,
     when a tag is not a :class:`TheoremId` value, a family not a
     :class:`Family` value or the variant not one of ``VARIANTS``, or when
-    the spec gives values of m, k or h and no theorem left after the family
-    filter takes that parameter; raises TypeError when the order or a given
-    m, k or h value is not an integer (``operator.index``).
+    the spec gives values of m, k or h, or a variant, and no theorem left
+    after the family filter takes it (see :func:`~fixedhooks.genfun.takes`);
+    raises TypeError when the order or a given m, k or h value is not an
+    integer (``operator.index``).
     """
     order = operator.index(spec.order)
     if order < 0:
@@ -271,21 +276,21 @@ def build_grid(spec: GridSpec) -> list[IdentityCase]:
     if spec.families is not None:
         families = set(map(Family, spec.families))
         tags = tuple(t for t in tags if CATALOG[t].family in families)
-    taken = {name for t in tags for name in CATALOG[t].params}
-    for name in ("m", "k", "h"):
-        if tags and getattr(spec, f"{name}_values") is not None and name not in taken:
+    given = {"m": spec.m_values, "k": spec.k_values, "h": spec.h_values, "variant": spec.variant}
+    taken = {name for t in tags for name in takes(t)}
+    for name, value in given.items():
+        if tags and value is not None and name not in taken:
             selected = ",".join(t.value for t in tags)
             raise ValueError(f"no selected theorem takes {name} (selected: {selected})")
     cases: list[IdentityCase] = []
     for t in tags:
-        row = CATALOG[t]
-        variant = spec.variant if t in VARIANT_TAGS else None
+        row, names = CATALOG[t], takes(t)
+        variant = spec.variant if "variant" in names else None
 
         def values(name, default, *args):
-            if name not in row.params:
+            if name not in names:
                 return (None,)
-            given = getattr(spec, f"{name}_values")
-            return default(*args) if given is None else map(operator.index, given)
+            return default(*args) if given[name] is None else map(operator.index, given[name])
 
         for m in values("m", lambda: row.m):
             for k in values("k", row.k, m):

@@ -109,14 +109,16 @@ def test_verify_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["ordr = 10", "jobs = 2", "order = -1", "order = ten",
                                   "variant = bogus", "variant = auto", "thms = T99",
-                                  "family = bogus", "k = 3", "family = odd"])
+                                  "family = bogus", "k = 3", "family = odd",
+                                  "variant = stated"])
 def test_verify_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"thms = T11\nm = 1\n{line}\n")
     # An unknown key is rejected as the file is read; a bad value fails its
     # flag's own type or choices when the parser reads the file's flags, and
-    # a grid rule the file's lines break (T11 takes no k; it counts no odd
-    # family) fails when their grid is built.  Each error names the file.
+    # a grid rule the file's lines break (T11 takes no k and no variant; it
+    # counts no odd family) fails when their grid is built.  Each error
+    # names the file.
     assert run_cli_exit("verify", "--config", str(cfg)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
@@ -158,11 +160,19 @@ def test_verify_all_with_a_theorem_filter_is_usage_error(tmp_path, capsys, argv,
     ("--thm", "T11,T12", "--m", "1", "--k", "2"),
     # OddBySize takes --h, but --family all leaves only T11.
     ("--thm", "T11,OddBySize", "--family", "all", "--m", "1", "--h", "0"),
+    ("--thm", "T11", "--m", "1", "--variant", "stated"),
 ])
 def test_verify_rejects_a_parameter_no_selected_theorem_takes(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv, "--order", "6")
     assert code == 2
     assert out == "" and err.startswith("error: no selected theorem takes ")
+
+
+def test_verify_variant_both_is_no_variant_at_all(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--thm", "T11", "--m", "1", "--order", "5",
+                           "--variant", "both")
+    assert code == 0
+    assert "total 2 cases: 2 passed" in out
 
 
 def test_verify_without_config_runs_at_order_30(capsys):
@@ -230,6 +240,24 @@ def test_series_output_and_order_zero(capsys):
     code, out, _ = run_cli(capsys, "series", "--thm", "T11", "--m", "1", "--order", "0")
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--thm", "T14", "--m", "1", "--k", "1", "--order", "10"),
+    ("--thm", "DistinctBySize", "--m", "3", "--k", "3", "--h", "2", "--variant", "stated"),
+    ("--thm", "T11", "--m", "3", "--order", "0"),
+])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_series_prints_the_one_column_table(capsys, argv, fmt):
+    _, series, _ = run_cli(capsys, "series", *argv, "--format", fmt)
+    _, table, _ = run_cli(capsys, "table", *argv, "--format", fmt)
+    if fmt == "json":
+        assert series == table
+    else:
+        # Only the header differs: series has none in text, n,coefficient in csv.
+        header, _, rows = table.partition("\n")
+        assert header.startswith("n")
+        assert series == ("n,coefficient\n" if fmt == "csv" else "") + rows
 
 
 def test_series_missing_parameter_is_usage_error(capsys):

@@ -12,7 +12,7 @@ from itertools import chain
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixedhooks.cli import _COUNT_FLAGS, main
-from fixedhooks.genfun import CATALOG, TheoremId
+from fixedhooks.genfun import TheoremId, takes
 
 SMALL = st.integers(-3, 9).map(str)
 # Three values at most keep a verify grid small.
@@ -46,9 +46,7 @@ def argvs(draw):
         if command != "verify" or _chance(draw, 90):
             theorem = draw(st.sampled_from(list(TheoremId)))
             argv += ["--thm", theorem.value]
-            reads = CATALOG[theorem].params
-            if command == "verify" or CATALOG[theorem].variants:
-                reads += ("variant",)
+            reads = takes(theorem)
         else:
             reads = ("variant",)
         argv += ["--order", str(draw(st.integers(0, 10)))]

@@ -96,6 +96,13 @@ def test_both_display_forms_agree_by_part():
                 )
 
 
+@pytest.mark.parametrize("build, args", [(gf_fixed_by_part_m1, (2, 0, 10)),
+                                         (gf_mfixed_by_part, (2, 3, 0, 10))])
+def test_by_part_builders_reject_an_unknown_form(build, args):
+    with pytest.raises(ValueError, match=r"^unknown form 'bogus'$"):
+        summed(build, *args, form="bogus")
+
+
 def test_mfixed_by_part_matches_oracle_and_figure_case():
     series = summed(gf_mfixed_by_part, 2, 4, 2, 15)
     assert_counts(series, lambda n: count_fixed_hooks(n, 2, 2, 4, by="part"), 15)

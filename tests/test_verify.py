@@ -169,6 +169,13 @@ def test_build_grid_rejects_non_integer_values(spec):
         build_grid(spec)
 
 
+def test_build_grid_rejects_a_variant_no_selected_theorem_takes():
+    # It was once dropped: the T11 grid ran without it.
+    with pytest.raises(ValueError, match=r"^no selected theorem takes variant "
+                       r"\(selected: T11_ClosedForm\)$"):
+        build_grid(GridSpec(theorems=("T11_ClosedForm",), variant="stated"))
+
+
 def test_build_grid_rejects_an_unknown_family():
     # An unknown family once filtered every theorem out: the grid was empty.
     with pytest.raises(ValueError, match=r"^'bogus' is not a valid Family$"):
@@ -385,6 +392,20 @@ def test_records_are_immutable_values_and_each_report_owns_its_variants():
     first.variants["derived"] = True
     assert second.variants == {}
     assert run_case(case).elapsed > 0
+
+
+@pytest.mark.parametrize("case", [
+    IdentityCase(TheoremId.T14_HooksOfSizeK, 10, 1, 1, check="colored"),
+    IdentityCase(TheoremId.MFixedByHook, 10, 1, 1, 0, check="restricted"),
+    IdentityCase(TheoremId.MFixedByHook, 10, 1, 2, 0, check="column-total"),
+    IdentityCase(TheoremId.T11_ClosedForm, 10, 2),
+], ids=lambda case: case.label())
+def test_a_check_the_row_does_not_list_is_skipped(case):
+    # Such a case once ran its check anyway: a false FAIL for the first two,
+    # a PASS of an undeclared check, and a TypeError for T11 without k.
+    report = run_case(case)
+    assert report.status == "skipped"
+    assert report.detail == f"{case.theorem.value} has no {case.check} check"
 
 
 @pytest.mark.parametrize("theorem", [TheoremId.OddByHook, TheoremId.DistinctByHook])
