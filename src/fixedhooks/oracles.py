@@ -4,7 +4,7 @@ Every hook count reads a :class:`HookTally`, whose rows count the
 partitions that own each cell by decomposition instead of listing them (see
 "Hook census by cell decomposition" below), each row packed into one integer
 and computed the first time it is read.  The verifier reads the cached
-:func:`hook_tally`, and each point count computes its one row alone.  The
+:func:`hook_tally`, and each point count its row of an uncached one.  The
 second formula is :func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
 length of its witness list, and the tally equal to a per-cell loop over
@@ -357,11 +357,12 @@ class _Census:
         ls = range(first := max(0, h - k + m), first + self.max_n // (k + 1) + 1)
         return self._rest(m, sum(self._cell(m, k, l, k - m + l - h) for l in ls))
 
-    def by_hook(self, m: int, hook: int, h: int) -> int:
-        # The cell's part and the j rows above weigh at least k * (j + 1).
-        j = hook - h - 1
-        ls = range(max(0, hook + m - 1 - self.max_n // max(1, j + 1)), hook)
-        return self._rest(m, sum(self._cell(m, hook + m - 1 - l, l, j) for l in ls))
+    def by_hook(self, m: int, hook: int | None, h: int) -> int:
+        # Every size s if hook is None.  The part k and the s - h - 1 rows above weigh >= k (s - h).
+        sizes = range(1, self.max_n + 1) if hook is None else (hook,)
+        cells = ((m, s + m - 1 - l, l, s - h - 1) for s in sizes
+                 for l in range(max(0, s + m - 1 - self.max_n // max(1, s - h)), s))
+        return self._rest(m, sum(self._cell(*cell) for cell in cells))
 
     def hooks_col(self, m: int, hook: int) -> int:
         return self._rest(m, sum(self._cell(m, hook + m - 1 - l, l, None) for l in range(hook)))
@@ -376,25 +377,25 @@ class CountTable(Mapping):
 
     Each key holds one packed row, the counts of every n in slots of
     ``width`` bits, computed by ``count(*key)`` on first read and cached;
-    every read unpacks it.  Every key outside the product of the ranges
-    ``keys`` has a zero row, so iteration runs over that product.
+    every read unpacks it.  Iteration runs over the product of the ranges
+    ``keys``; every other row is zero or, at hook None, a sum of rows in it.
     """
 
-    __slots__ = ("_count", "_keys", "_packed", "_max_n", "_width")
+    __slots__ = ("_count", "_keys", "_packed", "_census")
 
-    def __init__(self, count: Callable[..., int], keys: tuple[range, ...], max_n: int, width: int):
-        self._count, self._keys, self._max_n, self._width = count, keys, max_n, width
+    def __init__(self, count: Callable[..., int], keys: tuple[range, ...], census: _Census):
+        self._count, self._keys, self._census = count, keys, census
         self._packed: dict[tuple, int] = {}
 
     def row(self, key: tuple) -> list[int]:
         """The counts at ``key`` of n = 0 .. max_n."""
         if key not in self._packed:
             self._packed[key] = self._count(*key)
-        return _unpack(self._packed[key], self._width, self._max_n + 1)
+        return _unpack(self._packed[key], self._census.width, self._census.max_n + 1)
 
     def __getitem__(self, entry: tuple) -> int:
         n, key = entry[0], entry[1:]
-        if 0 <= n <= self._max_n and (count := self.row(key)[n]):
+        if 0 <= n <= self._census.max_n and (count := self.row(key)[n]):
             return count
         raise KeyError(entry)
 
@@ -409,8 +410,8 @@ class CountTable(Mapping):
 class HookTally(NamedTuple):
     """Hook statistics over the partitions of every n <= max_n in a family.
 
-    ``by_part[(n, m, k, h)]`` counts cells (i, m) with part size k and
-    fixedness h = hook - i; ``by_hook`` keys on the hook size instead.
+    ``by_part[(n, m, k, h)]`` counts cells (i, m) with part k and fixedness
+    h = hook - i; ``by_hook`` keys on the hook size instead, None for every size.
     ``hooks_col[(n, m, k)]`` counts hooks of size k in column m, and
     ``hooks_total[(n, k)]`` in all columns.  Each table is a read-only
     :class:`CountTable`, whose ``row(key)`` gives the counts at ``key`` (the
@@ -436,7 +437,7 @@ def hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
     sizes, hs = range(1, max_n + 1), range(-max_n, max_n)
     counts = (census.by_part, census.by_hook, census.hooks_col, census.hooks_total)
     keys = ((sizes, sizes, hs), (sizes, sizes, hs), (sizes, sizes), (sizes,))
-    tables = (CountTable(*table, max_n, census.width) for table in zip(counts, keys))
+    tables = (CountTable(*table, census) for table in zip(counts, keys))
     return HookTally(max_n, Family(family), *tables)
 
 
@@ -456,14 +457,14 @@ def count_fixed_hooks(
 
     With ``k`` given, only hooks of size k (``by="hook"``) or hooks arising
     from parts of size k (``by="part"``, which requires k >= m) count;
-    ``k=None`` counts every size.  Since a column carries at most one
-    h-fixed hook, this is the number of :func:`fixed_hook_witnesses`.
+    ``k=None`` counts every size, whichever ``by`` (a cell has one part and
+    one hook).  Since a column carries at most one h-fixed hook, this is
+    the number of :func:`fixed_hook_witnesses`.
     """
     _require_query(m, k, by)
-    census = _Census(n, family)  # n is its top slot
-    row = census.by_hook if by == "hook" else census.by_part
-    sizes = range(1, n + 1) if k is None else (k,)
-    return sum(row(m, size, h) >> n * census.width for size in sizes)
+    tally = hook_tally.__wrapped__(n, family)  # uncached: n is its top slot
+    table = tally.by_part if by == "part" and k is not None else tally.by_hook
+    return table.row((m, k, h))[n]
 
 
 def count_hooks_of_size(n: int, k: int, m: int | None = None, family: Family = Family.ALL) -> int:
@@ -475,9 +476,8 @@ def count_hooks_of_size(n: int, k: int, m: int | None = None, family: Family = F
     require_hook_size(k)
     if m is not None:
         require_column(m)
-    census = _Census(n, family)  # n is its top slot
-    row = census.hooks_total(k) if m is None else census.hooks_col(m, k)
-    return row >> n * census.width
+    tally = hook_tally.__wrapped__(n, family)  # uncached: n is its top slot
+    return (tally.hooks_total.row((k,)) if m is None else tally.hooks_col.row((m, k)))[n]
 
 
 def fixed_hook_witnesses(

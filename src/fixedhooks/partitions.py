@@ -143,7 +143,7 @@ class Partition:
         """
         if not (1 <= i <= len(self.parts)) or not (1 <= j <= self.parts[i - 1]):
             raise ValueError(f"({i}, {j}) is not a cell of {self}")
-        return self.parts[i - 1] + self.conj_parts()[j - 1] - i - j + 1
+        return self.column_hooks(j)[i - 1]
 
     def column_hooks(self, m: int) -> tuple[int, ...]:
         """Hook lengths down column m: (h_{1,m}, ..., h_{t,m}) with t parts >= m.

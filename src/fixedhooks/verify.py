@@ -169,8 +169,7 @@ def _sides(case: IdentityCase, variant: str | None):
     if case.check == "restricted":
         return got, restricted_t12_row(N - 1, m, h)
     if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
-        sizes = [_count(case, table, m, kk, 0) for kk in range(1, N)]
-        return got, [sum(size[n] for size in sizes) for n in range(N)]
+        return got, _count(case, table, m, None, 0)
     mm = 1 if m is None else m  # the m = 1 theorems
     kk = mm if k is None else k  # T12 counts hooks from parts of size m
     key = {"hooks_col": (mm, kk), "hooks_total": (kk,)}.get(table, (mm, kk, h))

@@ -368,6 +368,12 @@ def test_tally_equals_per_cell_reference_in_every_column(family):
         _assert_rows_match(table, ref, keys, max_n)
     for table, ref in zip(_tables(tally)[2:], refs[2:]):
         assert dict(table) == dict(ref)
+    # The key (m, None, h) of by_hook counts the h-fixed hooks of every size.
+    for m in range(1, 5):
+        for h in range(-3, 6):
+            every = [sum(refs[1][(n, m, hook, h)] for hook in range(1, n + 1))
+                     for n in range(max_n + 1)]
+            assert tally.by_hook.row((m, None, h)) == every, (m, h)
 
 
 def test_reading_one_row_computes_only_that_row():

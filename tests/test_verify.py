@@ -119,6 +119,14 @@ def test_hook_sum_at_order_one_reads_no_size_and_passes():
     assert report.status == "pass"
 
 
+def test_hook_sum_case_reads_one_row():
+    # The sum over every hook size is one packed row of the census.
+    hook_tally.cache_clear()
+    report = run_case(IdentityCase(TheoremId.T11_ClosedForm, 30, m=2, check="hook-sum"))
+    assert report.status == "pass"
+    assert list(hook_tally(29, Family.ALL).by_hook._packed) == [(2, None, 0)]
+
+
 def test_variant_adjudication_passes_when_one_matches():
     case = IdentityCase(TheoremId.OddBySize, 12, m=2, k=3, h=0)
     report = run_case(case)
