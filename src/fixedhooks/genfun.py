@@ -37,9 +37,15 @@ kernels:
 * ``inv_poch_factors(..., count)`` is the zero product (None) for
   ``count < 0`` (reciprocal of a pole), which switches off summands whose row
   count would be negative; merged into every summand as a by-hook builder's
-  tail ``1/(q;q)_{k-h-1}`` is, it makes the series zero for h >= k;
+  tail ``1/(q^s;q^s)_{k-h-1}`` is, it makes the series zero for h >= k;
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
   giving 1), which enforces the printed summation limits.
+
+The four by-hook theorems (all, odd, distinct and odd-and-distinct
+partitions) share :func:`gf_by_hook`, which reads the family only through
+its step s and distinctness: the span of the hook steps by s, the
+under-hook binomial is in q^s, and a distinct family's strictly growing rows
+add to the exponent and leave the binomial no repeatable rows.
 
 Three builders take a ``variant``, one of
 :data:`~fixedhooks.partitions.VARIANTS`, because the closed form they
@@ -51,6 +57,7 @@ and records which one matches.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import (DEFAULT_VARIANT, VARIANTS, Family, require_column, require_hook_size,
@@ -211,78 +218,39 @@ def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> Iterator[Summand]:
         yield k + l * (k - h - 1), merge_factors(gauss_factors(k - 1, l - 1), tail)
 
 
-def gf_mfixed_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
-    """h-fixed hooks of size k in column m; specializes to the m = 1 builder."""
-    require_column(m)
-    require_hook_size(k)
-    tail = merge_factors(inv_poch_factors(1, k - h - 1), inv_poch_factors(1, m - 1))
-    for l in range(1, k + 1):
-        yield by_hook_exponent(m, k, h, l), merge_factors(gauss_factors(k - 1, l - 1), tail)
+def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[Summand]:
+    """h-fixed hooks of size k in column m of ``family``'s partitions.
 
-
-def gf_odd_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
-    """h-fixed hooks of size k in column m, in all-odd partitions.
-
-    The horizontal span l of the hook must share the parity of m so that the
-    part it sits in is odd; the sum runs over that parity class only.
+    Only the family's step s and distinctness d are read.  With
+    lift = (m-1) mod s (m + lift is the family's least part >= m) and
+    b = ceil((m-1)/s) sizes below m, summand l = 1 + lift, 1 + lift + s,
+    ... <= k is q^e times the Gaussian binomial in q^s with bottom k-l and
+    top floor((l-1-lift)/s), plus k-l unless d, times the tail
+    1/(q^s;q^s)_{k-h-1} and (-q;q^s)_b if d, 1/(q;q^s)_b otherwise.  The
+    exponent e is :func:`by_hook_exponent` plus lift*(k-l), plus
+    s*(C(k-h, 2) + C(k-l, 2)) if d.  A span too short for k-l distinct rows
+    gets the zero binomial.  At m = 1 in the family of all partitions this
+    coincides coefficientwise with :func:`gf_fixed_by_hook_m1`.
     """
     require_column(m)
     require_hook_size(k)
-    tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                         inv_poch_factors(1, m // 2, step=2))
-    for l in range(2 - m % 2, k + 1, 2):
-        e = by_hook_exponent(m, k, h, l)
-        if m % 2 == 1:
-            top = k - l + (l - 1) // 2
-        else:
-            e += k - l
-            top = k - l + (l - 2) // 2
-        yield e, merge_factors(gauss_factors(top, k - l, 2), tail)
-
-
-def gf_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
-    """h-fixed hooks of size k in column m, in distinct partitions.
-
-    Spans below ceil((k+1)/2) would need more distinct parts under the hook
-    than there are available sizes; the binomial vanishes there anyway.
-    """
-    require_column(m)
-    require_hook_size(k)
-    tail = merge_factors(inv_poch_factors(1, k - h - 1), poch_factors(1, m - 1, sign=-1))
-    for l in range((k + 2) // 2, k + 1):
-        yield (
-            by_hook_exponent(m, k, h, l) + _choose2(k - h) + _choose2(k - l),
-            merge_factors(gauss_factors(l - 1, k - l), tail),
-        )
-
-
-def gf_odd_distinct_by_hook(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
-    """h-fixed hooks of size k in column m, in odd-and-distinct partitions.
-
-    The under-hook binomial has top (l-1)/2 (m odd) or (l-2)/2 (m even):
-    the count of odd part sizes available below the part carrying the hook.
-    """
-    require_column(m)
-    require_hook_size(k)
-    odd = m % 2
-    tail = merge_factors(inv_poch_factors(2, k - h - 1, step=2),
-                         poch_factors(1, m // 2, step=2, sign=-1))
-    for l in range(max(1, (2 * k + 2 - odd) // 3), k + 1):
-        if l % 2 == odd:
-            yield (
-                by_hook_exponent(m, k, h, l)
-                + 2 * _choose2(k - h)
-                + 2 * _choose2(k - l)
-                + (0 if odd else k - l),
-                merge_factors(gauss_factors((l - 2 + odd) // 2, k - l, 2), tail),
-            )
+    s, d = family.step, family.distinct
+    lift, below = (m - 1) % s, -(-(m - 1) // s)
+    column = poch_factors(1, below, None, s, -1) if d else inv_poch_factors(1, below, None, s)
+    tail = merge_factors(inv_poch_factors(s, k - h - 1, None, s), column)
+    for l in range(1 + lift, k + 1, s):
+        e = by_hook_exponent(m, k, h, l) + lift * (k - l)
+        if d:
+            e += s * (_choose2(k - h) + _choose2(k - l))
+        top = (l - 1 - lift) // s + (0 if d else k - l)
+        yield e, merge_factors(gauss_factors(top, k - l, s), tail)
 
 
 def gf_odd_distinct_total(k: int, order: int, variant: str = DEFAULT_VARIANT) -> Iterator[Summand]:
     """Hooks of length k in all odd-and-distinct partitions, all columns.
 
-    Obtained by resumming :func:`gf_odd_distinct_by_hook` over every column
-    and fixedness.  The stream runs over the span l and the
+    Obtained by resumming ``gf_by_hook(Family.ODD_DISTINCT, ...)`` over
+    every column and fixedness.  The stream runs over the span l and the
     column-reindexing variable j; the j-sum for each l stops once the
     exponent 2j(k-l+1), respectively (2j+1)(k-l+1), reaches the order
     (k-l+1 >= 1 keeps it growing).  The "stated" variant keeps the
@@ -440,6 +408,11 @@ class BuilderSpec(NamedTuple):
     h: Callable[[int | None], range] = lambda k: range(-3, k)
 
 
+def _by_hook_row(family: Family, checks: tuple[str, ...] = ("oracle",)) -> BuilderSpec:
+    """The row of a by-hook theorem: :func:`gf_by_hook` for ``family``."""
+    return BuilderSpec(("m", "k", "h"), family, partial(gf_by_hook, family), "by_hook", checks)
+
+
 CATALOG: dict[TheoremId, BuilderSpec] = {
     TheoremId.T11_ClosedForm: BuilderSpec(
         ("m",), Family.ALL, gf_t11_closed_form, "by_hook", ("colored", "hook-sum")),
@@ -461,14 +434,10 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
         ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, "by_part", variants=VARIANTS,
         k=_from_column),
     TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1, "by_hook"),
-    TheoremId.MFixedByHook: BuilderSpec(("m", "k", "h"), Family.ALL, gf_mfixed_by_hook, "by_hook"),
-    TheoremId.OddByHook: BuilderSpec(
-        ("m", "k", "h"), Family.ODD, gf_odd_by_hook, "by_hook", ("oracle", "column-total")),
-    TheoremId.DistinctByHook: BuilderSpec(
-        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_hook, "by_hook",
-        ("oracle", "column-total")),
-    TheoremId.OddDistinctByHook: BuilderSpec(
-        ("m", "k", "h"), Family.ODD_DISTINCT, gf_odd_distinct_by_hook, "by_hook"),
+    TheoremId.MFixedByHook: _by_hook_row(Family.ALL),
+    TheoremId.OddByHook: _by_hook_row(Family.ODD, ("oracle", "column-total")),
+    TheoremId.DistinctByHook: _by_hook_row(Family.DISTINCT, ("oracle", "column-total")),
+    TheoremId.OddDistinctByHook: _by_hook_row(Family.ODD_DISTINCT),
     TheoremId.OddDistinctTotal: BuilderSpec(
         ("k",), Family.ODD_DISTINCT, gf_odd_distinct_total, "hooks_total", variants=VARIANTS,
         k=lambda m: range(1, 7)),

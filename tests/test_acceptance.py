@@ -12,15 +12,15 @@ import time
 from fixedhooks.cli import main as cli_main
 from fixedhooks.genfun import (
     TheoremId,
+    gf_by_hook,
     gf_fixed_by_hook_m1,
     gf_fixed_by_part_m1,
-    gf_mfixed_by_hook,
     gf_mfixed_by_part,
     gf_t11_closed_form,
     sum_summands,
 )
 from fixedhooks.oracles import count_colored_thm11
-from fixedhooks.partitions import partition_count
+from fixedhooks.partitions import Family, partition_count
 from fixedhooks.qseries import LaurentSeries, inv_poch
 from fixedhooks.verify import GridSpec, build_grid, run_cases, variant_notes
 
@@ -171,7 +171,7 @@ def test_criterion_7_specializations_and_kernel():
             for h in range(-3, k):
                 assert sum_summands(50, gf_mfixed_by_part(1, k, h, 50)) == \
                     sum_summands(50, gf_fixed_by_part_m1(k, h, 50))
-                assert sum_summands(50, gf_mfixed_by_hook(1, k, h, 50)) == \
+                assert sum_summands(50, gf_by_hook(Family.ALL, 1, k, h, 50)) == \
                     sum_summands(50, gf_fixed_by_hook_m1(k, h, 50))
 
         rng = random.Random(20260809)

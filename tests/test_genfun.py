@@ -24,15 +24,12 @@ from fixedhooks.genfun import (
     CATALOG,
     TheoremId,
     build_series,
-    gf_distinct_by_hook,
+    gf_by_hook,
     gf_distinct_by_part,
     gf_fixed_by_hook_m1,
     gf_fixed_by_part_m1,
-    gf_mfixed_by_hook,
     gf_mfixed_by_part,
-    gf_odd_by_hook,
     gf_odd_by_part,
-    gf_odd_distinct_by_hook,
     gf_odd_distinct_total,
     gf_t11_closed_form,
     gf_t12_closed_form,
@@ -182,17 +179,18 @@ def test_fixed_by_hook_m1_h_at_least_k_is_zero():
             assert summed(gf_fixed_by_hook_m1, k, h, N) == LaurentSeries.zero(N)
 
 
-@pytest.mark.parametrize(
-    "build", [gf_mfixed_by_hook, gf_odd_by_hook, gf_distinct_by_hook, gf_odd_distinct_by_hook]
-)
+# The ids are the names these cases had when each family had a builder of
+# its own, so that the case names stay stable.
+@pytest.mark.parametrize("family", list(Family), ids=[
+    "gf_mfixed_by_hook", "gf_odd_by_hook", "gf_distinct_by_hook", "gf_odd_distinct_by_hook"])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_by_hook_h_at_least_k_is_zero(build, m):
-    # The tail 1/(q;q)_{k-h-1} is the zero product there, so it makes every
-    # summand the zero product, which sum_summands skips.
+def test_by_hook_h_at_least_k_is_zero(family, m):
+    # The tail 1/(q^s;q^s)_{k-h-1} is the zero product there, so it makes
+    # every summand the zero product, which sum_summands skips.
     for k in range(1, 6):
         for h in (k, k + 2):
-            assert all(factors is None for _, factors in build(m, k, h, N))
-            assert summed(build, m, k, h, N) == LaurentSeries.zero(N)
+            assert all(factors is None for _, factors in gf_by_hook(family, m, k, h, N))
+            assert summed(gf_by_hook, family, m, k, h, N) == LaurentSeries.zero(N)
 
 
 def test_fixed_by_hook_m1_smallest_hook():
@@ -203,31 +201,25 @@ def test_fixed_by_hook_m1_smallest_hook():
 def test_mfixed_by_hook_specializes_and_matches():
     for k in (1, 3, 4):
         for h in (-2, 0, k - 1):
-            assert summed(gf_mfixed_by_hook, 1, k, h, 50) == summed(gf_fixed_by_hook_m1, k, h, 50)
-    assert_counts(summed(gf_mfixed_by_hook, 2, 4, 2, 15),
+            assert summed(gf_by_hook, Family.ALL, 1, k, h, 50) == \
+                summed(gf_fixed_by_hook_m1, k, h, 50)
+    assert_counts(summed(gf_by_hook, Family.ALL, 2, 4, 2, 15),
                   lambda n: count_fixed_hooks(n, 2, 2, 4), 15)
 
 
 def test_family_hook_builders_match_oracles():
     cases = [(1, 1, 0), (1, 4, 0), (2, 2, 0), (2, 2, 1), (2, 3, -1), (3, 4, 1)]
     for m, k, h in cases:
-        assert_counts(
-            summed(gf_odd_by_hook, m, k, h, N),
-            lambda n: count_fixed_hooks(n, m, h, k, Family.ODD),
-        )
-        assert_counts(
-            summed(gf_distinct_by_hook, m, k, h, N),
-            lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT),
-        )
-        assert_counts(
-            summed(gf_odd_distinct_by_hook, m, k, h, N),
-            lambda n: count_fixed_hooks(n, m, h, k, Family.ODD_DISTINCT),
-        )
+        for family in (Family.ODD, Family.DISTINCT, Family.ODD_DISTINCT):
+            assert_counts(
+                summed(gf_by_hook, family, m, k, h, N),
+                lambda n: count_fixed_hooks(n, m, h, k, family),
+            )
 
 
 def test_odd_by_hook_parity_filtered_sum_can_be_empty():
     # k=1 with an even column leaves no admissible span
-    assert summed(gf_odd_by_hook, 2, 1, 0, N).is_zero()
+    assert summed(gf_by_hook, Family.ODD, 2, 1, 0, N).is_zero()
     assert count_fixed_hooks(6, 2, 0, 1, Family.ODD) == 0
 
 
@@ -300,7 +292,7 @@ def test_build_series_requires_declared_params():
     with pytest.raises(ValueError):
         build_series(TheoremId.MFixedByHook, 10, m=1, k=2, h=0, variant="stated")
     series = build_series(TheoremId.MFixedByHook, 12, m=2, k=3, h=1)
-    assert series == summed(gf_mfixed_by_hook, 2, 3, 1, 12)
+    assert series == summed(gf_by_hook, Family.ALL, 2, 3, 1, 12)
 
 
 def test_build_series_rejects_undeclared_params():
@@ -542,13 +534,10 @@ def test_builders_equal_dense_reference_at_order_60():
                 ref_odd_by_part(m, k, h, N, variant)
             assert summed(gf_distinct_by_part, m, k, h, N, variant) == \
                 ref_distinct_by_part(m, k, h, N, variant)
-        assert summed(gf_mfixed_by_hook, m, k, h, N) == ref_by_hook(Family.ALL, m, k, h, N)
+        for family in Family:
+            assert summed(gf_by_hook, family, m, k, h, N) == ref_by_hook(family, m, k, h, N)
         if m == 1:
             assert summed(gf_fixed_by_hook_m1, k, h, N) == ref_by_hook(Family.ALL, 1, k, h, N)
-        assert summed(gf_odd_by_hook, m, k, h, N) == ref_by_hook(Family.ODD, m, k, h, N)
-        assert summed(gf_distinct_by_hook, m, k, h, N) == ref_by_hook(Family.DISTINCT, m, k, h, N)
-        assert summed(gf_odd_distinct_by_hook, m, k, h, N) == \
-            ref_by_hook(Family.ODD_DISTINCT, m, k, h, N)
         assert summed(gf_t14_hooks_of_size_k, m, k, N) == ref_t14(m, k, N)
     for m in range(1, 5):
         assert summed(gf_t11_closed_form, m, N) == ref_t11(m, N)
@@ -639,13 +628,19 @@ def test_t14_below_km_keeps_its_low_terms():
 
 @pytest.mark.parametrize("call", [
     lambda: summed(gf_fixed_by_hook_m1, 0, 0, 10),
-    lambda: summed(gf_mfixed_by_hook, 2, 0, 0, 10),
+    lambda: summed(gf_by_hook, Family.ALL, 2, 0, 0, 10),
     lambda: summed(gf_odd_distinct_total, 0, 10),
     lambda: summed(gf_t14_hooks_of_size_k, 1, -1, 10),
-    lambda: summed(gf_odd_by_hook, 1, 0, -2, 10),
-    lambda: summed(gf_distinct_by_hook, 1, -2, -3, 10),
-    lambda: summed(gf_odd_distinct_by_hook, 2, 0, -1, 10),
+    lambda: summed(gf_by_hook, Family.ODD, 1, 0, -2, 10),
+    lambda: summed(gf_by_hook, Family.DISTINCT, 1, -2, -3, 10),
+    lambda: summed(gf_by_hook, Family.ODD_DISTINCT, 2, 0, -1, 10),
 ])
 def test_builders_reject_hook_size_below_one(call):
     with pytest.raises(ValueError, match="hook size k must be >= 1"):
         call()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_by_hook_rejects_column_below_one(family):
+    with pytest.raises(ValueError, match="column index m must be >= 1"):
+        summed(gf_by_hook, family, 0, 2, 0, 10)

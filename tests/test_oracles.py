@@ -11,6 +11,7 @@ import fixedhooks.oracles as oracles
 from fixedhooks.partitions import (
     Family,
     Partition,
+    _row,
     enumerate_partitions,
     enumerate_parts,
     partition_count,
@@ -433,6 +434,35 @@ def test_tally_hooks_of_size_k_by_partition_numbers_to_n80():
             parts_of_size = sum(partition_count(n - j * k) for j in range(1, n // k + 1))
             assert tally.hooks_total.get((n, k), 0) == k * parts_of_size
         assert sum(tally.hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
+
+
+@pytest.mark.parametrize("family", [Family.ODD, Family.DISTINCT, Family.ODD_DISTINCT])
+def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
+    # Each cell has exactly one hook, so the hooks of every size in the
+    # family's partitions of n number n*c(n), c(n) the family's count of
+    # them: a coin change over its part sizes, each size at most once if
+    # the family is distinct.
+    sizes = range(1, 61, family.step)
+    if family.distinct:
+        count = [1] + [0] * 60
+        for size in sizes:
+            for x in range(60, size - 1, -1):
+                count[x] += count[x - size]
+    else:
+        count = _row(60, sizes)
+    rows = [hook_tally(60, family).hooks_total.row((k,)) for k in range(1, 61)]
+    assert [sum(row[n] for row in rows) for n in range(61)] == [n * c for n, c in enumerate(count)]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_by_hook_summed_over_h_is_hooks_col(family):
+    # A hook of size k in row i >= 1 is (k - i)-fixed, and a partition of
+    # n <= 60 has at most 60 rows, so h in [k - 60, k) holds every hook.
+    tally = hook_tally.__wrapped__(60, family)
+    for m in range(1, 8):
+        for k in range(1, 12):
+            rows = [tally.by_hook.row((m, k, h)) for h in range(k - 60, k)]
+            assert [sum(col) for col in zip(*rows)] == tally.hooks_col.row((m, k)), (m, k)
 
 
 def test_hooks_of_size_k_by_partition_numbers_at_n200():
