@@ -41,28 +41,32 @@ kernels:
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
   giving 1), which enforces the printed summation limits.
 
-The four by-hook theorems (all, odd, distinct and odd-and-distinct
-partitions) share :func:`gf_by_hook`, which reads the family only through
-its step s and distinctness: the span of the hook steps by s, the
-under-hook binomial is in q^s, and a distinct family's strictly growing rows
-add to the exponent and leave the binomial no repeatable rows.
+One rule serves each family of partitions (all, odd, distinct, and odd
+and distinct), by part as by hook: :func:`gf_by_part` and
+:func:`gf_by_hook` read the family only through its step s and
+distinctness.  Part sizes and so hook spans step by s, the binomials are
+in q^s, and a distinct family's strictly growing rows add to the
+exponent and leave the binomial no repeatable rows.
 
-Three builders take a ``variant``, one of
-:data:`~fixedhooks.partitions.VARIANTS`, because the closed form they
-implement circulates in two index conventions that disagree for columns
-past the first; the verifier compares both against the counting oracle
-and records which one matches.
+Two builders take a ``variant``, one of
+:data:`~fixedhooks.partitions.VARIANTS`: :func:`gf_by_part` and
+:func:`gf_odd_distinct_total`, because the closed forms they implement
+circulate in two index conventions that disagree past the first column;
+the verifier compares both against the counting oracle and records which
+one matches.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import partial
+from itertools import count
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import (DEFAULT_VARIANT, VARIANTS, Family, require_column, require_hook_size,
                          require_variant)
 from .qseries import (
+    Factors,
     LaurentSeries,
     Summand,
     gauss_factors,
@@ -124,85 +128,77 @@ def gf_mfixed_by_part(
 ) -> Iterator[Summand]:
     """h-fixed hooks in column m arising from parts of size k >= m.
 
-    At m = 1 this coincides coefficientwise with :func:`gf_fixed_by_part_m1`.
+    The reindexed form is :func:`gf_by_part` for all partitions; the rows
+    form keeps the summation index equal to the row of the fixed part.  At
+    m = 1 this coincides coefficientwise with :func:`gf_fixed_by_part_m1`.
     Summand exponents grow with slope k+m.
     """
     require_column(m, k)
     require_form(form)
-    tail = inv_poch_factors(1, m - 1)
     if form == "reindexed":
-        s = 0
-        while (e := s * (k + m) + k * (k - h - m + 1)) < order:
-            yield e, merge_factors(inv_poch_factors(1, s + k - h - m),
-                                   gauss_factors(s + k - m, k - m), tail)
-            s += 1
-    else:
-        s = max(1, k - h - m + 1)
-        while (e := s * (k + m) + m * (h - k + m - 1)) < order:
-            yield e, merge_factors(inv_poch_factors(1, s - 1),
-                                   gauss_factors(s + h - 1, k - m), tail)
-            s += 1
-
-
-def gf_odd_by_part(
-    m: int, k: int, h: int, order: int, variant: str = DEFAULT_VARIANT
-) -> Iterator[Summand]:
-    """h-fixed hooks in column m from parts of size k, in all-odd partitions.
-
-    A part of an odd partition is odd, so the stream is empty for even k (the
-    binomial parameters also stop being integers there).  The two variants
-    differ in the lower index of the under-hook binomial: "stated" uses
-    s + h - k, "derived" uses the row count s + h - k + m - 1 below the hook
-    (and, for even m, carries the inserted column through the exponent).
-    They coincide at m = 1.  Summand exponents grow with slope k+m or k+m+1.
-    """
-    require_column(m, k)
-    require_variant(variant)
-    if k % 2 == 0:
+        yield from gf_by_part(Family.ALL, m, k, h, order)
         return
-    tail = inv_poch_factors(1, m // 2, step=2)
+    tail = inv_poch_factors(1, m - 1)
     s = max(1, k - h - m + 1)
-    while True:
-        if m % 2 == 1:
-            e = s * (k + m) + m * (h - k + m - 1)
-            top_shift = (k - m) // 2
-        elif variant == "derived":
-            e = s * (k + m + 1) + (m + 1) * (h - k + m - 1)
-            top_shift = (k - m - 1) // 2
-        else:
-            e = s * (k + m + 1) + m * (h - k + m) + h - k + 1
-            top_shift = (k - m - 1) // 2
-        if e >= order:
-            return
-        bottom = s + h - k + m - 1 if variant == "derived" else s + h - k
-        yield e, merge_factors(inv_poch_factors(2, s - 1, step=2),
-                               gauss_factors(bottom + top_shift, bottom, 2), tail)
+    while (e := s * (k + m) + m * (h - k + m - 1)) < order:
+        yield e, merge_factors(inv_poch_factors(1, s - 1),
+                               gauss_factors(s + h - 1, k - m), tail)
         s += 1
 
 
-def gf_distinct_by_part(
-    m: int, k: int, h: int, order: int, variant: str = DEFAULT_VARIANT
-) -> Iterator[Summand]:
-    """h-fixed hooks in column m from parts of size k, in distinct partitions.
+def _family_column(family: Family, m: int) -> tuple[int, bool, int, Factors]:
+    """The step s and distinctness d of ``family``, the lift (m-1) mod s
+    that takes m to the family's least part m + lift >= m, and the factor
+    of the ceil((m-1)/s) part sizes below m: (-q;q^s)_b if d, else
+    1/(q;q^s)_b."""
+    s, d = family.step, family.distinct
+    lift, below = (m - 1) % s, -(-(m - 1) // s)
+    column = poch_factors(1, below, None, s, -1) if d else inv_poch_factors(1, below, None, s)
+    return s, d, lift, column
 
-    The sum is finite (s = 0 .. k-m).  "stated" keeps the displayed constant
-    denominator (q;q)_{k-h-1}; "derived" uses the row-dependent
-    (q;q)_{s+k-m-h}, the count of rows above the fixed part.  The verifier
-    records which one matches the enumeration.  A summand may sit at a
+
+def gf_by_part(
+    family: Family, m: int, k: int, h: int, order: int, variant: str = DEFAULT_VARIANT
+) -> Iterator[Summand]:
+    """h-fixed hooks in column m arising from parts of size k >= m in
+    ``family``'s partitions.
+
+    Only the family's step s and distinctness d are read, through
+    :func:`_family_column`.  A part k with s not dividing k - m - lift is
+    not in the family and gives no summand; else span = (k - m - lift)/s.
+    Summand l counts the rows below the fixed part and j = k-m+l-h those
+    above it: q^e with e = k(j+1) + l(m+lift), plus s*(C(j+1, 2) + C(l, 2))
+    if d, times 1/(q^s;q^s)_j, the Gaussian binomial in q^s with bottom l
+    and top span, plus l unless d, and the column factor.  The sum runs from
+    l = max(0, h-k+m), where j reaches 0, to l = span if d, or else until e,
+    growing with l, reaches the order.  With d a summand may sit at a
     negative exponent.
+
+    The "stated" variant keeps the displayed index conventions, which
+    disagree past the first column: if d, the rows above count k-h-1 for
+    every l, from l = 0; otherwise the binomial's bottom is l - (m-1) and e
+    gains s*lift.
     """
     require_column(m, k)
     require_variant(variant)
-    tail = poch_factors(1, m - 1, sign=-1)
-    for s in range(0, k - m + 1):
-        yield (
-            s * (k + m) + k * (k - h - m + 1) + _choose2(s + k - m + 1 - h) + _choose2(s),
-            merge_factors(
-                gauss_factors(k - m, s),
-                inv_poch_factors(1, k - h - 1 if variant == "stated" else s + k - m - h),
-                tail,
-            ),
-        )
+    s, d, lift, column = _family_column(family, m)
+    span, off_step = divmod(k - m - lift, s)
+    if off_step:
+        return
+    stated = variant == "stated"
+    first = 0 if d and stated else max(0, h - k + m)
+    for l in range(first, span + 1) if d else count(first):
+        j = k - m + l - h
+        e, above, bottom = k * (j + 1) + l * (m + lift), j, l
+        if d:
+            e += s * (_choose2(j + 1) + _choose2(l))
+            above = k - h - 1 if stated else j
+        elif stated:
+            e, bottom = e + s * lift, l - (m - 1)
+        if not d and e >= order:
+            return
+        yield e, merge_factors(inv_poch_factors(s, above, None, s),
+                               gauss_factors(span + (0 if d else bottom), bottom, s), column)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +217,19 @@ def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> Iterator[Summand]:
 def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks of size k in column m of ``family``'s partitions.
 
-    Only the family's step s and distinctness d are read.  With
-    lift = (m-1) mod s (m + lift is the family's least part >= m) and
-    b = ceil((m-1)/s) sizes below m, summand l = 1 + lift, 1 + lift + s,
-    ... <= k is q^e times the Gaussian binomial in q^s with bottom k-l and
-    top floor((l-1-lift)/s), plus k-l unless d, times the tail
-    1/(q^s;q^s)_{k-h-1} and (-q;q^s)_b if d, 1/(q;q^s)_b otherwise.  The
-    exponent e is :func:`by_hook_exponent` plus lift*(k-l), plus
+    Only the family's step s and distinctness d are read, through
+    :func:`_family_column`.  Summand l = 1 + lift, 1 + lift + s, ... <= k
+    is q^e times the Gaussian binomial in q^s with bottom k-l and top
+    floor((l-1-lift)/s), plus k-l unless d, times the tail
+    1/(q^s;q^s)_{k-h-1} and the column factor.  The exponent e is
+    :func:`by_hook_exponent` plus lift*(k-l), plus
     s*(C(k-h, 2) + C(k-l, 2)) if d.  A span too short for k-l distinct rows
     gets the zero binomial.  At m = 1 in the family of all partitions this
     coincides coefficientwise with :func:`gf_fixed_by_hook_m1`.
     """
     require_column(m)
     require_hook_size(k)
-    s, d = family.step, family.distinct
-    lift, below = (m - 1) % s, -(-(m - 1) // s)
-    column = poch_factors(1, below, None, s, -1) if d else inv_poch_factors(1, below, None, s)
+    s, d, lift, column = _family_column(family, m)
     tail = merge_factors(inv_poch_factors(s, k - h - 1, None, s), column)
     for l in range(1 + lift, k + 1, s):
         e = by_hook_exponent(m, k, h, l) + lift * (k - l)
@@ -408,6 +401,12 @@ class BuilderSpec(NamedTuple):
     h: Callable[[int | None], range] = lambda k: range(-3, k)
 
 
+def _by_part_row(family: Family, variants: tuple[str, ...]) -> BuilderSpec:
+    """The row of a by-part theorem: :func:`gf_by_part` for ``family``."""
+    return BuilderSpec(("m", "k", "h"), family, partial(gf_by_part, family), "by_part",
+                       variants=variants, k=_from_column)
+
+
 def _by_hook_row(family: Family, checks: tuple[str, ...] = ("oracle",)) -> BuilderSpec:
     """The row of a by-hook theorem: :func:`gf_by_hook` for ``family``."""
     return BuilderSpec(("m", "k", "h"), family, partial(gf_by_hook, family), "by_hook", checks)
@@ -426,13 +425,9 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
         ("m", "k"), Family.ALL, gf_t14_hooks_of_size_k, "hooks_col", ("oracle", "h-aggregation"),
         m=range(1, 4), k=lambda m: range(1, 7)),
     TheoremId.FixedByPart_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_part_m1, "by_part"),
-    TheoremId.MFixedByPart: BuilderSpec(
-        ("m", "k", "h"), Family.ALL, gf_mfixed_by_part, "by_part", k=_from_column),
-    TheoremId.OddBySize: BuilderSpec(
-        ("m", "k", "h"), Family.ODD, gf_odd_by_part, "by_part", variants=VARIANTS, k=_from_column),
-    TheoremId.DistinctBySize: BuilderSpec(
-        ("m", "k", "h"), Family.DISTINCT, gf_distinct_by_part, "by_part", variants=VARIANTS,
-        k=_from_column),
+    TheoremId.MFixedByPart: _by_part_row(Family.ALL, ()),
+    TheoremId.OddBySize: _by_part_row(Family.ODD, VARIANTS),
+    TheoremId.DistinctBySize: _by_part_row(Family.DISTINCT, VARIANTS),
     TheoremId.FixedByHook_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_hook_m1, "by_hook"),
     TheoremId.MFixedByHook: _by_hook_row(Family.ALL),
     TheoremId.OddByHook: _by_hook_row(Family.ODD, ("oracle", "column-total")),

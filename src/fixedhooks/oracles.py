@@ -426,10 +426,9 @@ class HookTally(NamedTuple):
     hooks_total: CountTable
 
 
-@lru_cache(maxsize=None)
-def hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
-    """The tally of every n <= max_n, cached and shared by every caller; a
-    case pays only for the rows it reads.
+def _hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
+    """The tally of every n <= max_n; a caller pays only for the rows it
+    reads.  :func:`hook_tally` caches it and shares it with every caller.
 
     Raises ValueError when max_n < 0 or the family is unknown.
     """
@@ -439,6 +438,9 @@ def hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
     keys = ((sizes, sizes, hs), (sizes, sizes, hs), (sizes, sizes), (sizes,))
     tables = (CountTable(*table, census) for table in zip(counts, keys))
     return HookTally(max_n, Family(family), *tables)
+
+
+hook_tally = lru_cache(maxsize=None)(_hook_tally)
 
 
 def _require_query(m: int, k: int | None, by: str) -> None:
@@ -462,7 +464,7 @@ def count_fixed_hooks(
     the number of :func:`fixed_hook_witnesses`.
     """
     _require_query(m, k, by)
-    tally = hook_tally.__wrapped__(n, family)  # uncached: n is its top slot
+    tally = _hook_tally(n, family)  # uncached: n is its top slot
     table = tally.by_part if by == "part" and k is not None else tally.by_hook
     return table.row((m, k, h))[n]
 
@@ -476,7 +478,7 @@ def count_hooks_of_size(n: int, k: int, m: int | None = None, family: Family = F
     require_hook_size(k)
     if m is not None:
         require_column(m)
-    tally = hook_tally.__wrapped__(n, family)  # uncached: n is its top slot
+    tally = _hook_tally(n, family)  # uncached: n is its top slot
     return (tally.hooks_total.row((k,)) if m is None else tally.hooks_col.row((m, k)))[n]
 
 

@@ -13,9 +13,9 @@ from fixedhooks.cli import main as cli_main
 from fixedhooks.genfun import (
     TheoremId,
     gf_by_hook,
+    gf_by_part,
     gf_fixed_by_hook_m1,
     gf_fixed_by_part_m1,
-    gf_mfixed_by_part,
     gf_t11_closed_form,
     sum_summands,
 )
@@ -169,7 +169,7 @@ def test_criterion_7_specializations_and_kernel():
     with criterion(7, "m=1 specializations at N=50, ring axioms, partition numbers"):
         for k in range(1, 7):
             for h in range(-3, k):
-                assert sum_summands(50, gf_mfixed_by_part(1, k, h, 50)) == \
+                assert sum_summands(50, gf_by_part(Family.ALL, 1, k, h, 50)) == \
                     sum_summands(50, gf_fixed_by_part_m1(k, h, 50))
                 assert sum_summands(50, gf_by_hook(Family.ALL, 1, k, h, 50)) == \
                     sum_summands(50, gf_fixed_by_hook_m1(k, h, 50))

@@ -9,6 +9,7 @@ from fixedhooks.oracles import (
     count_fixed_hooks,
     count_hooks_of_size,
     count_restricted_thm12,
+    hook_tally,
 )
 from fixedhooks.qseries import (
     LaurentSeries,
@@ -25,11 +26,10 @@ from fixedhooks.genfun import (
     TheoremId,
     build_series,
     gf_by_hook,
-    gf_distinct_by_part,
+    gf_by_part,
     gf_fixed_by_hook_m1,
     gf_fixed_by_part_m1,
     gf_mfixed_by_part,
-    gf_odd_by_part,
     gf_odd_distinct_total,
     gf_t11_closed_form,
     gf_t12_closed_form,
@@ -124,22 +124,23 @@ def test_mfixed_by_part_rejects_k_below_m():
 
 
 def test_odd_by_part_even_k_is_zero():
-    assert summed(gf_odd_by_part, 1, 2, 0, N).is_zero()
-    assert summed(gf_odd_by_part, 2, 4, 1, N).is_zero()
+    for family in (Family.ODD, Family.ODD_DISTINCT):
+        assert summed(gf_by_part, family, 1, 2, 0, N).is_zero()
+        assert summed(gf_by_part, family, 2, 4, 1, N).is_zero()
 
 
 def test_odd_by_part_variants():
     for m, k, h in [(1, 3, 0), (2, 3, 0), (2, 5, 1), (3, 5, -1), (4, 7, 2)]:
         oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.ODD, by="part")
-        assert_counts(summed(gf_odd_by_part, m, k, h, N, variant="derived"), oracle)
+        assert_counts(summed(gf_by_part, Family.ODD, m, k, h, N, variant="derived"), oracle)
         if m == 1:
             # the two index conventions coincide in the first column
-            assert summed(gf_odd_by_part, m, k, h, N, "stated") == \
-                summed(gf_odd_by_part, m, k, h, N, "derived")
+            assert summed(gf_by_part, Family.ODD, m, k, h, N, "stated") == \
+                summed(gf_by_part, Family.ODD, m, k, h, N, "derived")
 
 
 def test_odd_by_part_stated_diverges_past_first_column():
-    stated = summed(gf_odd_by_part, 2, 3, 0, N, variant="stated")
+    stated = summed(gf_by_part, Family.ODD, 2, 3, 0, N, variant="stated")
     oracle = [count_fixed_hooks(n, 2, 0, 3, Family.ODD, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
 
@@ -147,16 +148,32 @@ def test_odd_by_part_stated_diverges_past_first_column():
 def test_distinct_by_part_variants():
     for m, k, h in [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 2, -2), (3, 4, 0)]:
         oracle = lambda n: count_fixed_hooks(n, m, h, k, Family.DISTINCT, by="part")
-        assert_counts(summed(gf_distinct_by_part, m, k, h, N, variant="derived"), oracle)
-    single_term = summed(gf_distinct_by_part, 3, 3, 2, N, variant="stated")
-    assert single_term == summed(gf_distinct_by_part, 3, 3, 2, N, variant="stated")
+        assert_counts(summed(gf_by_part, Family.DISTINCT, m, k, h, N, variant="derived"), oracle)
+    single_term = summed(gf_by_part, Family.DISTINCT, 3, 3, 2, N, variant="stated")
+    assert single_term == summed(gf_by_part, Family.DISTINCT, 3, 3, 2, N, variant="stated")
     assert single_term.min_exp == -2  # its one summand sits at q^-2
 
 
 def test_distinct_by_part_stated_diverges():
-    stated = summed(gf_distinct_by_part, 1, 2, 0, N, variant="stated")
+    stated = summed(gf_by_part, Family.DISTINCT, 1, 2, 0, N, variant="stated")
     oracle = [count_fixed_hooks(n, 1, 0, 2, Family.DISTINCT, by="part") for n in range(N)]
     assert stated.coefficients(0, N) != oracle
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_by_part_rule_matches_the_census(family):
+    # The census counts cells of each partition; the rule reads the family
+    # only through its step and distinctness.  Odd-and-distinct partitions
+    # have no by-part theorem in the catalog, so this is their only check.
+    for order, columns, top, fixedness in ((30, range(1, 6), 11, lambda k: range(-4, k + 1)),
+                                           (200, range(1, 4), 7, lambda k: range(-2, 3))):
+        tally = hook_tally(order - 1, family)
+        for m in columns:
+            for k in range(m, top + 1):
+                for h in fixedness(k):
+                    series = summed(gf_by_part, family, m, k, h, order)
+                    assert series.coefficients(0, order) == tally.by_part.row((m, k, h)), \
+                        (order, m, k, h)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +547,9 @@ def test_builders_equal_dense_reference_at_order_60():
                 assert summed(gf_fixed_by_part_m1, k, h, N, form) == \
                     ref_mfixed_by_part(1, k, h, N, form)
         for variant in ("stated", "derived"):
-            assert summed(gf_odd_by_part, m, k, h, N, variant) == \
+            assert summed(gf_by_part, Family.ODD, m, k, h, N, variant) == \
                 ref_odd_by_part(m, k, h, N, variant)
-            assert summed(gf_distinct_by_part, m, k, h, N, variant) == \
+            assert summed(gf_by_part, Family.DISTINCT, m, k, h, N, variant) == \
                 ref_distinct_by_part(m, k, h, N, variant)
         for family in Family:
             assert summed(gf_by_hook, family, m, k, h, N) == ref_by_hook(family, m, k, h, N)
@@ -638,6 +655,18 @@ def test_t14_below_km_keeps_its_low_terms():
 def test_builders_reject_hook_size_below_one(call):
     with pytest.raises(ValueError, match="hook size k must be >= 1"):
         call()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 2, 0, 10), "column index m must be >= 1"),
+    ((3, 2, 0, 10), "part size k=2 has no cell in column m=3"),
+    ((2, 4, 0, 10, "bogus"), "unknown variant 'bogus'"),
+])
+@pytest.mark.parametrize("family", list(Family))
+def test_by_part_rejects_bad_arguments_before_any_summand(family, args, message):
+    # k = 4 from column 2 gives the odd families no summand at all.
+    with pytest.raises(ValueError, match=message):
+        next(gf_by_part(family, *args))
 
 
 @pytest.mark.parametrize("family", list(Family))

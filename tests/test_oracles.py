@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from pathlib import Path
 
@@ -294,6 +294,23 @@ def test_tally_matches_single_call_oracles():
                 )
 
 
+def test_point_counts_leave_the_cache_empty_under_a_wrapper(monkeypatch):
+    # A profiler wraps hook_tally with functools.wraps, whose __wrapped__ is
+    # then the cache itself: a point count read through it once cached its
+    # one-off tally.
+    cached = oracles.hook_tally
+
+    @wraps(cached)
+    def traced(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "hook_tally", traced)
+    cached.cache_clear()
+    assert count_fixed_hooks(12, 2, 2, 4, by="part") == 7
+    assert count_hooks_of_size(12, 3, 2, Family.DISTINCT) > 0
+    assert cached.cache_info().currsize == 0
+
+
 def test_tally_is_read_only():
     # The census is cached and shared by every caller.
     tally = hook_tally(5)
@@ -340,7 +357,7 @@ def test_tally_equals_per_cell_reference(family, max_n, max_m):
     # a fresh tally matches the reference and computes those rows alone.
     # max_m = 25 leaves no cell right of column max_m for n <= 20; n <= 29
     # with max_m = 6 is the range verify --all reads.
-    tally = hook_tally.__wrapped__(max_n, family)
+    tally = oracles._hook_tally(max_n, family)
     for table, ref in zip(_tables(tally), _reference_tally(max_n, family)):
         keys = {entry[1:] for entry in ref if len(entry) == 2 or entry[1] <= max_m}
         _assert_rows_match(table, ref, keys, max_n)
@@ -378,7 +395,7 @@ def test_tally_equals_per_cell_reference_in_every_column(family):
 
 
 def test_reading_one_row_computes_only_that_row():
-    tally = hook_tally.__wrapped__(29, Family.ALL)
+    tally = oracles._hook_tally(29, Family.ALL)
     assert tally.by_hook.row((2, 4, 1)) == tally.by_hook.row((2, 4, 1))
     assert tally.hooks_total.get((20, 3), 0) > 0
     cached = {name: list(table._packed) for name, table in zip("pbct", _tables(tally))}
@@ -458,7 +475,7 @@ def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
 def test_tally_by_hook_summed_over_h_is_hooks_col(family):
     # A hook of size k in row i >= 1 is (k - i)-fixed, and a partition of
     # n <= 60 has at most 60 rows, so h in [k - 60, k) holds every hook.
-    tally = hook_tally.__wrapped__(60, family)
+    tally = oracles._hook_tally(60, family)
     for m in range(1, 8):
         for k in range(1, 12):
             rows = [tally.by_hook.row((m, k, h)) for h in range(k - 60, k)]

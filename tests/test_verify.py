@@ -10,8 +10,7 @@ from fixedhooks.genfun import (
     TheoremId,
     build_series,
     by_hook_exponent,
-    gf_distinct_by_part,
-    gf_odd_by_part,
+    gf_by_part,
     gf_odd_distinct_total,
 )
 from fixedhooks.oracles import (
@@ -193,12 +192,15 @@ def test_build_grid_rejects_an_unknown_family():
     assert len(by_value) == 246
 
 
-# Each entry that reads a closed-form variant, given its keyword: the three
-# builders' streams summed, the T13 companion row and count at h = 1, and
-# (for the rejection only) a grid.
+# Each entry that reads a closed-form variant, given its keyword: the
+# builders' streams summed (the by-part rule in three families), the T13
+# companion row and count at h = 1, and (for the rejection only) a grid.
 VARIANT_ENTRIES = {
-    "gf_odd_by_part": lambda **v: sum_summands(20, gf_odd_by_part(2, 3, 0, 20, **v)),
-    "gf_distinct_by_part": lambda **v: sum_summands(20, gf_distinct_by_part(2, 3, 0, 20, **v)),
+    "gf_by_part(ODD)": lambda **v: sum_summands(20, gf_by_part(Family.ODD, 2, 3, 0, 20, **v)),
+    "gf_by_part(DISTINCT)":
+        lambda **v: sum_summands(20, gf_by_part(Family.DISTINCT, 2, 3, 0, 20, **v)),
+    "gf_by_part(ODD_DISTINCT)":
+        lambda **v: sum_summands(20, gf_by_part(Family.ODD_DISTINCT, 2, 3, 0, 20, **v)),
     "gf_odd_distinct_total": lambda **v: sum_summands(20, gf_odd_distinct_total(1, 20, **v)),
     "colored_t13_row": lambda **v: colored_t13_row(20, 2, 4, 1, **v),
     "count_colored_thm13": lambda **v: count_colored_thm13(20, 2, 4, 1, **v),
