@@ -41,6 +41,10 @@ kernels:
 * ``gauss_factors(a, b)`` is zero unless ``0 <= b <= a`` (with ``b == 0``
   giving 1), which enforces the printed summation limits.
 
+No finite sum restates a span bound that a zero binomial or a negative
+reciprocal already gives.  ``b == 0`` is the exception: it gives 1 for
+every ``a``, so the by-part rows forms keep their own starts.
+
 One rule serves each family of partitions (all, odd, distinct, and odd
 and distinct), by part as by hook: :func:`gf_by_part` and
 :func:`gf_by_hook` read the family only through its step s and
@@ -169,15 +173,16 @@ def gf_by_part(
     Summand l counts the rows below the fixed part and j = k-m+l-h those
     above it: q^e with e = k(j+1) + l(m+lift), plus s*(C(j+1, 2) + C(l, 2))
     if d, times 1/(q^s;q^s)_j, the Gaussian binomial in q^s with bottom l
-    and top span, plus l unless d, and the column factor.  The sum runs from
-    l = max(0, h-k+m), where j reaches 0, to l = span if d, or else until e,
-    growing with l, reaches the order.  With d a summand may sit at a
-    negative exponent.
+    and top span, plus l unless d, and the column factor.  If d, the sum
+    runs over l = 0 .. span, where below l = h-k+m the j < 0 rows above are
+    the zero product; else from l = max(0, h-k+m), so that a large h walks
+    no zero summands, until e, growing with l, reaches the order.  With d a
+    summand may sit at a negative exponent.
 
     The "stated" variant keeps the displayed index conventions, which
     disagree past the first column: if d, the rows above count k-h-1 for
-    every l, from l = 0; otherwise the binomial's bottom is l - (m-1) and e
-    gains s*lift.
+    every l; otherwise the binomial's bottom is l - (m-1) and e gains
+    s*lift.
     """
     require_column(m, k)
     require_variant(variant)
@@ -186,8 +191,7 @@ def gf_by_part(
     if off_step:
         return
     stated = variant == "stated"
-    first = 0 if d and stated else max(0, h - k + m)
-    for l in range(first, span + 1) if d else count(first):
+    for l in range(span + 1) if d else count(max(0, h - k + m)):
         j = k - m + l - h
         e, above, bottom = k * (j + 1) + l * (m + lift), j, l
         if d:
@@ -242,40 +246,33 @@ def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[S
 def gf_odd_distinct_total(k: int, order: int, variant: str = DEFAULT_VARIANT) -> Iterator[Summand]:
     """Hooks of length k in all odd-and-distinct partitions, all columns.
 
-    Obtained by resumming ``gf_by_hook(Family.ODD_DISTINCT, ...)`` over
-    every column and fixedness.  The stream runs over the span l and the
-    column-reindexing variable j; the j-sum for each l stops once the
-    exponent 2j(k-l+1), respectively (2j+1)(k-l+1), reaches the order
-    (k-l+1 >= 1 keeps it growing).  The "stated" variant keeps the
-    circulated inner Pochhammer lengths; "derived" recollapses the
-    telescoping product, which shifts the odd-span length to (l+1)/2 and the
-    even-span base to q^(2j+3).  Every exponent is at least k >= 1, so the
-    common factor (-q;q^2)_inf is cut at the order.
+    :func:`gf_by_hook`'s rule with s = 2, resummed over every column and
+    fixedness.  Summand (l, j), odd spans l first (lift 0), then even ones
+    (lift 1), is q^e, e = k + 2C(k-l, 2) + lift(k-l) + (2j+up)(k-l+1), times
+    the binomial in q^2 with bottom k-l and top floor((l-1-lift)/2), zero
+    for too short a span, and 1/(-q^(2j+1+2up);q^2)_c.  "stated" keeps the
+    circulated lengths, up = 0 and c = floor(l/2); "derived" recollapses
+    the telescoping product: c = (l+1)/2 for odd l, and up = lift.  The
+    j-sum stops once e, growing as k-l+1 >= 1, reaches the order.  Every
+    exponent is at least k >= 1, so (-q;q^2)_inf is cut at the order.
     """
     require_hook_size(k)
     require_variant(variant)
+    derived = variant == "derived"
     tail = poch_factors(1, None, order, step=2, sign=-1)
     # Odd spans first, then even ones: consecutive summands share factors.
-    for odd_span, lmin in ((True, (2 * k + 1) // 3), (False, max(1, (2 * k + 2) // 3))):
-        for l in range(lmin + (lmin % 2 != odd_span), k + 1, 2):
-            e0 = k + 2 * _choose2(k - l) + (0 if odd_span else k - l)
-            outer = gauss_factors((l - 2 + odd_span) // 2, k - l, 2)
+    for lift in (0, 1):
+        up = derived and lift
+        for l in range(1 + lift, k + 1, 2):
+            outer = gauss_factors((l - 1 - lift) // 2, k - l, 2)
+            if outer is None:
+                continue
+            e0 = k + 2 * _choose2(k - l) + lift * (k - l)
             j = 0
-            while True:
-                if odd_span:
-                    e = 2 * j * (k - l + 1)
-                    count = (l + 1) // 2 if variant == "derived" else (l - 1) // 2
-                    base = 2 * j + 1
-                elif variant == "derived":
-                    e = (2 * j + 1) * (k - l + 1)
-                    count, base = l // 2, 2 * j + 3
-                else:
-                    e = 2 * j * (k - l + 1)
-                    count, base = l // 2, 2 * j + 1
-                if e0 + e >= order:
-                    break
-                yield e0 + e, merge_factors(
-                    outer, inv_poch_factors(base, count, step=2, sign=-1), tail)
+            while (e := e0 + (2 * j + up) * (k - l + 1)) < order:
+                inner = inv_poch_factors(2 * j + 1 + 2 * up, l // 2 + (derived and not lift),
+                                         step=2, sign=-1)
+                yield e, merge_factors(outer, inner, tail)
                 j += 1
 
 

@@ -250,6 +250,19 @@ def test_odd_distinct_total_variants():
     assert stated.coefficients(0, N) != oracle
 
 
+def test_odd_distinct_total_matches_the_census_to_order_200():
+    # The spans end where the Gaussian binomial in q^2 is zero, as in
+    # gf_by_hook; the derived stream must equal the census's total hook
+    # counts at every k, and the stated one must differ from it.
+    order = 200
+    tally = hook_tally(order - 1, Family.ODD_DISTINCT)
+    for k in range(1, 11):
+        want = tally.hooks_total.row((k,))
+        for variant in ("derived", "stated"):
+            got = summed(gf_odd_distinct_total, k, order, variant).coefficients(0, order)
+            assert (got == want) == (variant == "derived"), (k, variant)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -667,6 +680,14 @@ def test_by_part_rejects_bad_arguments_before_any_summand(family, args, message)
     # k = 4 from column 2 gives the odd families no summand at all.
     with pytest.raises(ValueError, match=message):
         next(gf_by_part(family, *args))
+
+
+@pytest.mark.parametrize("family", [Family.ALL, Family.ODD])
+def test_by_part_walks_no_zero_summands_for_a_large_h(family):
+    # Without distinctness the l-sum is unbounded, so it starts where the
+    # rows above reach j = 0; from l = 0 it would yield h - k + m zero
+    # summands before the first one at or past the order.
+    assert list(gf_by_part(family, 1, 3, 10**6, 20)) == []
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -453,22 +453,41 @@ def test_tally_hooks_of_size_k_by_partition_numbers_to_n80():
         assert sum(tally.hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
 
 
+def family_counts(family, max_n):
+    """For n <= max_n, c(n), the family's partitions of n, and the sum
+    over them of their distinct part sizes, by a coin change over the
+    family's part sizes, each size at most once if the family is distinct.
+    The partitions of n with a part s are those of n - s with an s added,
+    or, if distinct, those of n - s without one."""
+    sizes = range(1, max_n + 1, family.step)
+    if not family.distinct:
+        count = _row(max_n, sizes)
+        return count, [sum(count[n - s] for s in sizes if s <= n) for n in range(max_n + 1)]
+    count, marked = [1] + [0] * max_n, [0] * (max_n + 1)
+    for size in sizes:
+        for x in range(max_n, size - 1, -1):
+            marked[x] += marked[x - size] + count[x - size]
+            count[x] += count[x - size]
+    return count, marked
+
+
 @pytest.mark.parametrize("family", [Family.ODD, Family.DISTINCT, Family.ODD_DISTINCT])
 def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
     # Each cell has exactly one hook, so the hooks of every size in the
-    # family's partitions of n number n*c(n), c(n) the family's count of
-    # them: a coin change over its part sizes, each size at most once if
-    # the family is distinct.
-    sizes = range(1, 61, family.step)
-    if family.distinct:
-        count = [1] + [0] * 60
-        for size in sizes:
-            for x in range(60, size - 1, -1):
-                count[x] += count[x - size]
-    else:
-        count = _row(60, sizes)
+    # family's partitions of n number n*c(n).
+    count, _ = family_counts(family, 60)
     rows = [hook_tally(60, family).hooks_total.row((k,)) for k in range(1, 61)]
     assert [sum(row[n] for row in rows) for n in range(61)] == [n * c for n, c in enumerate(count)]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_hooks_of_size_one_are_distinct_part_sizes_to_n60(family):
+    # A cell has hook length 1 exactly when it ends its row and its column,
+    # which is the last cell of the lowest row of each part size; so the
+    # hooks of size 1 in the family's partitions of n number their distinct
+    # part sizes.
+    _, sizes = family_counts(family, 60)
+    assert hook_tally(60, family).hooks_total.row((1,)) == sizes
 
 
 @pytest.mark.parametrize("family", list(Family))
