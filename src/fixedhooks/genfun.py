@@ -106,15 +106,15 @@ def gf_fixed_by_part_m1(
 ) -> Iterator[Summand]:
     """First-column h-fixed hooks arising from parts of size k.
 
-    ``form="reindexed"`` sums from s = 0; ``form="rows"`` keeps the summation
-    index equal to the row of the fixed part.  Both displayed forms agree
-    coefficientwise.  Summand minimum exponents grow linearly in s (slope
-    k+1), which bounds the truncation.
+    ``form="reindexed"`` sums from s = max(0, h-k+1), the first s whose rows
+    above are not the zero product; ``form="rows"`` keeps the summation index
+    equal to the row of the fixed part.  Both agree coefficientwise.  Summand
+    minimum exponents grow linearly in s (slope k+1), which bounds the truncation.
     """
     require_column(1, k)
     require_form(form)
     if form == "reindexed":
-        s = 0
+        s = max(0, h - k + 1)
         while (e := s * (k + 1) + k * (k - h)) < order:
             yield e, merge_factors(inv_poch_factors(1, s + k - h - 1),
                                    gauss_factors(s + k - 1, k - 1))
@@ -419,7 +419,7 @@ CATALOG: dict[TheoremId, BuilderSpec] = {
         ("m", "k", "h"), Family.ALL, None, "by_part", variants=VARIANTS,
         m=range(1, 4), k=lambda m: range(m, 7), h=lambda k: range(-2, 3)),
     TheoremId.T14_HooksOfSizeK: BuilderSpec(
-        ("m", "k"), Family.ALL, gf_t14_hooks_of_size_k, "hooks_col", ("oracle", "h-aggregation"),
+        ("m", "k"), Family.ALL, gf_t14_hooks_of_size_k, "by_hook", ("oracle", "h-aggregation"),
         m=range(1, 4), k=lambda m: range(1, 7)),
     TheoremId.FixedByPart_m1: BuilderSpec(("k", "h"), Family.ALL, gf_fixed_by_part_m1, "by_part"),
     TheoremId.MFixedByPart: _by_part_row(Family.ALL, ()),

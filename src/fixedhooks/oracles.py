@@ -212,6 +212,8 @@ def restricted_t12_row(max_n: int, m: int, h: int) -> list[int]:
     """
     require_column(m)
     top = max_n - m * (h + 1)  # the most the parts beside m can weigh
+    if 2 * m * -h > top:  # too little for -h parts >= 2m, or for the part m
+        return [0] * (max_n + 1)
     big = _row(top, range(2 * m, top + 1))
     at_most = _row(top, ())  # partitions into parts <= g, from g = 0
     for g in range(-h):
@@ -294,7 +296,7 @@ def _exact_parts(max_n: int, step: int, distinct: bool, width: int) -> Iterator[
 
 class _Census:
     """The blocks of one family's census up to max_n and the packed rows of
-    its four tables.  Raises ValueError when max_n < 0 or the family is
+    its three tables.  Raises ValueError when max_n < 0 or the family is
     unknown."""
 
     def __init__(self, max_n: int, family: Family):
@@ -357,18 +359,16 @@ class _Census:
         ls = range(first := max(0, h - k + m), first + self.max_n // (k + 1) + 1)
         return self._rest(m, sum(self._cell(m, k, l, k - m + l - h) for l in ls))
 
-    def by_hook(self, m: int, hook: int | None, h: int) -> int:
-        # Every size s if hook is None.  The part k and the s - h - 1 rows above weigh >= k (s - h).
+    def by_hook(self, m: int, hook: int | None, h: int | None) -> int:
+        # Every size s if hook is None, and every fixedness if h is None: any
+        # number j of rows above.  The part k and the j rows above weigh >= k (j + 1).
         sizes = range(1, self.max_n + 1) if hook is None else (hook,)
-        cells = ((m, s + m - 1 - l, l, s - h - 1) for s in sizes
-                 for l in range(max(0, s + m - 1 - self.max_n // max(1, s - h)), s))
+        cells = ((m, s + m - 1 - l, l, j) for s in sizes for j in [None if h is None else s - h - 1]
+                 for l in range(max(0, s + m - 1 - self.max_n // max(1, (j or 0) + 1)), s))
         return self._rest(m, sum(self._cell(*cell) for cell in cells))
 
-    def hooks_col(self, m: int, hook: int) -> int:
-        return self._rest(m, sum(self._cell(m, hook + m - 1 - l, l, None) for l in range(hook)))
-
     def hooks_total(self, hook: int) -> int:
-        return sum(self.hooks_col(m, hook) for m in range(1, self.max_n + 1))
+        return sum(self.by_hook(m, hook, None) for m in range(1, self.max_n + 1))
 
 
 class CountTable(Mapping):
@@ -378,7 +378,7 @@ class CountTable(Mapping):
     Each key holds one packed row, the counts of every n in slots of
     ``width`` bits, computed by ``count(*key)`` on first read and cached;
     every read unpacks it.  Iteration runs over the product of the ranges
-    ``keys``; every other row is zero or, at hook None, a sum of rows in it.
+    ``keys``; every other row is zero or, at a None key, a sum of rows in it.
     """
 
     __slots__ = ("_count", "_keys", "_packed", "_census")
@@ -411,18 +411,18 @@ class HookTally(NamedTuple):
     """Hook statistics over the partitions of every n <= max_n in a family.
 
     ``by_part[(n, m, k, h)]`` counts cells (i, m) with part k and fixedness
-    h = hook - i; ``by_hook`` keys on the hook size instead, None for every size.
-    ``hooks_col[(n, m, k)]`` counts hooks of size k in column m, and
-    ``hooks_total[(n, k)]`` in all columns.  Each table is a read-only
-    :class:`CountTable`, whose ``row(key)`` gives the counts at ``key`` (the
-    entry key less n) of every n <= max_n as one list.
+    h = hook - i; ``by_hook`` keys on the hook size instead.  A None key is
+    the sum of its rows: ``by_hook`` at k None counts every size, and at h
+    None every fixedness, the hooks of size k in column m.
+    ``hooks_total[(n, k)]`` counts them in all columns.  Each table is a
+    read-only :class:`CountTable`, whose ``row(key)`` gives the counts at
+    ``key`` (the entry key less n) of every n <= max_n as one list.
     """
 
     max_n: int
     family: Family
     by_part: CountTable
     by_hook: CountTable
-    hooks_col: CountTable
     hooks_total: CountTable
 
 
@@ -434,10 +434,9 @@ def _hook_tally(max_n: int, family: Family = Family.ALL) -> HookTally:
     """
     census = _Census(max_n, family)
     sizes, hs = range(1, max_n + 1), range(-max_n, max_n)
-    counts = (census.by_part, census.by_hook, census.hooks_col, census.hooks_total)
-    keys = ((sizes, sizes, hs), (sizes, sizes, hs), (sizes, sizes), (sizes,))
-    tables = (CountTable(*table, census) for table in zip(counts, keys))
-    return HookTally(max_n, Family(family), *tables)
+    return HookTally(max_n, Family(family), CountTable(census.by_part, (sizes, sizes, hs), census),
+                     CountTable(census.by_hook, (sizes, sizes, hs), census),
+                     CountTable(census.hooks_total, (sizes,), census))
 
 
 hook_tally = lru_cache(maxsize=None)(_hook_tally)
@@ -479,7 +478,7 @@ def count_hooks_of_size(n: int, k: int, m: int | None = None, family: Family = F
     if m is not None:
         require_column(m)
     tally = _hook_tally(n, family)  # uncached: n is its top slot
-    return (tally.hooks_total.row((k,)) if m is None else tally.hooks_col.row((m, k)))[n]
+    return (tally.hooks_total.row((k,)) if m is None else tally.by_hook.row((m, k, None)))[n]
 
 
 def fixed_hook_witnesses(

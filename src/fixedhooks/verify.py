@@ -172,7 +172,7 @@ def _sides(case: IdentityCase, variant: str | None):
         return got, _count(case, table, m, None, 0)
     mm = 1 if m is None else m  # the m = 1 theorems
     kk = mm if k is None else k  # T12 counts hooks from parts of size m
-    key = {"hooks_col": (mm, kk), "hooks_total": (kk,)}.get(table, (mm, kk, h))
+    key = (kk,) if table == "hooks_total" else (mm, kk, h)  # h is None in T14: every fixedness
     return got, _count(case, table, *key)
 
 

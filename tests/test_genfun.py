@@ -686,8 +686,10 @@ def test_by_part_rejects_bad_arguments_before_any_summand(family, args, message)
 def test_by_part_walks_no_zero_summands_for_a_large_h(family):
     # Without distinctness the l-sum is unbounded, so it starts where the
     # rows above reach j = 0; from l = 0 it would yield h - k + m zero
-    # summands before the first one at or past the order.
+    # summands before the first one at or past the order.  The first
+    # column's reindexed form starts there too.
     assert list(gf_by_part(family, 1, 3, 10**6, 20)) == []
+    assert list(gf_fixed_by_part_m1(3, 10**6, 20)) == []
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -148,6 +148,9 @@ def test_restricted_t12_examples():
     assert count_restricted_thm12(3, 2, 2) == 0  # negative target weight
     assert count_restricted_thm12(6, 2, 0) == 2  # (4,2) and (2,1,1,1,1)
     assert count_restricted_thm12(3, 1, 0) == 1  # (2,1)
+    # No object of n <= 30 has a million parts >= 4: the row is zero before
+    # any coin change, which here would run over two million weights.
+    assert count_restricted_thm12(30, 2, -10**6) == 0
 
 
 def test_restricted_t12_against_direct_enumeration():
@@ -285,7 +288,7 @@ def test_tally_matches_single_call_oracles():
                             n, m, h, k, family, by="hook"
                         )
                 for k in range(1, 7):
-                    assert tally.hooks_col.get((n, m, k), 0) == count_hooks_of_size(
+                    assert tally.by_hook.row((m, k, None))[n] == count_hooks_of_size(
                         n, k, m, family
                     )
             for k in range(1, 7):
@@ -321,8 +324,9 @@ def test_tally_is_read_only():
 @lru_cache(maxsize=None)
 def _reference_tally(max_n, family):
     """The tally by enumeration, the ground truth of the decomposition: every
-    cell of every partition, one Counter increment per table per cell."""
-    by_part, by_hook, hooks_col, hooks_total = Counter(), Counter(), Counter(), Counter()
+    cell of every partition, one Counter increment per table per row key,
+    the hooks of size k in column m at by_hook's key (m, k, None)."""
+    by_part, by_hook, hooks_total = Counter(), Counter(), Counter()
     for n in range(max_n + 1):
         for parts in enumerate_parts(n, family):
             conj = Partition(parts).conj_parts()
@@ -333,12 +337,12 @@ def _reference_tally(max_n, family):
                     hooks_total[(n, hook)] += 1
                     by_part[(n, m, part, h)] += 1
                     by_hook[(n, m, hook, h)] += 1
-                    hooks_col[(n, m, hook)] += 1
-    return by_part, by_hook, hooks_col, hooks_total
+                    by_hook[(n, m, hook, None)] += 1
+    return by_part, by_hook, hooks_total
 
 
 def _tables(tally):
-    return tally.by_part, tally.by_hook, tally.hooks_col, tally.hooks_total
+    return tally.by_part, tally.by_hook, tally.hooks_total
 
 
 def _assert_rows_match(table, ref, keys, max_n):
@@ -353,8 +357,9 @@ def _assert_rows_match(table, ref, keys, max_n):
     ids=["1", "2", "6", "25", "n29-6"],
 )
 def test_tally_equals_per_cell_reference(family, max_n, max_m):
-    # Reading every row of the columns m <= max_m, and of hooks_total, from
-    # a fresh tally matches the reference and computes those rows alone.
+    # Reading every row of the columns m <= max_m, their every-fixedness rows
+    # included, and of hooks_total, from a fresh tally matches the reference
+    # and computes those rows alone.
     # max_m = 25 leaves no cell right of column max_m for n <= 20; n <= 29
     # with max_m = 6 is the range verify --all reads.
     tally = oracles._hook_tally(max_n, family)
@@ -368,24 +373,24 @@ def test_tally_equals_per_cell_reference(family, max_n, max_m):
 def test_tally_equals_per_cell_reference_in_every_column(family):
     # Every key that enumeration produces at n <= 29, in every column, and
     # zero rows at keys it never produces: a column m < 1, k < m, h >= hook,
-    # and a part or hook above max_n.
+    # and a part or hook above max_n, at every fixedness too.
     max_n = 29
     tally = hook_tally(max_n, family)
     refs = _reference_tally(max_n, family)
     for table, ref in zip(_tables(tally), refs):
         _assert_rows_match(table, ref, {entry[1:] for entry in ref}, max_n)
     cells = [(m, k, h) for m in (-1, 0, 1, 2, 3, 7) for k in range(1, 33) for h in (-2, 0, 1, 5)]
+    columns = [(m, k, None) for m in (-1, 0, 1, 2, 30) for k in (1, 3, 30, 31, 40)]
     never = [
         [(m, k, h) for m, k, h in cells if m < 1 or k < m or k > max_n],
-        [(m, k, h) for m, k, h in cells if m < 1 or h >= k or k > max_n],
-        [(m, k) for m in (-1, 0, 1, 2, 30) for k in (1, 3, 30, 31, 40) if m < 1 or k > max_n],
+        [(m, k, h) for m, k, h in cells + columns
+         if m < 1 or (h is not None and h >= k) or k > max_n],
         [(30,), (31,), (40,)],
     ]
     for table, keys, ref in zip(_tables(tally), never, refs):
         assert all((n, *key) not in ref for key in keys for n in range(max_n + 1))
         _assert_rows_match(table, ref, keys, max_n)
-    for table, ref in zip(_tables(tally)[2:], refs[2:]):
-        assert dict(table) == dict(ref)
+    assert dict(tally.hooks_total) == dict(refs[2])
     # The key (m, None, h) of by_hook counts the h-fixed hooks of every size.
     for m in range(1, 5):
         for h in range(-3, 6):
@@ -397,9 +402,10 @@ def test_tally_equals_per_cell_reference_in_every_column(family):
 def test_reading_one_row_computes_only_that_row():
     tally = oracles._hook_tally(29, Family.ALL)
     assert tally.by_hook.row((2, 4, 1)) == tally.by_hook.row((2, 4, 1))
+    assert tally.by_hook.get((20, 2, 3, None), 0) > 0
     assert tally.hooks_total.get((20, 3), 0) > 0
-    cached = {name: list(table._packed) for name, table in zip("pbct", _tables(tally))}
-    assert cached == {"p": [], "b": [(2, 4, 1)], "c": [], "t": [(3,)]}
+    cached = {name: list(table._packed) for name, table in zip("pbt", _tables(tally))}
+    assert cached == {"p": [], "b": [(2, 4, 1), (2, 3, None)], "t": [(3,)]}
 
 
 def test_tally_rejects_negative_n_and_unknown_family():
@@ -491,14 +497,14 @@ def test_tally_hooks_of_size_one_are_distinct_part_sizes_to_n60(family):
 
 
 @pytest.mark.parametrize("family", list(Family))
-def test_tally_by_hook_summed_over_h_is_hooks_col(family):
+def test_tally_by_hook_summed_over_h_is_its_every_fixedness_row(family):
     # A hook of size k in row i >= 1 is (k - i)-fixed, and a partition of
     # n <= 60 has at most 60 rows, so h in [k - 60, k) holds every hook.
     tally = oracles._hook_tally(60, family)
     for m in range(1, 8):
         for k in range(1, 12):
             rows = [tally.by_hook.row((m, k, h)) for h in range(k - 60, k)]
-            assert [sum(col) for col in zip(*rows)] == tally.hooks_col.row((m, k)), (m, k)
+            assert [sum(col) for col in zip(*rows)] == tally.by_hook.row((m, k, None)), (m, k)
 
 
 def test_hooks_of_size_k_by_partition_numbers_at_n200():
@@ -511,7 +517,7 @@ def test_hooks_of_size_k_by_partition_numbers_at_n200():
     assert got[3] == 39341717399838
 
 
-@pytest.mark.parametrize("name", ["by_part", "by_hook", "hooks_col", "hooks_total"])
+@pytest.mark.parametrize("name", ["by_part", "by_hook", "hooks_total"])
 def test_tally_tables_keep_the_mapping_contract(name):
     tally = hook_tally(14, Family.ODD)
     table = getattr(tally, name)
@@ -540,6 +546,17 @@ def test_tally_tables_keep_the_mapping_contract(name):
         del table[entry]
     assert not hasattr(table, "update") and not hasattr(table, "pop")
     assert hook_tally(14, Family.ODD) is tally and dict(table) == entries
+
+
+def test_tally_every_fixedness_rows_are_read_but_not_iterated():
+    # by_hook's key (m, k, None) is a sum of rows: get, [] and `in` read it
+    # as any other key, but iterating the table never yields it.
+    table = hook_tally(14, Family.ODD).by_hook
+    row = table.row((1, 3, None))
+    assert row == [sum(table.get((n, 1, 3, h), 0) for h in range(-11, 3)) for n in range(15)]
+    assert table[(9, 1, 3, None)] == row[9] > 0 and (9, 1, 3, None) in table
+    assert table.get((15, 1, 3, None)) is None and (0, 1, 3, None) not in table
+    assert all(None not in entry for entry in table)
 
 
 def test_witnesses_are_ordered_and_unique():
