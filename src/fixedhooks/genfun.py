@@ -23,7 +23,9 @@ aggregate checks of :mod:`fixedhooks.verify` do.  Nested sums are flattened
 into double-indexed streams.  Every factor is a power series with constant
 term 1, so a summand has valuation e, and the window [min e, N) holds every
 needed coefficient.  Infinite sums stop once e reaches N, by the monotone
-growth of e noted inline per builder.
+growth of e noted inline per builder; a by-part stream ends once j >= 0
+and e reaches N.  A by-hook summand sits at q^k or above, so its stream is
+empty for k >= N.
 
 An infinite product is a run cut at the order, such as
 ``inv_poch_factors(1, None, order)``.  The cut is exact when every summand
@@ -85,12 +87,6 @@ from .qseries import (
 FORMS = ("reindexed", "rows")
 
 
-def require_form(form: str) -> None:
-    """Reject a by-part form that is not one of :data:`FORMS`."""
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-
-
 def _choose2(x: int) -> int:
     """x*(x-1)/2 as a polynomial in x (negative arguments allowed)."""
     return x * (x - 1) // 2
@@ -112,7 +108,8 @@ def gf_fixed_by_part_m1(
     minimum exponents grow linearly in s (slope k+1), which bounds the truncation.
     """
     require_column(1, k)
-    require_form(form)
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
     if form == "reindexed":
         s = max(0, h - k + 1)
         while (e := s * (k + 1) + k * (k - h)) < order:
@@ -127,21 +124,13 @@ def gf_fixed_by_part_m1(
             s += 1
 
 
-def gf_mfixed_by_part(
-    m: int, k: int, h: int, order: int, form: str = "reindexed"
-) -> Iterator[Summand]:
-    """h-fixed hooks in column m arising from parts of size k >= m.
-
-    The reindexed form is :func:`gf_by_part` for all partitions; the rows
-    form keeps the summation index equal to the row of the fixed part.  At
-    m = 1 this coincides coefficientwise with :func:`gf_fixed_by_part_m1`.
-    Summand exponents grow with slope k+m.
-    """
+def gf_mfixed_by_part(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
+    """h-fixed hooks in column m arising from parts of size k >= m, in the
+    rows form: the summation index is the row of the fixed part.  The
+    reindexed form is :func:`gf_by_part` for all partitions.  At m = 1 this
+    coincides coefficientwise with :func:`gf_fixed_by_part_m1`.  Summand
+    exponents grow with slope k+m."""
     require_column(m, k)
-    require_form(form)
-    if form == "reindexed":
-        yield from gf_by_part(Family.ALL, m, k, h, order)
-        return
     tail = inv_poch_factors(1, m - 1)
     s = max(1, k - h - m + 1)
     while (e := s * (k + m) + m * (h - k + m - 1)) < order:
@@ -175,9 +164,9 @@ def gf_by_part(
     if d, times 1/(q^s;q^s)_j, the Gaussian binomial in q^s with bottom l
     and top span, plus l unless d, and the column factor.  If d, the sum
     runs over l = 0 .. span, where below l = h-k+m the j < 0 rows above are
-    the zero product; else from l = max(0, h-k+m), so that a large h walks
-    no zero summands, until e, growing with l, reaches the order.  With d a
-    summand may sit at a negative exponent.
+    the zero product, else from l = max(0, h-k+m); it stops once j >= 0 and
+    e, growing with l from there (by k+m+lift, plus s*(j+1+l) if d), reaches
+    the order.  With d a summand may sit at a negative exponent.
 
     The "stated" variant keeps the displayed index conventions, which
     disagree past the first column: if d, the rows above count k-h-1 for
@@ -199,7 +188,7 @@ def gf_by_part(
             above = k - h - 1 if stated else j
         elif stated:
             e, bottom = e + s * lift, l - (m - 1)
-        if not d and e >= order:
+        if j >= 0 and e >= order:
             return
         yield e, merge_factors(inv_poch_factors(s, above, None, s),
                                gauss_factors(span + (0 if d else bottom), bottom, s), column)
@@ -213,6 +202,8 @@ def gf_by_part(
 def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> Iterator[Summand]:
     """First-column h-fixed hooks of size k.  Zero series when h >= k."""
     require_hook_size(k)
+    if k >= order:
+        return
     tail = inv_poch_factors(1, k - h - 1)
     for l in range(1, k + 1):
         yield k + l * (k - h - 1), merge_factors(gauss_factors(k - 1, l - 1), tail)
@@ -233,6 +224,8 @@ def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[S
     """
     require_column(m)
     require_hook_size(k)
+    if k >= order:
+        return
     s, d, lift, column = _family_column(family, m)
     tail = merge_factors(inv_poch_factors(s, k - h - 1, None, s), column)
     for l in range(1 + lift, k + 1, s):
@@ -258,6 +251,8 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = DEFAULT_VARIANT) ->
     """
     require_hook_size(k)
     require_variant(variant)
+    if k >= order:
+        return
     derived = variant == "derived"
     tail = poch_factors(1, None, order, step=2, sign=-1)
     # Odd spans first, then even ones: consecutive summands share factors.
@@ -339,6 +334,8 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> Iterator[Summand]:
     """
     require_column(m)
     require_hook_size(k)
+    if k >= order:
+        return
     tail = inv_poch_factors(k, None, order)
     for l in range(1, k + 1):
         yield (

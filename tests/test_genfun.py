@@ -1,4 +1,5 @@
 import inspect
+from itertools import islice
 
 import pytest
 
@@ -83,9 +84,8 @@ def test_both_display_forms_agree_by_part():
         for m in (1, 2, 3):
             for k in (m, m + 1, m + 3):
                 for h in (-2, 0, 1, k - 1):
-                    a = summed(gf_mfixed_by_part, m, k, h, order, form="rows")
-                    b = summed(gf_mfixed_by_part, m, k, h, order, form="reindexed")
-                    assert a == b
+                    rows = summed(gf_mfixed_by_part, m, k, h, order)
+                    assert rows == summed(gf_by_part, Family.ALL, m, k, h, order)
         for k in (1, 2, 4):
             for h in (-1, 0, k - 1):
                 assert summed(gf_fixed_by_part_m1, k, h, order, form="rows") == summed(
@@ -93,8 +93,7 @@ def test_both_display_forms_agree_by_part():
                 )
 
 
-@pytest.mark.parametrize("build, args", [(gf_fixed_by_part_m1, (2, 0, 10)),
-                                         (gf_mfixed_by_part, (2, 3, 0, 10))])
+@pytest.mark.parametrize("build, args", [(gf_fixed_by_part_m1, (2, 0, 10))])
 def test_by_part_builders_reject_an_unknown_form(build, args):
     with pytest.raises(ValueError, match=r"^unknown form 'bogus'$"):
         summed(build, *args, form="bogus")
@@ -553,10 +552,11 @@ REF_CASES = [
 def test_builders_equal_dense_reference_at_order_60():
     N = 60
     for m, k, h in REF_CASES:
-        for form in ("reindexed", "rows"):
-            assert summed(gf_mfixed_by_part, m, k, h, N, form) == \
-                ref_mfixed_by_part(m, k, h, N, form)
-            if m == 1:
+        assert summed(gf_mfixed_by_part, m, k, h, N) == ref_mfixed_by_part(m, k, h, N, "rows")
+        assert summed(gf_by_part, Family.ALL, m, k, h, N) == \
+            ref_mfixed_by_part(m, k, h, N, "reindexed")
+        if m == 1:
+            for form in ("reindexed", "rows"):
                 assert summed(gf_fixed_by_part_m1, k, h, N, form) == \
                     ref_mfixed_by_part(1, k, h, N, form)
         for variant in ("stated", "derived"):
@@ -690,6 +690,29 @@ def test_by_part_walks_no_zero_summands_for_a_large_h(family):
     # column's reindexed form starts there too.
     assert list(gf_by_part(family, 1, 3, 10**6, 20)) == []
     assert list(gf_fixed_by_part_m1(3, 10**6, 20)) == []
+
+
+def test_a_stated_distinct_stream_keeps_its_summands_at_negative_j():
+    # The stated distinct variant counts k-h-1 rows above for every l, so
+    # a summand with j < 0 is no zero product: at m = 2, h = k - 1 the
+    # first one sits at q^0, and the stream stops at the next, j = 0.
+    assert [e for e, _ in gf_by_part(Family.DISTINCT, 2, 50, 49, 5, "stated")] == [0]
+
+
+# A hook or part of size K > the order: every summand sits at q^K or above.
+# K is odd, so that the odd-and-distinct family has parts of that size.
+K = 10**6 + 1
+
+
+@pytest.mark.parametrize("build, args", [
+    (gf_by_hook, (Family.ALL, 2, K, 0, 5)),
+    (gf_fixed_by_hook_m1, (K, 0, 5)),
+    (gf_odd_distinct_total, (K, 5)),
+    (gf_t14_hooks_of_size_k, (1, K, 5)),
+] + [(gf_by_part, (family, 1, K, 0, 5, variant))
+     for family in (Family.DISTINCT, Family.ODD_DISTINCT) for variant in ("stated", "derived")])
+def test_a_stream_past_the_order_yields_no_summand(build, args):
+    assert list(islice(build(*args), 1)) == []
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -399,6 +399,19 @@ def test_tally_equals_per_cell_reference_in_every_column(family):
             assert tally.by_hook.row((m, None, h)) == every, (m, h)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_every_size_rows_equal_their_sum_over_sizes_at_n60(family):
+    # by_hook's (m, None, h) row, T11's hook-sum key and what count
+    # fixed-by-* --sum-k reads, is tied to enumeration only at n <= 29
+    # above.  A hook of size k has k cells, so k <= max_n is every size.
+    max_n = 60
+    by_hook = hook_tally(max_n, family).by_hook
+    for m in range(1, 5):
+        for h in range(-3, 6):
+            rows = [by_hook.row((m, k, h)) for k in range(1, max_n + 1)]
+            assert by_hook.row((m, None, h)) == [sum(col) for col in zip(*rows)], (m, h)
+
+
 def test_reading_one_row_computes_only_that_row():
     tally = oracles._hook_tally(29, Family.ALL)
     assert tally.by_hook.row((2, 4, 1)) == tally.by_hook.row((2, 4, 1))
