@@ -21,15 +21,6 @@ import json
 import sys
 
 from .genfun import CATALOG, build_series, builder_args, resolve_theorem
-from .oracles import (
-    colored_t11_witnesses,
-    count_colored_thm11,
-    count_colored_thm13,
-    count_fixed_hooks,
-    count_hooks_of_size,
-    count_restricted_thm12,
-    fixed_hook_witnesses,
-)
 from .partitions import DEFAULT_VARIANT, VARIANTS, Family, Partition
 from .verify import (
     DEFAULT_ORDER,
@@ -257,6 +248,16 @@ _COUNT_FLAGS = {
 
 
 def cmd_count(args) -> int:
+    from .oracles import (  # only here, so that no other subcommand loads it
+        colored_t11_witnesses,
+        count_colored_thm11,
+        count_colored_thm13,
+        count_fixed_hooks,
+        count_hooks_of_size,
+        count_restricted_thm12,
+        fixed_hook_witnesses,
+    )
+
     fam = Family(args.family)
     witnesses: list[str] | None = None
     if args.oracle in ("fixed-by-part", "fixed-by-hook"):

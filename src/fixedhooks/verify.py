@@ -10,7 +10,9 @@ every case then runs through :func:`_sides`, :func:`_first_mismatch` and
 without listing partitions and computes each row of counts the first time a
 case reads it; the T11, T12 and T13 companion oracles give each case one
 row of counts up to its order.  :func:`_first_mismatch` compares that row
-with the series' coefficient list.
+with the series' coefficient list.  The counting layer loads on the first
+count a case reads: importing this module and :func:`build_grid` load none
+of it, and neither do the CLI's ``series`` and ``table``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import operator
 import time
 from collections import Counter
+from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -31,7 +34,6 @@ from .genfun import (
     t13_weight_shift,
     takes,
 )
-from .oracles import colored_t11_row, colored_t13_row, hook_tally, restricted_t12_row
 from .partitions import DEFAULT_VARIANT, Family, require_hook_size, require_variant
 from .qseries import LaurentSeries, sum_summands
 
@@ -106,11 +108,20 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _oracles():
+    """The counting layer, loaded on the first count a case reads, so that a
+    run that only builds series never loads it."""
+    from . import oracles
+
+    return oracles
+
+
 def _count(case: IdentityCase, table: str, *key) -> list[int]:
     """The entries (n, *key) of ``table`` in the tally of the case's family,
     for n below the case's order, read as one row.  One tally per family
     covers every order up to the default grid's."""
-    tally = hook_tally(max(case.order, DEFAULT_ORDER) - 1, case.family)
+    tally = _oracles().hook_tally(max(case.order, DEFAULT_ORDER) - 1, case.family)
     return getattr(tally, table).row(key)[: case.order]
 
 
@@ -160,14 +171,14 @@ def _sides(case: IdentityCase, variant: str | None):
 
     if t is TheoremId.T13_Shifted:
         shift = t13_weight_shift(m, k, h)
-        row = colored_t13_row(N - 1 + shift, m, k, h, variant)
+        row = _oracles().colored_t13_row(N - 1 + shift, m, k, h, variant)
         got = [row[n + shift] if n + shift >= 0 else 0 for n in range(N)]
     else:
         got = build_series(t, N, m=m, k=k, h=h, variant=variant)
     if case.check == "colored":
-        return got, colored_t11_row(N - 1, m)
+        return got, _oracles().colored_t11_row(N - 1, m)
     if case.check == "restricted":
-        return got, restricted_t12_row(N - 1, m, h)
+        return got, _oracles().restricted_t12_row(N - 1, m, h)
     if case.check == "hook-sum":  # 0-fixed hooks of every size in column m
         return got, _count(case, table, m, None, 0)
     mm = 1 if m is None else m  # the m = 1 theorems

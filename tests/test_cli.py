@@ -370,6 +370,26 @@ def test_verify_set_up_loads_no_dataclasses_inspect_traceback_or_csv():
     assert proc.stdout == "\n"
 
 
+def test_series_table_and_the_grid_load_no_oracles():
+    # The counting layer loads on the first count a case reads; building the
+    # grid and printing series and tables read none.
+    proc = _fresh_python("-c", "import contextlib, os, sys\n"
+                         "import fixedhooks.verify as verify\n"
+                         "verify.build_grid(verify.GridSpec())\n"
+                         "loaded = ['fixedhooks.oracles' in sys.modules]\n"
+                         "import fixedhooks.cli as cli\n"
+                         "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+                         "    for argv in (['series', '--thm', 'T14', '--m', '1', '--k', '1'],\n"
+                         "                 ['table', '--thm', 'T14', '--k', '1..4', '--m', '1'],\n"
+                         "                 ['verify', '--thm', 'FixedByHook_m1', '--k', '2',\n"
+                         "                  '--h', '0', '--order', '5']):\n"
+                         "        assert cli.main(argv) == 0, argv\n"
+                         "        loaded.append('fixedhooks.oracles' in sys.modules)\n"
+                         "print(*loaded)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False False True\n"
+
+
 def test_count_unknown_oracle(capsys):
     assert run_cli_exit("count", "nonsense", "--n", "3") == 2
     _, err = capsys.readouterr()

@@ -233,6 +233,16 @@ def test_family_hook_builders_match_oracles():
             )
 
 
+def test_all_by_hook_columns_are_conjugate_to_rows():
+    # Conjugation carries a hook of size k in column m and row i, which is
+    # (k - i)-fixed, to one in column i and row m.
+    for m in range(1, 4):
+        for i in range(m + 1, 5):
+            for k in range(1, 11):
+                assert summed(gf_by_hook, Family.ALL, m, k, k - i, 61) == \
+                    summed(gf_by_hook, Family.ALL, i, k, k - m, 61), (m, i, k)
+
+
 def test_odd_by_hook_parity_filtered_sum_can_be_empty():
     # k=1 with an even column leaves no admissible span
     assert summed(gf_by_hook, Family.ODD, 2, 1, 0, N).is_zero()

@@ -499,6 +499,48 @@ def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
     assert [sum(row[n] for row in rows) for n in range(61)] == [n * c for n, c in enumerate(count)]
 
 
+def hooks_of_size_two(family, max_n):
+    """For n <= max_n, the hooks of size 2 in the family's partitions of n.
+    A cell has hook 2 with arm 1 and leg 0 once for each part size s >= 2
+    that a partition has while it lacks s - 1, and with arm 0 and leg 1 once
+    for each part size that repeats.  With C the family's partition series,
+    the first are q^s C (1 - q^(s-1)), or q^s C / ((1 + q^s)(1 + q^(s-1)))
+    in a distinct family, the s - 1 factor dropped where s - 1 is not a
+    family size; the second are q^(2s) C."""
+    sizes = range(1, max_n + 1, family.step)
+    count, _ = family_counts(family, max_n)
+    want = [0] * (max_n + 1)
+    for s in sizes:
+        if s >= 2:
+            row = count[:]
+            for t in (s, s - 1) if family.distinct else (s - 1,):
+                if t in sizes:  # over 1 + q^t upwards, times 1 - q^t downwards
+                    for n in range(t, max_n + 1) if family.distinct else range(max_n, t - 1, -1):
+                        row[n] -= row[n - t]
+            for n in range(s, max_n + 1):
+                want[n] += row[n - s]
+        if not family.distinct:
+            for n in range(2 * s, max_n + 1):
+                want[n] += count[n - 2 * s]
+    return want
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_hooks_of_size_two_by_part_sizes_to_n60(family):
+    assert hook_tally(60, family).hooks_total.row((2,)) == hooks_of_size_two(family, 60)
+
+
+def test_tally_columns_are_conjugate_to_rows_to_n60():
+    # Conjugation carries a hook of size k in column m and row i to one in
+    # column i and row m, and a hook in row i is (k - i)-fixed.  Only the
+    # all family is closed under conjugation.
+    by_hook = hook_tally(60, Family.ALL).by_hook
+    for m in range(1, 9):
+        for i in range(1, 9):
+            for k in range(1, 15):
+                assert by_hook.row((m, k, k - i)) == by_hook.row((i, k, k - m)), (m, i, k)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_hooks_of_size_one_are_distinct_part_sizes_to_n60(family):
     # A cell has hook length 1 exactly when it ends its row and its column,
