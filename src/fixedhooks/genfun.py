@@ -103,9 +103,11 @@ def gf_fixed_by_part_m1(
     """First-column h-fixed hooks arising from parts of size k.
 
     ``form="reindexed"`` sums from s = max(0, h-k+1), the first s whose rows
-    above are not the zero product; ``form="rows"`` keeps the summation index
-    equal to the row of the fixed part.  Both agree coefficientwise.  Summand
-    minimum exponents grow linearly in s (slope k+1), which bounds the truncation.
+    above, j = s+k-h-1, are not the zero product; ``form="rows"`` keeps the
+    summation index equal to the row of the fixed part, j + 1.  Both yield
+    the same summands in the same order, so their agreement checks the index
+    map s = j + 1, not a second derivation.  Summand minimum exponents grow
+    linearly in s (slope k+1), which bounds the truncation.
     """
     require_column(1, k)
     if form not in FORMS:
@@ -126,10 +128,12 @@ def gf_fixed_by_part_m1(
 
 def gf_mfixed_by_part(m: int, k: int, h: int, order: int) -> Iterator[Summand]:
     """h-fixed hooks in column m arising from parts of size k >= m, in the
-    rows form: the summation index is the row of the fixed part.  The
-    reindexed form is :func:`gf_by_part` for all partitions.  At m = 1 this
-    coincides coefficientwise with :func:`gf_fixed_by_part_m1`.  Summand
-    exponents grow with slope k+m."""
+    rows form: the summation index is the row of the fixed part, s = j + 1
+    for j rows above.  The reindexed form, :func:`gf_by_part` for all
+    partitions, sums over j and yields the same summands in the same order
+    (as :func:`gf_fixed_by_part_m1` does at m = 1), so their agreement checks
+    the index map s = j + 1, not a second derivation.  Summand exponents
+    grow with slope k+m."""
     require_column(m, k)
     tail = inv_poch_factors(1, m - 1)
     s = max(1, k - h - m + 1)
@@ -200,7 +204,9 @@ def gf_by_part(
 
 
 def gf_fixed_by_hook_m1(k: int, h: int, order: int) -> Iterator[Summand]:
-    """First-column h-fixed hooks of size k.  Zero series when h >= k."""
+    """First-column h-fixed hooks of size k.  Zero series when h >= k.
+    This is :func:`gf_by_hook` for all partitions at m = 1, summand for
+    summand, so their agreement is not a second derivation."""
     require_hook_size(k)
     if k >= order:
         return
@@ -220,7 +226,7 @@ def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[S
     :func:`by_hook_exponent` plus lift*(k-l), plus
     s*(C(k-h, 2) + C(k-l, 2)) if d.  A span too short for k-l distinct rows
     gets the zero binomial.  At m = 1 in the family of all partitions this
-    coincides coefficientwise with :func:`gf_fixed_by_hook_m1`.
+    yields the summands of :func:`gf_fixed_by_hook_m1` in the same order.
     """
     require_column(m)
     require_hook_size(k)

@@ -160,13 +160,7 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentSeries.zero(self.order)
-            return LaurentSeries(
-                self.min_exp, [other * c for c in self.coeffs], self.order
-            )
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         order = min(self.order + other.min_exp, other.order + self.min_exp)
@@ -187,11 +181,6 @@ class LaurentSeries:
                 if cb:
                     out[off + j] += ca * cb
         return LaurentSeries(lo, out, order)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by q**e; exponents and order all move by e."""
@@ -255,8 +244,6 @@ def _pochhammer(
         return None
     else:
         stop = base_exp + step * count
-        if order is not None:
-            stop = min(stop, order)
     return ((sign, base_exp, step, len(range(base_exp, stop, step)), power),)
 
 
@@ -270,11 +257,12 @@ _CONSTRUCTOR_CACHE = 4096
 def poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors:
-    """``(sign*q^base_exp; q^step)_count`` as one run, keeping the factors
-    that act below q^order: ``(1 - q^(base_exp + step*i))`` for sign +1 and
-    ``(1 + q^(base_exp + step*i))`` for sign -1, i = 0 .. count-1.  The
-    infinite product (count None) needs an order and ``base_exp >= 1``; a
-    finite one keeps every factor when order is None.
+    """``(sign*q^base_exp; q^step)_count`` as one run: ``(1 - q^(base_exp
+    + step*i))`` for sign +1 and ``(1 + q^(base_exp + step*i))`` for sign -1,
+    i = 0 .. count-1.  The order is read only for the infinite product
+    (count None), which needs it and ``base_exp >= 1`` and is cut there; a
+    finite run keeps its count, and :func:`factor_change` cuts it at the
+    window.
     """
     return _pochhammer(base_exp, count, order, step, sign, 1)
 
@@ -284,7 +272,8 @@ def inv_poch_factors(
     base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
 ) -> Factors | None:
     """``1 / (sign*q^base_exp; q^step)_count`` as one run; None (zero) for a
-    negative count, as for :func:`inv_poch`."""
+    negative count, as for :func:`inv_poch`.  The order cuts only the
+    infinite product, as for :func:`poch_factors`."""
     return _pochhammer(base_exp, count, order, step, sign, -1)
 
 

@@ -14,6 +14,7 @@ from fixedhooks.oracles import (
 )
 from fixedhooks.qseries import (
     LaurentSeries,
+    factor_change,
     gauss_binomial,
     gauss_factors,
     inv_poch,
@@ -24,6 +25,7 @@ from fixedhooks.qseries import (
 )
 from fixedhooks.genfun import (
     CATALOG,
+    FORMS,
     TheoremId,
     build_series,
     gf_by_hook,
@@ -91,6 +93,31 @@ def test_both_display_forms_agree_by_part():
                 assert summed(gf_fixed_by_part_m1, k, h, order, form="rows") == summed(
                     gf_fixed_by_part_m1, k, h, order, form="reindexed"
                 )
+
+
+def expanded(summands):
+    """Each summand's exponent and single binomials, cut nowhere."""
+    return [(e, None if factors is None else factor_change((), factors, 1 << 30))
+            for e, factors in summands]
+
+
+def test_display_forms_are_one_stream_under_the_index_map():
+    # The rows form sums over s = j + 1, with j the rows above the fixed
+    # part over which the reindexed form sums, and the m = 1 builders are
+    # the general ones at m = 1.  Each pair yields the same summands in the
+    # same order, so their agreement checks the index map s = j + 1, not a
+    # second derivation.
+    for order in (0, 1, 5, 30, 61):
+        for m in range(1, 6):
+            for k in range(m, 10):
+                for h in range(-5, k + 3):
+                    rows = expanded(gf_mfixed_by_part(m, k, h, order))
+                    assert rows == expanded(gf_by_part(Family.ALL, m, k, h, order)), (order, m, k, h)
+                    if m == 1:
+                        for form in FORMS:
+                            assert expanded(gf_fixed_by_part_m1(k, h, order, form)) == rows
+                        assert expanded(gf_fixed_by_hook_m1(k, h, order)) == \
+                            expanded(gf_by_hook(Family.ALL, 1, k, h, order)), (order, k, h)
 
 
 @pytest.mark.parametrize("build, args", [(gf_fixed_by_part_m1, (2, 0, 10))])

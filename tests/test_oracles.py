@@ -499,35 +499,74 @@ def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
     assert [sum(row[n] for row in rows) for n in range(61)] == [n * c for n, c in enumerate(count)]
 
 
-def hooks_of_size_two(family, max_n):
-    """For n <= max_n, the hooks of size 2 in the family's partitions of n.
-    A cell has hook 2 with arm 1 and leg 0 once for each part size s >= 2
-    that a partition has while it lacks s - 1, and with arm 0 and leg 1 once
-    for each part size that repeats.  With C the family's partition series,
-    the first are q^s C (1 - q^(s-1)), or q^s C / ((1 + q^s)(1 + q^(s-1)))
-    in a distinct family, the s - 1 factor dropped where s - 1 is not a
-    family size; the second are q^(2s) C."""
+def hooks_by_part_sizes(family, max_n, rules):
+    """For n <= max_n, the sum over the (e, excluded) pairs of ``rules(s)``,
+    for every family size s, of q^e times the family's partitions without
+    the excluded sizes: C, the family's partition series, times 1 - q^t, or
+    over 1 + q^t in a distinct family, for each family size t excluded.
+    The partitions with at least r parts s are r parts s added to any
+    partition of n - rs if the family repeats parts; those with exactly r,
+    or with one in a distinct family, are r parts s added to one with no
+    part s."""
     sizes = range(1, max_n + 1, family.step)
     count, _ = family_counts(family, max_n)
     want = [0] * (max_n + 1)
     for s in sizes:
-        if s >= 2:
+        for e, excluded in rules(s):
             row = count[:]
-            for t in (s, s - 1) if family.distinct else (s - 1,):
+            for t in set(excluded):
                 if t in sizes:  # over 1 + q^t upwards, times 1 - q^t downwards
                     for n in range(t, max_n + 1) if family.distinct else range(max_n, t - 1, -1):
                         row[n] -= row[n - t]
-            for n in range(s, max_n + 1):
-                want[n] += row[n - s]
-        if not family.distinct:
-            for n in range(2 * s, max_n + 1):
-                want[n] += count[n - 2 * s]
+            for n in range(e, max_n + 1):
+                want[n] += row[n - e]
     return want
+
+
+def hooks_of_size_two(family, max_n):
+    """For n <= max_n, the hooks of size 2 in the family's partitions of n.
+    A cell has hook 2 with arm 1 and leg 0 once for each part size s >= 2
+    that a partition has while it lacks s - 1, and with arm 0 and leg 1 once
+    for each part size that repeats."""
+    def rules(s):
+        own = (s,) if family.distinct else ()  # one part s is all a distinct family has
+        if s >= 2:
+            yield s, own + (s - 1,)
+        if not family.distinct:
+            yield 2 * s, ()
+    return hooks_by_part_sizes(family, max_n, rules)
+
+
+def hooks_of_size_three(family, max_n):
+    """For n <= max_n, the hooks of size 3 in the family's partitions of n.
+    A cell has hook 3 with arm 2 and leg 0 once for each part size s >= 3
+    that a partition has while it lacks s - 1 and s - 2; with arm 1 and leg
+    1 once for each size s >= 2 that repeats while s - 1 is absent, and once
+    for each size s >= 2 present while s - 1 occurs exactly once; and with
+    arm 0 and leg 2 once for each size present at least three times."""
+    sizes = range(1, max_n + 1, family.step)
+
+    def rules(s):
+        own = (s,) if family.distinct else ()
+        if s >= 3:
+            yield s, own + (s - 1, s - 2)
+        if s >= 2 and not family.distinct:
+            yield 2 * s, (s - 1,)
+        if s - 1 in sizes:
+            yield 2 * s - 1, own + (s - 1,)
+        if not family.distinct:
+            yield 3 * s, ()
+    return hooks_by_part_sizes(family, max_n, rules)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_hooks_of_size_two_by_part_sizes_to_n60(family):
     assert hook_tally(60, family).hooks_total.row((2,)) == hooks_of_size_two(family, 60)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_hooks_of_size_three_by_part_sizes_to_n60(family):
+    assert hook_tally(60, family).hooks_total.row((3,)) == hooks_of_size_three(family, 60)
 
 
 def test_tally_columns_are_conjugate_to_rows_to_n60():

@@ -65,6 +65,11 @@ def test_mul_examples():
     assert list(
         (LaurentSeries.monomial(-2, 6) * LaurentSeries.monomial(3, 6)).items()
     ) == [(1, 1)]
+    # only two series multiply: there is no scalar product
+    with pytest.raises(TypeError):
+        one_plus_q * 2
+    with pytest.raises(TypeError):
+        2 * one_plus_q
 
 
 def test_mul_truncation_order():
@@ -73,12 +78,6 @@ def test_mul_truncation_order():
     g = LaurentSeries(3, (1,), 9)
     assert (f * g).order == 5
     assert (g * f).order == 5
-
-
-def test_scalar_mul():
-    f = poly([(0, 1), (2, -3)], 8)
-    assert list((f * 2).items()) == [(0, 2), (2, -6)]
-    assert (0 * f).is_zero()
 
 
 def test_coefficient_access_beyond_order():
@@ -513,6 +512,14 @@ def test_cached_constructors_agree_across_spellings():
     assert inv_poch_factors(1, -1, step=2) is inv_poch_factors(1, -1, None, 2) is None
     assert gauss_factors(6, 2, 2) == gauss_factors(6, 2, step=2) == gauss_factors(a=6, b=2, step=2)
     assert gauss_factors(6, 2) == gauss_factors(6, 2, 1)
+
+
+def test_constructors_cut_only_an_infinite_run_at_the_order():
+    # a finite run keeps its count whatever the order; factor_change cuts it
+    assert poch_factors(2, 6, 5) == poch_factors(2, 6) == ((1, 2, 1, 6, 1),)
+    assert inv_poch_factors(3, 4, 5, 2, -1) == ((-1, 3, 2, 4, -1),)
+    assert factor_change((), poch_factors(2, 6, 5), 5) == {(1, 2): 1, (1, 3): 1, (1, 4): 1}
+    assert inv_poch_factors(2, None, 5) == ((1, 2, 1, 3, -1),)
 
 
 def test_cached_constructors_keep_types_apart():
