@@ -27,12 +27,6 @@ growth of e noted inline per builder; a by-part stream ends once j >= 0
 and e reaches N.  A by-hook summand sits at q^k or above, so its stream is
 empty for k >= N.
 
-An infinite product is a run cut at the order, such as
-``inv_poch_factors(1, None, order)``.  The cut is exact when every summand
-exponent of the stream is at least 0, since the window is then no wider
-than the order.  The three builders with an infinite product (T11, T14 and
-OddDistinctTotal) have every exponent at least 1.
-
 Two conventions do the index bookkeeping everywhere, as for the dense
 kernels:
 
@@ -150,7 +144,7 @@ def _family_column(family: Family, m: int) -> tuple[int, bool, int, Factors]:
     1/(q;q^s)_b."""
     s, d = family.step, family.distinct
     lift, below = (m - 1) % s, -(-(m - 1) // s)
-    column = poch_factors(1, below, None, s, -1) if d else inv_poch_factors(1, below, None, s)
+    column = poch_factors(1, below, step=s, sign=-1) if d else inv_poch_factors(1, below, step=s)
     return s, d, lift, column
 
 
@@ -194,7 +188,7 @@ def gf_by_part(
             e, bottom = e + s * lift, l - (m - 1)
         if j >= 0 and e >= order:
             return
-        yield e, merge_factors(inv_poch_factors(s, above, None, s),
+        yield e, merge_factors(inv_poch_factors(s, above, step=s),
                                gauss_factors(span + (0 if d else bottom), bottom, s), column)
 
 
@@ -233,7 +227,7 @@ def gf_by_hook(family: Family, m: int, k: int, h: int, order: int) -> Iterator[S
     if k >= order:
         return
     s, d, lift, column = _family_column(family, m)
-    tail = merge_factors(inv_poch_factors(s, k - h - 1, None, s), column)
+    tail = merge_factors(inv_poch_factors(s, k - h - 1, step=s), column)
     for l in range(1 + lift, k + 1, s):
         e = by_hook_exponent(m, k, h, l) + lift * (k - l)
         if d:
@@ -252,15 +246,14 @@ def gf_odd_distinct_total(k: int, order: int, variant: str = DEFAULT_VARIANT) ->
     for too short a span, and 1/(-q^(2j+1+2up);q^2)_c.  "stated" keeps the
     circulated lengths, up = 0 and c = floor(l/2); "derived" recollapses
     the telescoping product: c = (l+1)/2 for odd l, and up = lift.  The
-    j-sum stops once e, growing as k-l+1 >= 1, reaches the order.  Every
-    exponent is at least k >= 1, so (-q;q^2)_inf is cut at the order.
+    j-sum stops once e, growing as k-l+1 >= 1, reaches the order.
     """
     require_hook_size(k)
     require_variant(variant)
     if k >= order:
         return
     derived = variant == "derived"
-    tail = poch_factors(1, None, order, step=2, sign=-1)
+    tail = poch_factors(1, None, step=2, sign=-1)
     # Odd spans first, then even ones: consecutive summands share factors.
     for lift in (0, 1):
         up = derived and lift
@@ -286,11 +279,10 @@ def gf_t11_closed_form(m: int, order: int) -> Iterator[Summand]:
     """Partitions with a 0-fixed hook in column m, via the colored closed form.
 
     The l-sum is truncated once l(l+m-1) reaches N; the quadratic growth in
-    l makes the remainder invisible below N.  Every exponent is at least
-    m >= 1, so the common factor 1/(q;q)_inf is cut at the order.
+    l makes the remainder invisible below N.
     """
     require_column(m)
-    tail = merge_factors(inv_poch_factors(1, m - 1), inv_poch_factors(1, None, order))
+    tail = merge_factors(inv_poch_factors(1, m - 1), inv_poch_factors(1, None))
     l = 1
     while (e := l * (l + m - 1)) < order:
         yield e, merge_factors(poch_factors(l, 2 * m - 1), tail)
@@ -335,14 +327,13 @@ def gf_t14_hooks_of_size_k(m: int, k: int, order: int) -> Iterator[Summand]:
     The closed form is q^{km}/(q^k;q)_inf times a sum over the leg l of
     q^{-(l-1)(m-1)} (q^m;q)_{l-1} / ((q;q)_{l-1} (q;q)_{k-l}).  The
     negative powers never outweigh q^{km}: the summand exponents are
-    km - (l-1)(m-1) >= k + m - 1 >= 1, so 1/(q^k;q)_inf is cut at the
-    order.
+    km - (l-1)(m-1) >= k + m - 1 >= 1.
     """
     require_column(m)
     require_hook_size(k)
     if k >= order:
         return
-    tail = inv_poch_factors(k, None, order)
+    tail = inv_poch_factors(k, None)
     for l in range(1, k + 1):
         yield (
             k * m - (l - 1) * (m - 1),

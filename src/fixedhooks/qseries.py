@@ -15,10 +15,12 @@ of them in two forms:
 * product form: :func:`poch_factors`, :func:`inv_poch_factors` and
   :func:`gauss_factors` return a factor multiset (:data:`Factors`), a short
   tuple of Pochhammer runs ``(sign, base_exp, step, count, power)``; a
-  Gaussian binomial is one numerator and one denominator run.
+  Gaussian binomial is one numerator and one denominator run.  They take
+  no order: a run keeps its whole count, None for an infinite product.
   :func:`factor_change` turns two multisets into the single binomials
-  (:data:`Binomials`) that lead from one product to the other, in time
-  proportional to the runs and the binomials that changed, and
+  (:data:`Binomials`) below a window's width that lead from one product to
+  the other, in time proportional to the runs and the binomials that
+  changed; it is the one cut of every run, finite or not.
   :func:`apply_factors` multiplies a coefficient list by them in place, one
   O(width) pass per binomial;
 * dense form: :func:`poch`, :func:`inv_poch` and :func:`gauss_binomial`
@@ -196,11 +198,13 @@ class LaurentSeries:
         return LaurentSeries(min(self.min_exp, order), self.coeffs[:keep], order)
 
 
-Run = tuple[int, int, int, int, int]
+Run = tuple[int, int, int, int | None, int]
 """A Pochhammer run ``(sign, base_exp, step, count, power)``: the product
 ``(sign*q^base_exp; q^step)_count ** power``, that is ``(1 - sign*q^a)**power``
 for a = base_exp, base_exp + step, ... (count exponents), with ``sign`` in
-{+1, -1}, ``step >= 1`` and ``count >= 0``."""
+{+1, -1}, ``step >= 1`` and ``count >= 0``, or count None for every
+exponent of the residue class, an infinite product, with ``base_exp >= 1``.
+:func:`factor_change` cuts either kind at the window."""
 
 Factors = tuple[Run, ...]
 """A factor multiset: the product of its runs.  ``None`` in place of a
@@ -224,9 +228,7 @@ def merge_factors(*parts: Factors | None) -> Factors | None:
     return merged
 
 
-def _pochhammer(
-    base_exp: int, count: int | None, order: int | None, step: int, sign: int, power: int
-) -> Factors | None:
+def _pochhammer(base_exp: int, count: int | None, step: int, sign: int, power: int) -> Factors | None:
     """``(sign*q^base_exp; q^step)_count ** power`` as one run, power +-1,
     after checking sign, step and count once; a negative count is an error
     for power 1 and the zero product (None) for power -1."""
@@ -235,16 +237,13 @@ def _pochhammer(
     if step < 1:
         raise ValueError("step must be >= 1")
     if count is None:
-        if order is None or base_exp < 1:
-            raise ValueError("infinite products need an order and base_exp >= 1")
-        stop = order
+        if base_exp < 1:
+            raise ValueError("infinite products need base_exp >= 1")
     elif count < 0:
         if power > 0:
             raise ValueError("count must be non-negative")
         return None
-    else:
-        stop = base_exp + step * count
-    return ((sign, base_exp, step, len(range(base_exp, stop, step)), power),)
+    return ((sign, base_exp, step, count, power),)
 
 
 # Entries kept by each product-form constructor's cache.  They are pure
@@ -254,27 +253,21 @@ _CONSTRUCTOR_CACHE = 4096
 
 
 @lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
-def poch_factors(
-    base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
-) -> Factors:
+def poch_factors(base_exp: int, count: int | None, *, step: int = 1, sign: int = 1) -> Factors:
     """``(sign*q^base_exp; q^step)_count`` as one run: ``(1 - q^(base_exp
     + step*i))`` for sign +1 and ``(1 + q^(base_exp + step*i))`` for sign -1,
-    i = 0 .. count-1.  The order is read only for the infinite product
-    (count None), which needs it and ``base_exp >= 1`` and is cut there; a
-    finite run keeps its count, and :func:`factor_change` cuts it at the
-    window.
+    i = 0 .. count-1.  The infinite product (count None) needs
+    ``base_exp >= 1``.  No run is cut here: :func:`factor_change` cuts every
+    run, finite or not, at the window.
     """
-    return _pochhammer(base_exp, count, order, step, sign, 1)
+    return _pochhammer(base_exp, count, step, sign, 1)
 
 
 @lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
-def inv_poch_factors(
-    base_exp: int, count: int | None, order: int | None = None, step: int = 1, sign: int = 1
-) -> Factors | None:
+def inv_poch_factors(base_exp: int, count: int | None, *, step: int = 1, sign: int = 1) -> Factors | None:
     """``1 / (sign*q^base_exp; q^step)_count`` as one run; None (zero) for a
-    negative count, as for :func:`inv_poch`.  The order cuts only the
-    infinite product, as for :func:`poch_factors`."""
-    return _pochhammer(base_exp, count, order, step, sign, -1)
+    negative count, as for :func:`inv_poch`."""
+    return _pochhammer(base_exp, count, step, sign, -1)
 
 
 @lru_cache(maxsize=_CONSTRUCTOR_CACHE, typed=True)
@@ -296,7 +289,9 @@ def gauss_factors(a: int, b: int, step: int = 1) -> Factors | None:
 
 def factor_change(old: Factors, new: Factors, width: int) -> Binomials:
     """The binomials below q^width that turn the product of ``old`` into
-    that of ``new``.
+    that of ``new``.  This is the one cut of every run: a run of count
+    None, an infinite product, holds every exponent of its residue class
+    below the window.
 
     The runs are paired by position.  Two paired runs with the same sign,
     step and power whose bases agree mod step cover two intervals
@@ -314,7 +309,8 @@ def factor_change(old: Factors, new: Factors, width: int) -> Binomials:
             sign, b1, step, c1, power = was
             sign2, b2, step2, c2, power2 = now
             if sign == sign2 and step == step2 and power == power2 and (b1 - b2) % step == 0:
-                e1, e2 = b1 + step * c1, b2 + step * c2
+                e1 = width if c1 is None else b1 + step * c1
+                e2 = width if c2 is None else b2 + step * c2
                 p = power
                 if b1 < b2:
                     b1, b2, p = b2, b1, -power
@@ -329,7 +325,7 @@ def factor_change(old: Factors, new: Factors, width: int) -> Binomials:
         for run, gained in ((was, -1), (now, 1)):
             if run:
                 sign, base, step, count, power = run
-                stop = base + step * count
+                stop = width if count is None else base + step * count
                 for a in range(base, stop if stop < width else width, step):
                     change[sign, a] = get((sign, a), 0) + gained * power
     return {key: p for key, p in change.items() if p}
@@ -374,8 +370,8 @@ def sum_summands(order: int, summands: Iterable[Summand]) -> LaurentSeries:
     binomials below its width by which the two summands' runs differ (see
     :func:`factor_change`), and adds q^(e_(i-1)), a single coefficient.  The
     first summand's product is applied last, so a run that every summand
-    shares is expanded once.  Every run acts on the window [min e, order),
-    so an infinite run cut at the order is exact when min e >= 0.
+    shares is expanded once.  Every run, an infinite one too, is cut at the
+    window [min e, order), so the sum is exact whatever the least exponent.
     """
     terms = [t for t in summands if t[0] < order and t[1] is not None]
     if not terms:
@@ -396,12 +392,12 @@ def sum_summands(order: int, summands: Iterable[Summand]) -> LaurentSeries:
 # The dense kernels: each product summed as one summand at q^0, cached whole.
 @lru_cache(maxsize=None)
 def _poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> LaurentSeries:
-    return sum_summands(order, [(0, poch_factors(base, count, order, step, sign))])
+    return sum_summands(order, [(0, poch_factors(base, count, step=step, sign=sign))])
 
 
 @lru_cache(maxsize=None)
 def _inv_poch_coeffs(sign: int, base: int, step: int, count: int | None, order: int) -> LaurentSeries:
-    return sum_summands(order, [(0, inv_poch_factors(base, count, order, step, sign))])
+    return sum_summands(order, [(0, inv_poch_factors(base, count, step=step, sign=sign))])
 
 
 @lru_cache(maxsize=None)

@@ -616,14 +616,27 @@ def test_builders_equal_dense_reference_at_order_60():
                 ref_odd_distinct_total(k, N, variant)
 
 
-def test_infinite_run_cut_at_the_order_is_exact_from_q0():
-    # An infinite product cut at the order acts on the whole window of a
-    # summand at q^e for e >= 0; a summand below q^0 widens the window past
-    # the order, and the cut run misses its top.
-    run = inv_poch_factors(1, None, 20)
-    for e in (0, 1, 3):
-        assert sum_summands(20, [(e, run)]) == inv_poch(1, None, 20 - e).shift(e)
-    assert sum_summands(20, [(-5, run)]) != inv_poch(1, None, 25).shift(-5)
+def test_infinite_run_cut_at_the_window_is_exact_at_any_exponent():
+    # factor_change cuts an infinite product at the summing window, not at
+    # the order, so a summand below q^0, whose window is wider than the
+    # order, is exact too.
+    runs = [(inv_poch_factors(1, None), lambda M: inv_poch(1, None, M)),
+            (poch_factors(1, None, step=2, sign=-1), lambda M: poch(1, None, M, step=2, sign=-1))]
+    for run, dense in runs:
+        for e in (-5, -1, 0, 3):
+            assert sum_summands(20, [(e, run)]) == dense(20 - e).shift(e)
+
+
+def test_an_infinite_tail_is_one_cache_entry_at_every_order():
+    # The constructors take no order, so T11's tail 1/(q;q)_inf is one
+    # cached run whatever order the series is built at.
+    inv_poch_factors.cache_clear()
+    for order in (10, 20, 30):
+        build_series(TheoremId.T11_ClosedForm, order, m=2)
+    # (1, 1) for 1/(q;q)_{m-1} and (1, None) for the tail
+    assert inv_poch_factors.cache_info().currsize == 2
+    for build in (poch_factors, inv_poch_factors):
+        assert "order" not in inspect.signature(build).parameters
 
 
 def test_zero_product_summands_are_skipped():
@@ -660,18 +673,17 @@ def test_sum_of_a_non_monotone_stream_equals_dense_reference():
         (0, [lambda M: poch(2, 5, M, sign=-1), lambda M: gauss_binomial(9, 4, 1, M)]),
         (5, [lambda M: inv_poch(2, 3, M, step=3)]),
     ]
-    # A tail merged into every summand, with an infinite run cut at the
-    # width of the window [-3, N).
-    tail = merge_factors(inv_poch_factors(1, 2), inv_poch_factors(2, None, N + 3))
+    # A tail merged into every summand, with an infinite run that
+    # factor_change cuts at the window [-3, N).
+    tail = merge_factors(inv_poch_factors(1, 2), inv_poch_factors(2, None))
     want = ref_sum(N, dense, [lambda M: inv_poch(1, 2, M), lambda M: inv_poch(2, None, M)])
     assert sum_summands(N, [(e, merge_factors(f, tail)) for e, f in summands]) == want
 
 
 @pytest.mark.parametrize("order", [30, 120])
 def test_streams_with_an_infinite_product_start_at_q1(order):
-    # Every summand exponent is at least 1 over the default grid, so the
-    # window [min e, order) is narrower than the order and the infinite
-    # products of these builders, cut at the order, are exact.
+    # Every summand exponent is at least 1 over the default grid, as the
+    # builders' docstrings bound it: these series have no constant term.
     tags = (TheoremId.T11_ClosedForm, TheoremId.T14_HooksOfSizeK, TheoremId.OddDistinctTotal)
     read = 0
     for case in build_grid(GridSpec(theorems=tags, order=order)):

@@ -321,12 +321,15 @@ def test_gauss_counts_partitions_in_a_box():
 # ---------------------------------------------------------------------------
 
 
-def expand(runs):
-    """The single binomials {(sign, a): p} of a run tuple, exponent by exponent."""
+def expand(runs, width=0):
+    """The single binomials {(sign, a): p} of a run tuple, exponent by
+    exponent; a run of count None, an infinite product, holds its exponents
+    below ``width``."""
     out = Counter()
     for sign, base, step, count, power in runs:
-        for i in range(count):
-            out[sign, base + step * i] += power
+        stop = width if count is None else base + step * count
+        for a in range(base, stop, step):
+            out[sign, a] += power
     return {key: p for key, p in out.items() if p}
 
 
@@ -368,13 +371,13 @@ def test_binomial_power_in_place_equals_dense_product(sign, a, power, coeffs):
 )
 def test_pochhammer_multisets_equal_dense_kernels(sign, base, count, step, coeffs):
     width = len(coeffs)
-    inverse = inv_poch_factors(base, count, width, step, sign)
+    inverse = inv_poch_factors(base, count, step=step, sign=sign)
     if count is not None and count < 0:
         assert inverse is None and inv_poch(base, count, width, step, sign).is_zero()
         return
-    assert in_place(coeffs, expand(poch_factors(base, count, width, step, sign))) == \
+    assert in_place(coeffs, expand(poch_factors(base, count, step=step, sign=sign), width)) == \
         dense_product(coeffs, poch(base, count, width, step, sign))
-    assert in_place(coeffs, expand(inverse)) == dense_product(
+    assert in_place(coeffs, expand(inverse, width)) == dense_product(
         coeffs, inv_poch(base, count, width, step, sign))
 
 
@@ -402,13 +405,14 @@ def test_merge_factors_cancels_and_absorbs_zero():
     assert expand(merge_factors(poch_factors(1, 2), poch_factors(2, 1))) == {(1, 1): 1, (1, 2): 2}
 
 
-# A run drawn near another: the same or a moved base and count, and the
-# same or another sign, step and power.
+# A run drawn near another: the same or a moved base and count, finite or
+# infinite (None), and the same or another sign, step and power.
+counts = st.one_of(st.none(), st.integers(0, 15))
 runs = st.tuples(
     st.sampled_from([1, -1]),
     st.integers(0, 40),
     st.integers(1, 4),
-    st.integers(0, 15),
+    counts,
     st.sampled_from([-2, -1, 1, 2]),
 )
 
@@ -420,10 +424,13 @@ def run_pairs(draw):
     old = draw(st.lists(runs, max_size=4))
     new = []
     for sign, base, step, count, power in old[:draw(st.integers(0, len(old)))]:
-        kind = draw(st.sampled_from(["same", "moved", "mismatched"]))
-        if kind == "moved":
+        kind = draw(st.sampled_from(["same", "moved", "infinite", "mismatched"]))
+        if kind in ("moved", "infinite"):
             base = max(0, base + step * draw(st.integers(-6, 6)) + draw(st.sampled_from([0, 0, 1])))
-            count = max(0, count + draw(st.integers(-6, 6)))
+        if kind == "moved":
+            count = draw(counts) if count is None else max(0, count + draw(st.integers(-6, 6)))
+        elif kind == "infinite":
+            count = None
         elif kind == "mismatched":
             sign, base, step, count, power = draw(runs)
         new.append((sign, base, step, count, power))
@@ -435,8 +442,8 @@ def run_pairs(draw):
 @given(run_pairs(), st.integers(0, 70))
 def test_factor_change_is_the_difference_of_the_expanded_multisets(pair, width):
     old, new = pair
-    want = Counter(expand(new))
-    want.subtract(expand(old))
+    want = Counter(expand(new, width))
+    want.subtract(expand(old, width))
     want = {key: p for key, p in want.items() if p and key[1] < width}
     assert factor_change(old, new, width) == want
 
@@ -485,11 +492,11 @@ def test_apply_factors_at_the_kernel_boundaries_equals_dense_product(a, width, s
     (poch_factors, (1, 3), {"sign": 2}),
     (poch_factors, (1, 3), {"step": 0}),
     (poch_factors, (1, -1), {}),
-    (poch_factors, (0, None, 10), {}),
-    (poch_factors, (1, None), {}),
+    (poch_factors, (0, None), {}),
+    (poch_factors, (1, None), {"step": 0}),
     (inv_poch_factors, (1, 3), {"sign": 0}),
     (inv_poch_factors, (1, -1), {"step": -1}),
-    (inv_poch_factors, (-1, None, 10), {}),
+    (inv_poch_factors, (-1, None), {}),
     # a gauss_factors step below 1 once gave runs at negative exponents
     # (step -1) or failed only later, inside factor_change (step 0)
     (gauss_factors, (3, 1), {"step": 0}),
@@ -503,30 +510,46 @@ def test_cached_constructors_raise_on_every_repeated_bad_call(build, args, kwarg
 
 
 def test_cached_constructors_agree_across_spellings():
-    assert poch_factors(2, 4, 30, 2, -1) == \
-        poch_factors(2, 4, order=30, step=2, sign=-1) == \
-        poch_factors(base_exp=2, count=4, order=30, step=2, sign=-1)
-    assert poch_factors(1, 3) == poch_factors(1, 3, None, 1, 1)
-    assert inv_poch_factors(3, 5, step=2, sign=-1) == inv_poch_factors(3, 5, None, 2, -1)
-    assert inv_poch_factors(1, None, 20) == inv_poch_factors(1, None, order=20, step=1)
-    assert inv_poch_factors(1, -1, step=2) is inv_poch_factors(1, -1, None, 2) is None
+    assert poch_factors(2, 4, step=2, sign=-1) == \
+        poch_factors(2, 4, sign=-1, step=2) == \
+        poch_factors(base_exp=2, count=4, step=2, sign=-1)
+    assert poch_factors(1, 3) == poch_factors(1, 3, step=1, sign=1)
+    assert inv_poch_factors(3, 5, step=2, sign=-1) == \
+        inv_poch_factors(count=5, base_exp=3, sign=-1, step=2)
+    assert inv_poch_factors(1, None) == inv_poch_factors(1, None, step=1)
+    assert inv_poch_factors(1, -1, step=2) is inv_poch_factors(1, -1, step=2, sign=1) is None
+    # step and sign are keyword-only, so a stale order is not read as a step
+    with pytest.raises(TypeError):
+        poch_factors(2, 6, 30)
+    with pytest.raises(TypeError):
+        inv_poch_factors(1, None, 20)
     assert gauss_factors(6, 2, 2) == gauss_factors(6, 2, step=2) == gauss_factors(a=6, b=2, step=2)
     assert gauss_factors(6, 2) == gauss_factors(6, 2, 1)
 
 
-def test_constructors_cut_only_an_infinite_run_at_the_order():
-    # a finite run keeps its count whatever the order; factor_change cuts it
-    assert poch_factors(2, 6, 5) == poch_factors(2, 6) == ((1, 2, 1, 6, 1),)
-    assert inv_poch_factors(3, 4, 5, 2, -1) == ((-1, 3, 2, 4, -1),)
-    assert factor_change((), poch_factors(2, 6, 5), 5) == {(1, 2): 1, (1, 3): 1, (1, 4): 1}
-    assert inv_poch_factors(2, None, 5) == ((1, 2, 1, 3, -1),)
+def test_factor_change_cuts_every_run_at_the_window():
+    # a run keeps its whole count, None for an infinite product, and
+    # factor_change cuts either kind at the width it is given
+    assert poch_factors(2, 6) == ((1, 2, 1, 6, 1),)
+    assert inv_poch_factors(3, 4, step=2, sign=-1) == ((-1, 3, 2, 4, -1),)
+    assert factor_change((), poch_factors(2, 6), 5) == {(1, 2): 1, (1, 3): 1, (1, 4): 1}
+    assert inv_poch_factors(2, None) == ((1, 2, 1, None, -1),)
+    assert factor_change((), inv_poch_factors(2, None), 5) == {(1, 2): -1, (1, 3): -1, (1, 4): -1}
+    # an infinite run that moves from q^2 to q^4 drops q^2 and q^3 only
+    assert factor_change(inv_poch_factors(2, None), inv_poch_factors(4, None), 9) == \
+        {(1, 2): 1, (1, 3): 1}
+    # an infinite run that becomes (q^2; q)_3 leaves q^5 .. q^8
+    assert factor_change(inv_poch_factors(2, None), inv_poch_factors(2, 3), 9) == \
+        {(1, a): 1 for a in range(5, 9)}
 
 
 def test_cached_constructors_keep_types_apart():
-    # a float base fails in range() whether or not the int run is cached
+    # a float base gets a run of its own, not the cached int run, and fails
+    # in range() once factor_change cuts it
     assert poch_factors(1, 3) == ((1, 1, 1, 3, 1),)
+    assert type(poch_factors(1.0, 3)[0][1]) is float
     with pytest.raises(TypeError):
-        poch_factors(1.0, 3)
+        factor_change((), poch_factors(1.0, 3), 10)
 
 
 def test_apply_factors_rejects_poles_and_negative_exponents():
@@ -535,4 +558,4 @@ def test_apply_factors_rejects_poles_and_negative_exponents():
     with pytest.raises(ValueError):
         apply_factors([1, 0, 0], {(1, -1): 1})
     with pytest.raises(ValueError):
-        poch_factors(0, None, 10)
+        poch_factors(0, None)
