@@ -80,17 +80,6 @@ class LaurentSeries:
     def zero(cls, order: int) -> "LaurentSeries":
         return cls(order, (), order)
 
-    @classmethod
-    def one(cls, order: int) -> "LaurentSeries":
-        return cls.monomial(0, order)
-
-    @classmethod
-    def monomial(cls, exp: int, order: int, coeff: int = 1) -> "LaurentSeries":
-        """The series coeff * q**exp, truncated at ``order``."""
-        if exp >= order:
-            return cls.zero(order)
-        return cls(exp, (coeff,), order)
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, e: int) -> int:

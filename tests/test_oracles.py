@@ -11,7 +11,6 @@ import fixedhooks.oracles as oracles
 from fixedhooks.partitions import (
     Family,
     Partition,
-    _row,
     enumerate_partitions,
     enumerate_parts,
     partition_count,
@@ -26,6 +25,14 @@ from fixedhooks.oracles import (
     fixed_hook_witnesses,
     hook_tally,
     t11_qualifying_sizes,
+)
+from census_anchors import (
+    HOOKS_OF_SIZE,
+    check_bacher_manivel,
+    check_conjugate_rows,
+    check_every_fixedness_rows,
+    check_hooks_of_size,
+    family_counts,
 )
 
 
@@ -463,142 +470,64 @@ def test_tally_hooks_of_size_k_by_partition_numbers_to_n80():
     # The same theorem with the parts equal to k counted as sum_{j>=1}
     # p(n - jk), and the n cells of each partition of n, hold up to n = 80,
     # where the counts pass 2**30, without listing a partition.
-    tally = hook_tally(80)
     assert 80 * partition_count(80) > 2**30
+    check_bacher_manivel(80, range(1, 81))
+    hooks_total = hook_tally(80).hooks_total
     for n in range(81):
-        for k in range(1, n + 1):
-            parts_of_size = sum(partition_count(n - j * k) for j in range(1, n // k + 1))
-            assert tally.hooks_total.get((n, k), 0) == k * parts_of_size
-        assert sum(tally.hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
-
-
-def family_counts(family, max_n):
-    """For n <= max_n, c(n), the family's partitions of n, and the sum
-    over them of their distinct part sizes, by a coin change over the
-    family's part sizes, each size at most once if the family is distinct.
-    The partitions of n with a part s are those of n - s with an s added,
-    or, if distinct, those of n - s without one."""
-    sizes = range(1, max_n + 1, family.step)
-    if not family.distinct:
-        count = _row(max_n, sizes)
-        return count, [sum(count[n - s] for s in sizes if s <= n) for n in range(max_n + 1)]
-    count, marked = [1] + [0] * max_n, [0] * (max_n + 1)
-    for size in sizes:
-        for x in range(max_n, size - 1, -1):
-            marked[x] += marked[x - size] + count[x - size]
-            count[x] += count[x - size]
-    return count, marked
+        assert sum(hooks_total.row((k,))[n] for k in range(1, n + 1)) == n * partition_count(n)
 
 
 @pytest.mark.parametrize("family", [Family.ODD, Family.DISTINCT, Family.ODD_DISTINCT])
 def test_tally_family_hooks_of_every_size_are_n_times_count_to_n60(family):
     # Each cell has exactly one hook, so the hooks of every size in the
     # family's partitions of n number n*c(n).
-    count, _ = family_counts(family, 60)
+    count = family_counts(family, 60)
     rows = [hook_tally(60, family).hooks_total.row((k,)) for k in range(1, 61)]
     assert [sum(row[n] for row in rows) for n in range(61)] == [n * c for n, c in enumerate(count)]
 
 
-def hooks_by_part_sizes(family, max_n, rules):
-    """For n <= max_n, the sum over the (e, excluded) pairs of ``rules(s)``,
-    for every family size s, of q^e times the family's partitions without
-    the excluded sizes: C, the family's partition series, times 1 - q^t, or
-    over 1 + q^t in a distinct family, for each family size t excluded.
-    The partitions with at least r parts s are r parts s added to any
-    partition of n - rs if the family repeats parts; those with exactly r,
-    or with one in a distinct family, are r parts s added to one with no
-    part s."""
-    sizes = range(1, max_n + 1, family.step)
-    count, _ = family_counts(family, max_n)
-    want = [0] * (max_n + 1)
-    for s in sizes:
-        for e, excluded in rules(s):
-            row = count[:]
-            for t in set(excluded):
-                if t in sizes:  # over 1 + q^t upwards, times 1 - q^t downwards
-                    for n in range(t, max_n + 1) if family.distinct else range(max_n, t - 1, -1):
-                        row[n] -= row[n - t]
-            for n in range(e, max_n + 1):
-                want[n] += row[n - e]
-    return want
-
-
-def hooks_of_size_two(family, max_n):
-    """For n <= max_n, the hooks of size 2 in the family's partitions of n.
-    A cell has hook 2 with arm 1 and leg 0 once for each part size s >= 2
-    that a partition has while it lacks s - 1, and with arm 0 and leg 1 once
-    for each part size that repeats."""
-    def rules(s):
-        own = (s,) if family.distinct else ()  # one part s is all a distinct family has
-        if s >= 2:
-            yield s, own + (s - 1,)
-        if not family.distinct:
-            yield 2 * s, ()
-    return hooks_by_part_sizes(family, max_n, rules)
-
-
-def hooks_of_size_three(family, max_n):
-    """For n <= max_n, the hooks of size 3 in the family's partitions of n.
-    A cell has hook 3 with arm 2 and leg 0 once for each part size s >= 3
-    that a partition has while it lacks s - 1 and s - 2; with arm 1 and leg
-    1 once for each size s >= 2 that repeats while s - 1 is absent, and once
-    for each size s >= 2 present while s - 1 occurs exactly once; and with
-    arm 0 and leg 2 once for each size present at least three times."""
-    sizes = range(1, max_n + 1, family.step)
-
-    def rules(s):
-        own = (s,) if family.distinct else ()
-        if s >= 3:
-            yield s, own + (s - 1, s - 2)
-        if s >= 2 and not family.distinct:
-            yield 2 * s, (s - 1,)
-        if s - 1 in sizes:
-            yield 2 * s - 1, own + (s - 1,)
-        if not family.distinct:
-            yield 3 * s, ()
-    return hooks_by_part_sizes(family, max_n, rules)
+@pytest.mark.parametrize("family", list(Family))
+def test_hooks_by_part_sizes_equal_column_hooks_to_n22(family):
+    # The part-size rules for hooks of size 1 to 4 against the hook length
+    # of every cell of every partition of n <= 22, column by column.
+    max_n = 22
+    hooks = [Counter() for _ in range(max_n + 1)]
+    for n in range(max_n + 1):
+        for parts in enumerate_parts(n, family):
+            lam = Partition(parts)
+            for m in range(1, max(parts, default=0) + 1):
+                hooks[n].update(lam.column_hooks(m))
+    for k, hooks_of_size in HOOKS_OF_SIZE.items():
+        assert hooks_of_size(family, max_n) == [count[k] for count in hooks], k
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_hooks_of_size_two_by_part_sizes_to_n60(family):
-    assert hook_tally(60, family).hooks_total.row((2,)) == hooks_of_size_two(family, 60)
+    check_hooks_of_size(2, 60, (family,))
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_hooks_of_size_three_by_part_sizes_to_n60(family):
-    assert hook_tally(60, family).hooks_total.row((3,)) == hooks_of_size_three(family, 60)
+    check_hooks_of_size(3, 60, (family,))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tally_hooks_of_size_four_by_part_sizes_to_n60(family):
+    check_hooks_of_size(4, 60, (family,))
 
 
 def test_tally_columns_are_conjugate_to_rows_to_n60():
-    # Conjugation carries a hook of size k in column m and row i to one in
-    # column i and row m, and a hook in row i is (k - i)-fixed.  Only the
-    # all family is closed under conjugation.
-    by_hook = hook_tally(60, Family.ALL).by_hook
-    for m in range(1, 9):
-        for i in range(1, 9):
-            for k in range(1, 15):
-                assert by_hook.row((m, k, k - i)) == by_hook.row((i, k, k - m)), (m, i, k)
+    check_conjugate_rows(60, range(1, 9), range(1, 15))
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_hooks_of_size_one_are_distinct_part_sizes_to_n60(family):
-    # A cell has hook length 1 exactly when it ends its row and its column,
-    # which is the last cell of the lowest row of each part size; so the
-    # hooks of size 1 in the family's partitions of n number their distinct
-    # part sizes.
-    _, sizes = family_counts(family, 60)
-    assert hook_tally(60, family).hooks_total.row((1,)) == sizes
+    check_hooks_of_size(1, 60, (family,))
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_by_hook_summed_over_h_is_its_every_fixedness_row(family):
-    # A hook of size k in row i >= 1 is (k - i)-fixed, and a partition of
-    # n <= 60 has at most 60 rows, so h in [k - 60, k) holds every hook.
-    tally = oracles._hook_tally(60, family)
-    for m in range(1, 8):
-        for k in range(1, 12):
-            rows = [tally.by_hook.row((m, k, h)) for h in range(k - 60, k)]
-            assert [sum(col) for col in zip(*rows)] == tally.by_hook.row((m, k, None)), (m, k)
+    check_every_fixedness_rows(60, (family,), range(1, 8), range(1, 12))
 
 
 def test_hooks_of_size_k_by_partition_numbers_at_n200():
