@@ -23,6 +23,7 @@ interpreter, so each family's n <= 399 census is built once.
 import sys
 import time
 import traceback
+from itertools import product
 
 from fixedhooks.genfun import gf_by_part
 from fixedhooks.oracles import hook_tally
@@ -184,20 +185,29 @@ def check_bacher_manivel(max_n, sizes):
         _same(hooks_total.row((k,)), want, k)
 
 
-def check_every_fixedness_rows(max_n, families, columns, sizes):
+def check_every_fixedness_rows(max_n, families, pairs):
     """by_hook's row (m, k, None) counts the hooks of size k in column m
     with any number of rows above, through the census's _above sums; each
     (m, k, h) row fixes that number at k - h - 1.  A hook of size k in row
     i is (k - i)-fixed, and a partition of n <= max_n has at most max_n
     rows, so h in [k - max_n, k) holds every hook.  The cell's row and the
     k - h - 1 rows above it each hold a part >= m, so m (k - h) <= n: the
-    rows below h = k - max_n // m are summed too, and must be empty."""
+    rows below h = k - max_n // m are summed too, and must be empty.  The
+    check runs in each family for each (m, k) of pairs.
+
+    _above sums the rows above a part p, each at least p + gap, up to
+    j = max_n // (p + gap) of them.  In the all and odd families gap is 0
+    and the part p and those j rows weigh (max_n // p + 1) p > max_n, so a
+    sum that stops one row short is an equivalent mutant there.  In the
+    distinct families it is caught only where the part and the rows above
+    reach max_n exactly: odd-distinct m + k = 30 at n <= 60, distinct
+    m + k = 31 at n <= 61, and distinct m = 1, k = 199 at n <= 399."""
+    pairs = list(pairs)
     for family in families:
         by_hook = hook_tally(max_n, family).by_hook
-        for m in columns:
-            for k in sizes:
-                rows = [by_hook.row((m, k, h)) for h in range(k - max_n, k)]
-                _same([sum(col) for col in zip(*rows)], by_hook.row((m, k, None)), family, m, k)
+        for m, k in pairs:
+            rows = [by_hook.row((m, k, h)) for h in range(k - max_n, k)]
+            _same([sum(col) for col in zip(*rows)], by_hook.row((m, k, None)), family, m, k)
 
 
 def check_by_part_rule(order, families, cases):
@@ -228,15 +238,38 @@ def check_conjugate_rows(max_n, columns, sizes):
                 _same(by_hook.row((m, k, k - i)), by_hook.row((i, k, k - m)), m, i, k)
 
 
+def run_checks(checks, what):
+    """Run each of ``checks``, a dict of name to callable, keep going after
+    a failure, print one PASS or FAIL line per check with its time and a
+    closing count of ``what`` passed, and return 1 if any failed, else 0."""
+    failed = 0
+    start = time.perf_counter()
+    for name, check in checks.items():
+        began = time.perf_counter()
+        try:
+            check()
+            verdict = "PASS"
+        except Exception:
+            traceback.print_exc()
+            verdict = "FAIL"
+            failed += 1
+        print(f"{verdict}  {name}  ({time.perf_counter() - began:.1f} s)", flush=True)
+    print(f"{len(checks) - failed} of {len(checks)} {what} passed"
+          f" in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
 def main():
     N = 399
-    anchors = {
+    return run_checks({
         "Bacher-Manivel, k in 1, 2, 3, 5, 8, 13":
             lambda: check_bacher_manivel(N, (1, 2, 3, 5, 8, 13)),
         "hooks of size 1 from part sizes, all four families":
             lambda: check_hooks_of_size(1, N, Family),
         "every-fixedness rows as their sum over h, m <= 3, k <= 6":
-            lambda: check_every_fixedness_rows(N, Family, range(1, 4), range(1, 7)),
+            lambda: check_every_fixedness_rows(N, Family, product(range(1, 4), range(1, 7))),
+        "every-fixedness rows where the rows above reach n = 399: distinct, m = 1, k = 199":
+            lambda: check_every_fixedness_rows(N, (Family.DISTINCT,), [(1, 199)]),
         "by-part rule at N = 400, m <= 3, m <= k <= 7, |h| <= 2":
             lambda: check_by_part_rule(N + 1, Family, [
                 (m, k, h) for m in range(1, 4) for k in range(m, 8) for h in range(-2, 3)]),
@@ -248,22 +281,7 @@ def main():
             lambda: check_conjugate_rows(N, range(1, 6), range(1, 11)),
         "hooks of size 4 from part sizes, all four families":
             lambda: check_hooks_of_size(4, N, Family),
-    }
-    failed = 0
-    start = time.perf_counter()
-    for name, check in anchors.items():
-        began = time.perf_counter()
-        try:
-            check()
-            verdict = "PASS"
-        except Exception:
-            traceback.print_exc()
-            verdict = "FAIL"
-            failed += 1
-        print(f"{verdict}  {name}  ({time.perf_counter() - began:.1f} s)", flush=True)
-    print(f"{len(anchors) - failed} of {len(anchors)} census anchors passed at n <= {N}"
-          f" in {time.perf_counter() - start:.1f} s")
-    return 1 if failed else 0
+    }, f"census anchors at n <= {N}")
 
 
 if __name__ == "__main__":

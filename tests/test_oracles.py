@@ -1,7 +1,7 @@
 import ast
 from collections import Counter
 from functools import lru_cache, wraps
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -527,7 +527,9 @@ def test_tally_hooks_of_size_one_are_distinct_part_sizes_to_n60(family):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tally_by_hook_summed_over_h_is_its_every_fixedness_row(family):
-    check_every_fixedness_rows(60, (family,), range(1, 8), range(1, 12))
+    # m + k = 30 puts the part and the rows above an odd-distinct hook at 60.
+    pairs = [*product(range(1, 8), range(1, 12)), *((m, 30 - m) for m in range(1, 8))]
+    check_every_fixedness_rows(60, (family,), pairs)
 
 
 def test_hooks_of_size_k_by_partition_numbers_at_n200():
