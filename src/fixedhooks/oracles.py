@@ -3,9 +3,10 @@
 Every hook count reads a :class:`HookTally`, whose rows count the
 partitions that own each cell by decomposition instead of listing them (see
 "Hook census by cell decomposition" below), each row packed into one integer
-and computed the first time it is read.  The verifier reads the cached
-:func:`hook_tally`, and each point count its row of an uncached one.  The
-second formula is :func:`fixed_hook_witnesses`, a walk down each partition's
+and computed the first time it is read from tables built by packed
+divisions by 1 - q^a.  The verifier reads the cached :func:`hook_tally`,
+and each point count its row of an uncached one.  The second formula is
+:func:`fixed_hook_witnesses`, a walk down each partition's
 :meth:`Partition.column_hooks`; the tests hold every count equal to the
 length of its witness list, and the tally equal to a per-cell loop over
 every partition.
@@ -34,7 +35,7 @@ import struct
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import accumulate, chain, product
 from operator import add
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -244,12 +245,17 @@ def count_restricted_thm12(n: int, m: int, h: int) -> int:
 # distinct family the rows above are distinct parts > k, those below
 # distinct parts in [m, k - 1] and the rest distinct parts < m; in an odd
 # family every block takes odd parts only.  Less a constant from each part,
-# every block is exactly j parts from the family's sizes 1, 1 + step, ...
-# up to a cap, so one table of those counts serves all three.  A series of
-# counts is packed into one integer, so a block product is one masked
-# integer product: packing evaluates at 2**width and a mask of s slots
-# reduces modulo 2**(s * width), both ring homomorphisms, and carries only
-# move up, so every slot <= max_n is exact wherever its true count fits.
+# every block is j parts from the family's first t sizes 1, 1 + s, ... (s
+# the step); less 1 more, j parts from 0, s, ..., (t - 1) s: the Gaussian
+# binomial [j + t - 1, j] in q^s, or q^(s C(j, 2)) [t, j] if distinct
+# (Andrews, The Theory of Partitions, ch. 3).  So row j is row j - 1 (times
+# q^(s (j - 1)) if distinct) over 1 - q^(sj), times 1 - q^(s top), top =
+# j + t - 1 (t - j + 1 if distinct).  A series of counts is packed into one
+# integer: packing evaluates at 2**width and a mask of n slots reduces
+# modulo 2**(n * width), both ring homomorphisms, and carries only move up,
+# so a masked product or difference is exact in every slot whose true count
+# fits, negative or not.  Dividing first, a quotient's slot x counts row j's
+# partitions plus a multiple of s top, at most (x / top + 1) p(x) of them.
 
 
 def _slot_width(bound: int) -> int:
@@ -274,30 +280,9 @@ def _unpack(packed: int, width: int, slots: int) -> list[int]:
     return row if sys.byteorder == "little" else row[::-1]
 
 
-def _exact_parts(max_n: int, step: int, distinct: bool, width: int) -> Iterator[list[int]]:
-    """Yield ``rows``, with slot x of the packed row ``rows[j]`` (bits
-    x * width onwards) the number of ways to write x <= max_n as exactly j
-    parts from the sizes admitted so far: first none, then one more of 1,
-    1 + step, ... <= max_n at each yield.  Parts repeat unless ``distinct``.
-    The table is updated in place between yields.
-    """
-    mask = (1 << max(0, max_n + 1) * width) - 1
-    rows = [1] if distinct else [1] + [0] * max_n
-    yield rows
-    for size in range(1, max_n + 1, step):
-        if distinct and len(rows) <= max_n:
-            rows.append(0)
-        # A repeated size may already sit in rows[j - 1]; a distinct one may not.
-        js = range(len(rows) - 1, 0, -1) if distinct else range(1, len(rows))
-        for j in js:
-            rows[j] += (rows[j - 1] << size * width) & mask
-        yield rows
-
-
 class _Census:
-    """The blocks of one family's census up to max_n and the packed rows of
-    its three tables.  Raises ValueError when max_n < 0 or the family is
-    unknown."""
+    """One family's census blocks up to max_n and the packed rows of their
+    tables; raises ValueError when max_n < 0 or the family is unknown."""
 
     def __init__(self, max_n: int, family: Family):
         if max_n < 0:
@@ -308,17 +293,33 @@ class _Census:
         self.distinct = distinct = family.distinct
         self.gap = step if distinct else 0  # the rows above are parts >= k + gap
         # A partition of n has n cells, so no count reaches max_n * p(max_n).
-        self.width = width = _slot_width(max_n * partition_count(max_n))
-        # rests[t]: partitions into the first t sizes; full: every size <= max_n.
-        tables = _exact_parts(max_n, step, distinct, width)
-        full = next(tables)  # updated in place, so it ends as every size's table
-        self.rests = [sum(full)] + [sum(full) for _ in tables]
-        # Row j is zero below slot j: less 1 more from each part, it starts at 0.
-        self.full = [row >> j * width for j, row in enumerate(full)]
+        self.width = _slot_width(max_n * partition_count(max_n))
         # fits[low]: the mask of the slots still <= max_n after a shift by low.
-        self.fits = [(1 << (max_n - low + 1) * width) - 1 for low in range(max_n + 1)]
+        self.fits = [(1 << (max_n - low + 1) * self.width) - 1 for low in range(max_n + 1)]
+        # rests[t]: partitions into the first t sizes, each over 1 - q^size, times
+        # 1 - q^(2 size) if distinct; full: parts of every size <= max_n.
+        self.rests = list(accumulate(range(1, max_n + 1, step), lambda rest, size: self._ratio(
+            rest, size, 2 * size if distinct else max_n + 1, 0), initial=1))
+        self.full = self._parts(len(self.rests) - 1)
         self._belows: dict[int, list[int]] = {}
         self._aboves: dict[int, int] = {}
+
+    def _ratio(self, row: int, a: int, b: int, low: int) -> int:
+        """Slots <= max_n - low of ``row`` (1 - q^b) / (1 - q^a), a >= 1, and b
+        past them for 1: adds the row shifted by a, 2a, 4a, ... <= max_n - low
+        slots, the factors 1 + q^(a 2^i) of 1 / (1 - q^a), masking each sum."""
+        fit, width = self.fits[low], self.width
+        while a <= self.max_n - low:
+            row, a = row + (row << a * width) & fit, 2 * a
+        return row - (row << b * width) & fit
+
+    def _parts(self, t: int) -> list[int]:
+        """Row l: slot x <= max_n - l counts x + l as exactly l parts of the first t sizes."""
+        s, rows = self.step, [1]
+        for l in range(1, min(t, self.max_n) + 1 if self.distinct else self.max_n + 1):
+            lift, top = (l - 1, t - l + 1) if self.distinct else (0, l + t - 1)
+            rows.append(self._ratio(rows[-1] << s * lift * self.width, s * l, s * top, l))
+        return rows
 
     def _cell(self, m: int, k: int, l: int, j: int | None) -> int:
         """Slot n: the partitions of n, less their parts < m, with a cell in
@@ -333,9 +334,7 @@ class _Census:
         # t - 1 steps above m0 (t steps if distinct, since they stay below k).
         t = (k - m0) // self.step + 1 - self.distinct
         if t not in self._belows:
-            tables = _exact_parts(self.max_n, self.step, self.distinct, self.width)
-            below = next(islice(tables, t, None))
-            self._belows[t] = [row >> l * self.width for l, row in enumerate(below)]
+            self._belows[t] = self._parts(t)
         if l >= len(below := self._belows[t]):
             return 0
         above, fit = self.full[j] if j is not None else self._above(k), self.fits[low]
@@ -344,8 +343,8 @@ class _Census:
     def _above(self, k: int) -> int:
         """Slot x: the rows above a cell with part k, of any number, of weight x."""
         if k not in self._aboves:
-            size = k + self.gap
-            rows = enumerate(self.full[: self.max_n // size + 1])
+            size = k + self.gap  # with the part k, j rows above weigh at least k + j size
+            rows = enumerate(self.full[: (self.max_n - k) // size + 1])
             self._aboves[k] = sum((row & self.fits[j * size]) << j * size * self.width
                                   for j, row in rows)
         return self._aboves[k]

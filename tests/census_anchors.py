@@ -196,12 +196,14 @@ def check_every_fixedness_rows(max_n, families, pairs):
     check runs in each family for each (m, k) of pairs.
 
     _above sums the rows above a part p, each at least p + gap, up to
-    j = max_n // (p + gap) of them.  In the all and odd families gap is 0
-    and the part p and those j rows weigh (max_n // p + 1) p > max_n, so a
-    sum that stops one row short is an equivalent mutant there.  In the
-    distinct families it is caught only where the part and the rows above
-    reach max_n exactly: odd-distinct m + k = 30 at n <= 60, distinct
-    m + k = 31 at n <= 61, and distinct m = 1, k = 199 at n <= 399."""
+    j = (max_n - p) // (p + gap) of them, the most that fit beside the
+    part.  In the all and odd families those j rows weigh j p at least, so
+    the last is reached at n = (j + 1) p <= max_n, and a sum that stops one
+    row short fails every pair whose column holds a part p: all 84 pairs of
+    the tier-1 test at n <= 60 in the all family, 62 in the odd.  In the
+    distinct families the j rows above weigh at least j (p + gap) +
+    gap C(j, 2), which fits beside p only at some pairs: 31 and 22 of those
+    84 (distinct, odd-distinct), and at n <= 399 only m = 1, k = 199."""
     pairs = list(pairs)
     for family in families:
         by_hook = hook_tally(max_n, family).by_hook

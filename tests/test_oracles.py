@@ -435,6 +435,31 @@ def test_tally_rejects_negative_n_and_unknown_family():
         hook_tally(5, "even")
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_census_tables_equal_counts_of_enumerated_parts(family):
+    # The census builds its block tables from their generating functions;
+    # here each slot is counted by enumeration instead.  rests[t] counts the
+    # partitions of x into the first t sizes, and row l of the table for t
+    # sizes those of x + l into exactly l of them, in slot x <= max_n - l:
+    # the rows below for every t, the distinct rows l = t included, and
+    # full, the table of every size.
+    max_n = 24
+    census = oracles._Census(max_n, family)
+    sizes = range(1, max_n + 1, family.step)
+    for t, cap in enumerate([0, *sizes]):
+        counts = [Counter(map(len, enumerate_parts(x, family, max_part=cap)))
+                  for x in range(max_n + 1)]
+        assert oracles._unpack(census.rests[t], census.width, max_n + 1) == [
+            sum(count.values()) for count in counts], t
+        table = census._parts(t)
+        assert len(table) == (min(t, max_n) + 1 if family.distinct else max_n + 1), t
+        for l, row in enumerate(table):
+            want = [counts[x + l][l] for x in range(max_n - l + 1)]
+            assert oracles._unpack(row, census.width, max_n - l + 1) == want, (t, l)
+    assert len(census.rests) == len(sizes) + 1
+    assert census.full == census._parts(len(sizes))
+
+
 def test_census_cells_at_n29():
     # The cells of every partition of n <= 29 in the four families, the
     # count a traced benchmark run reports for the census.
